@@ -499,13 +499,16 @@ void AsyncQueryEngine::Process(Task* task) {
   std::vector<Result<QueryResult>> results;
   bool ok = true;
   if (task->is_batch) {
-    // Batches are not stage-traced (grouped charges interleave the
-    // entries' stages); their trace is inactive by construction.
+    // SubmitBatch samples and finishes its own span (one per call,
+    // the entries' stages accumulated); the task's span stays inactive
+    // because batch tasks are not sampled at enqueue, so a batch trace
+    // carries no queue wait.
     results = engine_.SubmitBatch(task->requests, task->batch_options);
     for (const Result<QueryResult>& result : results) ok = ok && result.ok();
   } else {
     // The task's span (queue wait already stamped) rides through the
-    // engine's admission stages; this overload never finishes it.
+    // engine's admission stages; a caller-owned span is never
+    // finished by Submit.
     results.emplace_back(engine_.Submit(task->requests[0], &task->trace));
     ok = results[0].ok();
   }

@@ -298,13 +298,11 @@ Status BudgetAccountant::Charge(const LedgerHandle* handles, size_t count,
                                 /*charged=*/false, StatusCode::kOutOfRange);
       RecordAudit(handles, count, epsilon, tag, /*charged=*/false,
                   StatusCode::kOutOfRange, nullptr);
-      return Status::OutOfRange(
-          "ledger '" + slot->id + "': budget exceeded by '" +
-          std::string(tag.workload) +
-          (tag.context != nullptr ? " on " + *tag.context : std::string()) +
-          "': spent " + std::to_string(slot->budget->spent()) + " + " +
-          std::to_string(static_cast<double>(times) * epsilon) + " > " +
-          std::to_string(slot->budget->total()));
+      // Generic on purpose: naming the refusing ledger or its
+      // spent/total would tell one tenant the policy-wide spend of
+      // every other. The audit event above keeps the detail.
+      return Status::OutOfRange("epsilon budget exhausted for '" +
+                                std::string(tag.workload) + "'");
     }
   }
   // Write-ahead barrier: the spend record must be durable before the
@@ -434,25 +432,6 @@ void BudgetAccountant::RecordAudit(const LedgerHandle* handles, size_t count,
         balances != nullptr ? balances[i] : slot->budget->remaining();
   }
   audit_log_->Append(std::move(event));
-}
-
-Status BudgetAccountant::Charge(const std::vector<std::string>& ids,
-                                double epsilon, const std::string& label) {
-  if (ids.empty()) {
-    return Status::InvalidArgument("charge needs at least one ledger");
-  }
-  std::vector<LedgerHandle> handles;
-  handles.reserve(ids.size());
-  for (const std::string& id : ids) {
-    Result<LedgerHandle> handle = Resolve(id);
-    if (!handle.ok()) return handle.status();
-    handles.push_back(*handle);
-  }
-  ChargeTag tag;
-  tag.workload = label;
-  // A ledger closed between Resolve and Charge surfaces as a stale
-  // handle — the same kNotFound the one-lock implementation reported.
-  return Charge(handles.data(), handles.size(), epsilon, tag);
 }
 
 Result<double> BudgetAccountant::Remaining(const std::string& id) const {

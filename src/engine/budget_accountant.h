@@ -152,8 +152,11 @@ class BudgetAccountant {
   /// afford n·epsilon). Either all ledgers record the spend or none
   /// does; over-budget requests fail with kOutOfRange and stale or
   /// invalid handles with kNotFound, in both cases without side
-  /// effects. Shard locks are taken in ascending index order, so
-  /// concurrent multi-shard charges cannot deadlock. When `remaining`
+  /// effects. The kOutOfRange message names no ledger (a caller must
+  /// not learn another tenant's spend); the refusal's audit event
+  /// records which ledgers were involved and their balances. Shard
+  /// locks are taken in ascending index order, so concurrent
+  /// multi-shard charges cannot deadlock. When `remaining`
   /// is non-null it receives `count` post-charge balances (only on
   /// success), saving the caller a second round of shard locks.
   /// (Analysis opt-out: the ascending-order acquisition runs over a
@@ -163,10 +166,6 @@ class BudgetAccountant {
   Status Charge(const LedgerHandle* handles, size_t count, double epsilon,
                 const ChargeTag& tag,
                 double* remaining = nullptr) NO_THREAD_SAFETY_ANALYSIS;
-
-  /// String-id convenience wrapper: resolves each id, then charges.
-  Status Charge(const std::vector<std::string>& ids, double epsilon,
-                const std::string& label);
 
   /// Remaining ε; kNotFound if absent/stale.
   Result<double> Remaining(const std::string& id) const;

@@ -8,7 +8,7 @@
 //   /varz      the registry's JSON snapshot
 //   /healthz   composed health report — 200 when charges can be made
 //              durable, 503 once the journal is poisoned (the same
-//              fail-closed signal Admit refuses with)
+//              fail-closed signal requests are refused with)
 //   /flightz   the flight recorder's JSONL dump
 //
 // This is an ops plane, not a data plane: it binds 127.0.0.1 only,

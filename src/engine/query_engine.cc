@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -27,8 +28,11 @@ struct RequestShape {
 };
 
 Status ValidateShape(const QueryRequest& request, RequestShape* shape) {
-  if (request.epsilon <= 0.0) {
-    return Status::InvalidArgument("submit needs a positive epsilon");
+  // NaN passes `<= 0.0` and a denormal ε blows the noise scale up to
+  // inf: both are malformed input, never a budget event.
+  if (!(std::isnormal(request.epsilon) && request.epsilon > 0.0)) {
+    return Status::InvalidArgument(
+        "submit needs a finite, positive, normal epsilon");
   }
   shape->has_ranges = request.ranges.has_value();
   if (shape->has_ranges && request.workload.num_queries() > 0) {
@@ -55,6 +59,13 @@ Status CheckDomain(const RequestShape& shape, const RegisteredPolicy& entry) {
         "' has domain size " + std::to_string(entry.policy.domain_size()));
   }
   return Status::OK();
+}
+
+uint32_t MicrosBetween(std::chrono::steady_clock::time_point start,
+                       std::chrono::steady_clock::time_point end) {
+  return static_cast<uint32_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(end - start)
+          .count());
 }
 
 FlightOutcome FlightOutcomeOf(const Status& status) {
@@ -149,8 +160,8 @@ QueryEngine::QueryEngine(EngineOptions options)
                                 "Submit attempts that returned an error");
   m_refused_budget_ = metrics.counter(
       "engine_refused_budget_total",
-      "Submits refused with kOutOfRange: a ledger could not afford the "
-      "requested epsilon");
+      "Requests (submits, batch entries, streams) refused with "
+      "kOutOfRange: a ledger could not afford the requested epsilon");
   m_batches_ = metrics.counter("engine_batches_total", "SubmitBatch calls");
   m_batch_entries_ = metrics.counter("engine_batch_entries_total",
                                      "Entries across all batches");
@@ -228,13 +239,10 @@ QueryEngine::QueryEngine(EngineOptions options)
   metrics.gauge_callback("engine_audit_events_total", [this] {
     return static_cast<double>(telemetry_.audit().total_events());
   });
-  metrics.gauge_callback("engine_audit_events_dropped", [this] {
-    return static_cast<double>(telemetry_.audit().dropped());
-  });
-  // Short alias for the drop counter: events lost to ring wrap-around
-  // are exactly the spends a JSONL export can no longer replay, so
-  // dashboards alert on this name (nonzero = widen the ring or attach
-  // a sink; the crash journal is unaffected — it never drops).
+  // Events lost to ring wrap-around are exactly the spends a JSONL
+  // export can no longer replay, so dashboards alert on this name
+  // (nonzero = widen the ring or attach a sink; the crash journal is
+  // unaffected — it never drops).
   metrics.gauge_callback("engine_audit_dropped", [this] {
     return static_cast<double>(telemetry_.audit().dropped());
   });
@@ -438,12 +446,8 @@ void QueryEngine::RecordRequestObs(const QueryRequest& request,
         f_tenant_refused_->WithLabels(policy_label, tenant)->Add(1);
       }
     }
-    // total_us == 0 means "not timed" (batch group entries), not a
-    // zero-latency request — keep it out of the histograms.
-    if (total_us > 0) {
-      f_tenant_latency_->WithLabels(policy_label, tenant)
-          ->Record(total_us / 1000.0);
-    }
+    f_tenant_latency_->WithLabels(policy_label, tenant)
+        ->Record(total_us / 1000.0);
   }
 
   FlightRecorder& flight = telemetry_.flight();
@@ -1068,58 +1072,6 @@ Result<std::shared_ptr<const Plan>> QueryEngine::GetOrPlan(
   return planned;
 }
 
-QueryResult QueryEngine::Release(const QueryRequest& request,
-                                 const RegisteredPolicy& entry,
-                                 const Plan& plan, bool cache_hit,
-                                 bool has_ranges) {
-  // Private random stream per submit; immutable plan, caller-side rng.
-  const uint64_t stream = submit_counter_.fetch_add(1) + 1;
-  // dp-lint: allow(charge-before-noise) Release is a post-admission executor; callers reach it only after Admit's Charge succeeded
-  Rng rng(seed_ ^ (kStreamStep * stream));
-
-  QueryResult result;
-  // The fast path reconstructs in the policy's own grid geometry, so
-  // the request's domain must match the policy's shape exactly, not
-  // just its flattened size.
-  if (has_ranges && plan.range_mechanism != nullptr &&
-      request.ranges->domain().dims() == entry.policy.domain.dims()) {
-    // Fast path: noise is drawn once for this submit's slab releases
-    // and only the queried ranges are reconstructed — O(q·edges),
-    // versus the adapter's O(k²·edges) full-histogram detour. The
-    // noise-free data transform is shared across submits.
-    const PrecomputePtr pre =
-        GetOrPrecompute(entry, plan, request.prefer_data_dependent);
-    const auto* slab =
-        dynamic_cast<const GridThetaHistogramAdapter::SlabPrecompute*>(
-            pre.get());
-    if (slab != nullptr) {
-      result.answers = plan.range_mechanism->AnswerRangesOnTransformed(
-          *request.ranges, slab->xg, slab->n, request.epsilon, &rng);
-    } else {
-      // Safety net (the adapter always splits): transform per submit.
-      result.answers = plan.range_mechanism->AnswerRanges(
-          *request.ranges, entry.data, request.epsilon, &rng);
-    }
-    result.range_fast_path = true;
-    result.guarantee = plan.range_mechanism->Guarantee(request.epsilon);
-  } else {
-    const PrecomputePtr pre =
-        GetOrPrecompute(entry, plan, request.prefer_data_dependent);
-    const Vector estimate =
-        pre != nullptr
-            ? plan.mechanism->RunPrecomputed(*pre, request.epsilon, &rng)
-            : plan.mechanism->Run(entry.data, request.epsilon, &rng);
-    // Range workloads on histogram-release plans are answered from x̂
-    // with a summed-area table; W is never materialized.
-    result.answers = has_ranges ? request.ranges->Answer(estimate)
-                                : request.workload.Answer(estimate);
-    result.guarantee = plan.mechanism->Guarantee(request.epsilon);
-  }
-  result.plan_kind = plan.kind;
-  result.plan_cache_hit = cache_hit;
-  return result;
-}
-
 namespace {
 
 /// Streams the θ>=2 grid fast path: the core cursor holds this
@@ -1149,183 +1101,55 @@ class GridStreamCursor : public ChunkCursor {
   size_t chunk_queries_;
 };
 
-/// Streams range answers off a released histogram estimate: the
-/// summed-area table is built once, each chunk answers a block of
-/// queries from it (identical arithmetic to RangeWorkload::Answer).
-class SatStreamCursor : public ChunkCursor {
+/// Streams answers off a released histogram estimate x̂. A range
+/// workload is answered from a summed-area table built once (identical
+/// arithmetic to RangeWorkload::Answer); a dense one row by row, each
+/// row the same CSR dot MultiplyVector performs. Either way chunk
+/// concatenation is bit-identical to the materialized answers.
+class EstimateStreamCursor : public ChunkCursor {
  public:
-  SatStreamCursor(RangeWorkload workload, const Vector& estimate,
-                  size_t chunk_queries)
-      : workload_(std::move(workload)),
-        answerer_(workload_.domain(), estimate),
-        chunk_queries_(chunk_queries) {}
-
-  std::optional<StreamChunk> NextChunk() override {
-    if (next_ >= workload_.num_queries()) return std::nullopt;
-    const size_t end =
-        std::min(next_ + chunk_queries_, workload_.num_queries());
-    StreamChunk chunk;
-    chunk.offset = next_;
-    chunk.values.reserve(end - next_);
-    for (; next_ < end; ++next_) {
-      chunk.values.push_back(answerer_.Answer(workload_.queries()[next_]));
-    }
-    return chunk;
-  }
-  size_t total_answers() const override { return workload_.num_queries(); }
-
- private:
-  RangeWorkload workload_;
-  SummedAreaAnswerer answerer_;
-  size_t chunk_queries_;
-  size_t next_ = 0;
-};
-
-/// Streams a dense `W x̂` in row blocks: each row is the same CSR dot
-/// MultiplyVector performs, so chunk concatenation is bit-identical
-/// to the materialized product.
-class DenseStreamCursor : public ChunkCursor {
- public:
-  DenseStreamCursor(Workload workload, Vector estimate, size_t chunk_queries)
-      : workload_(std::move(workload)),
+  /// Moves the request's workload in; the request may die first.
+  EstimateStreamCursor(QueryRequest* request, Vector estimate,
+                       size_t chunk_queries)
+      : ranges_(std::move(request->ranges)),
+        workload_(std::move(request->workload)),
         estimate_(std::move(estimate)),
-        chunk_queries_(chunk_queries) {}
+        chunk_queries_(chunk_queries) {
+    if (ranges_.has_value()) answerer_.emplace(ranges_->domain(), estimate_);
+  }
 
   std::optional<StreamChunk> NextChunk() override {
-    if (next_ >= workload_.num_queries()) return std::nullopt;
-    const size_t end =
-        std::min(next_ + chunk_queries_, workload_.num_queries());
+    if (next_ >= total_answers()) return std::nullopt;
+    const size_t end = std::min(next_ + chunk_queries_, total_answers());
     StreamChunk chunk;
     chunk.offset = next_;
     chunk.values.reserve(end - next_);
     for (; next_ < end; ++next_) {
-      chunk.values.push_back(workload_.matrix().RowDot(next_, estimate_));
+      chunk.values.push_back(
+          answerer_.has_value()
+              ? answerer_->Answer(ranges_->queries()[next_])
+              : workload_.matrix().RowDot(next_, estimate_));
     }
     return chunk;
   }
-  size_t total_answers() const override { return workload_.num_queries(); }
+  size_t total_answers() const override {
+    return ranges_.has_value() ? ranges_->num_queries()
+                               : workload_.num_queries();
+  }
 
  private:
+  std::optional<RangeWorkload> ranges_;
   Workload workload_;
   Vector estimate_;
+  std::optional<SummedAreaAnswerer> answerer_;
   size_t chunk_queries_;
   size_t next_ = 0;
 };
 
 }  // namespace
 
-std::unique_ptr<ChunkCursor> QueryEngine::BuildCursor(
-    QueryRequest request, const Admission& admission,
-    const StreamOptions& options, StreamHeader* header) {
-  const RegisteredPolicy& entry = *admission.entry;
-  const Plan& plan = *admission.plan;
-  // Same per-submit private rng stream as Release(): with a fixed
-  // seed, the n-th admission draws the n-th stream whether it
-  // materializes or streams — the equivalence the stream tests pin.
-  const uint64_t stream = submit_counter_.fetch_add(1) + 1;
-  // dp-lint: allow(charge-before-noise) BuildCursor is a post-admission executor; cursors are built only after AdmitStream's Charge succeeded
-  Rng rng(seed_ ^ (kStreamStep * stream));
-
-  header->plan_kind = plan.kind;
-  header->plan_cache_hit = admission.cache_hit;
-  header->session_remaining = admission.remaining[0];
-  header->policy_remaining = admission.remaining[1];
-  header->total_answers = admission.num_queries;
-
-  const size_t chunk_queries = std::max<size_t>(1, options.chunk_queries);
-  if (admission.has_ranges && plan.range_mechanism != nullptr &&
-      request.ranges->domain().dims() == entry.policy.domain.dims()) {
-    // Fast path: BeginRanges draws the submit's slab/line releases now
-    // (everything the charge covers); the cursor then reconstructs
-    // per query, exactly the increments AnswerRangesOnTransformed
-    // runs internally.
-    header->range_fast_path = true;
-    header->guarantee = plan.range_mechanism->Guarantee(request.epsilon);
-    const PrecomputePtr pre =
-        GetOrPrecompute(entry, plan, request.prefer_data_dependent);
-    const auto* slab =
-        dynamic_cast<const GridThetaHistogramAdapter::SlabPrecompute*>(
-            pre.get());
-    std::unique_ptr<GridThetaRangeMechanism::RangeCursor> core =
-        slab != nullptr
-            ? plan.range_mechanism->BeginRanges(std::move(*request.ranges),
-                                                slab->xg, slab->n,
-                                                request.epsilon, &rng)
-            // Safety net (the adapter always splits): transform per
-            // submit, mirroring Release()'s AnswerRanges fallback.
-            : plan.range_mechanism->BeginRanges(
-                  std::move(*request.ranges),
-                  plan.range_mechanism->PrecomputeTransformed(entry.data),
-                  Sum(entry.data), request.epsilon, &rng);
-    return std::make_unique<GridStreamCursor>(admission.plan,
-                                              std::move(core), chunk_queries);
-  }
-
-  // Histogram-release paths: the noisy estimate x̂ is the release (and
-  // is domain-sized, not workload-sized); the stream avoids
-  // materializing the q-sized answer vector.
-  const PrecomputePtr pre =
-      GetOrPrecompute(entry, plan, request.prefer_data_dependent);
-  Vector estimate =
-      pre != nullptr
-          ? plan.mechanism->RunPrecomputed(*pre, request.epsilon, &rng)
-          : plan.mechanism->Run(entry.data, request.epsilon, &rng);
-  header->guarantee = plan.mechanism->Guarantee(request.epsilon);
-  if (admission.has_ranges) {
-    return std::make_unique<SatStreamCursor>(std::move(*request.ranges),
-                                             estimate, chunk_queries);
-  }
-  return std::make_unique<DenseStreamCursor>(
-      std::move(request.workload), std::move(estimate), chunk_queries);
-}
-
-Result<std::unique_ptr<ChunkCursor>> QueryEngine::AdmitStream(
-    QueryRequest request, const StreamOptions& options, StreamHeader* header,
-    RequestTrace* trace) {
-  m_streams_->Add(1);
-  std::chrono::steady_clock::time_point start;
-  if (obs_enabled_) start = std::chrono::steady_clock::now();
-  Result<Admission> admitted = Admit(request, trace);
-  uint32_t admit_us = 0;
-  if (obs_enabled_) {
-    admit_us = static_cast<uint32_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-  }
-  if (!admitted.ok()) {
-    RecordRequestObs(request, nullptr, admitted.status(),
-                     /*charged_epsilon=*/0.0, admit_us, admit_us);
-    return admitted.status();
-  }
-  MaybeCheckpointJournal();
-  const Admission admission = std::move(admitted).ValueOrDie();
-  // Recorded at admission — ε is spent here, and the request's
-  // workload is about to move into the cursor. The noise draw below
-  // lands in the release-stage histogram instead.
-  RecordRequestObs(request, admission.entry.get(), Status::OK(),
-                   request.epsilon, admit_us, admit_us);
-  // The release stage covers the noise draw at cursor construction
-  // (chunk production afterwards is pure post-processing, timed by
-  // the stream digests instead).
-  TraceStageTimer timer(trace, TraceStage::kRelease);
-  return BuildCursor(std::move(request), admission, options, header);
-}
-
-Result<std::shared_ptr<ResultStream>> QueryEngine::SubmitStream(
-    QueryRequest request, const StreamOptions& options) {
-  StreamHeader header;
-  RequestTrace trace = telemetry_.MaybeStartTrace();
-  Result<std::unique_ptr<ChunkCursor>> cursor =
-      AdmitStream(std::move(request), options, &header, &trace);
-  telemetry_.FinishTrace(&trace, cursor.ok());
-  if (!cursor.ok()) return cursor.status();
-  return ResultStream::MakeInline(std::move(cursor).ValueOrDie(),
-                                  std::move(header));
-}
-
-Result<QueryEngine::Admission> QueryEngine::Admit(const QueryRequest& request,
-                                                  RequestTrace* trace) {
+Status QueryEngine::Resolve(const QueryRequest& request, Admission* admission,
+                            RequestTrace* trace) {
   // Fail closed before any work: an engine whose journal failed to
   // open must refuse admission outright — serving charges it cannot
   // journal would silently void the durability guarantee. (Runtime
@@ -1338,185 +1162,293 @@ Result<QueryEngine::Admission> QueryEngine::Admit(const QueryRequest& request,
     BF_RETURN_NOT_OK(ValidateShape(request, &shape));
   }
 
-  Admission admission;
-  {
-    TraceStageTimer timer(trace, TraceStage::kResolve);
-    // Session first: a submit against an unknown session must not
-    // plan. This is a resolution, not a budget probe — the charge
-    // below is the single point that touches the ledger (no redundant
-    // lock/probe).
-    LedgerHandle session_ledger = request.session_handle;
-    if (!session_ledger.valid()) {
-      std::shared_lock<std::shared_mutex> lock(sessions_mu_);
-      auto it = sessions_.find(request.session);
-      if (it == sessions_.end()) {
-        return Status::NotFound("session '" + request.session +
-                                "' is not open");
-      }
-      session_ledger = it->second;
+  TraceStageTimer timer(trace, TraceStage::kResolve);
+  // Session first: a submit against an unknown session must not plan.
+  // This is a resolution, not a budget probe — Admit's charge is the
+  // single point that touches the ledger (no redundant lock/probe).
+  admission->session_ledger = request.session_handle;
+  if (!admission->session_ledger.valid()) {
+    std::shared_lock<std::shared_mutex> lock(sessions_mu_);
+    auto it = sessions_.find(request.session);
+    if (it == sessions_.end()) {
+      return Status::NotFound("session '" + request.session + "' is not open");
     }
-    admission.session_ledger = session_ledger;
-
-    Result<std::shared_ptr<const RegisteredPolicy>> lookup =
-        request.policy_handle.valid() ? registry_.Get(request.policy_handle)
-                                      : registry_.Get(request.policy);
-    if (!lookup.ok()) return lookup.status();
-
-    admission.entry = std::move(lookup).ValueOrDie();
-    admission.has_ranges = shape.has_ranges;
-    admission.num_queries = shape.num_queries;
-
-    BF_RETURN_NOT_OK(CheckDomain(shape, *admission.entry));
+    admission->session_ledger = it->second;
   }
 
+  Result<std::shared_ptr<const RegisteredPolicy>> lookup =
+      request.policy_handle.valid() ? registry_.Get(request.policy_handle)
+                                    : registry_.Get(request.policy);
+  if (!lookup.ok()) return lookup.status();
+  admission->entry = std::move(lookup).ValueOrDie();
+  return CheckDomain(shape, *admission->entry);
+}
+
+Status QueryEngine::Admit(const QueryRequest& first, size_t count,
+                          double epsilon, bool disjoint, Admission* admission,
+                          RequestTrace* trace) {
   // Plan first (data-independent, costs no budget), charge second, and
   // only then draw noise: a refused query releases nothing.
   {
     TraceStageTimer timer(trace, TraceStage::kPlan);
-    Result<std::shared_ptr<const Plan>> plan_result = GetOrPlan(
-        admission.entry, request.prefer_data_dependent, &admission.cache_hit);
-    if (!plan_result.ok()) return plan_result.status();
-    admission.plan = std::move(plan_result).ValueOrDie();
+    Result<std::shared_ptr<const Plan>> plan = GetOrPlan(
+        admission->entry, first.prefer_data_dependent, &admission->cache_hit);
+    if (!plan.ok()) return plan.status();
+    admission->plan = std::move(plan).ValueOrDie();
   }
 
-  {
-    TraceStageTimer timer(trace, TraceStage::kCharge);
-    const LedgerHandle ledgers[2] = {admission.session_ledger,
-                                     admission.entry->ledger};
-    ChargeTag tag;
-    tag.workload = *shape.workload_name;
-    tag.context = admission.plan->audit_context;
-    const Status charged = accountant_.Charge(ledgers, 2, request.epsilon,
-                                              tag, admission.remaining);
-    if (!charged.ok()) {
-      if (charged.code() == StatusCode::kOutOfRange) {
-        m_refused_budget_->Add(1);
-      }
-      return charged;
-    }
-    m_eps_charged_->Add(request.epsilon);
+  TraceStageTimer timer(trace, TraceStage::kCharge);
+  const std::string& first_name =
+      first.ranges.has_value() ? first.ranges->name() : first.workload.name();
+  std::string batch_label;
+  ChargeTag tag;
+  tag.workload = first_name;
+  if (count > 1) {
+    batch_label = "batch[" + std::to_string(count) + "] incl. " + first_name;
+    tag.workload = batch_label;
   }
-  return admission;
+  tag.context = admission->plan->audit_context;
+  tag.parallel_count = disjoint ? static_cast<uint32_t>(count) : 1;
+  const LedgerHandle ledgers[2] = {admission->session_ledger,
+                                   admission->entry->ledger};
+  BF_RETURN_NOT_OK(
+      accountant_.Charge(ledgers, 2, epsilon, tag, admission->remaining));
+  m_eps_charged_->Add(epsilon);
+  return Status::OK();
 }
 
-Result<QueryResult> QueryEngine::Submit(const QueryRequest& request) {
-  RequestTrace trace = telemetry_.MaybeStartTrace();
-  Result<QueryResult> result = Submit(request, &trace);
-  telemetry_.FinishTrace(&trace, result.ok());
-  return result;
+template <typename Header, typename OnSlab, typename OnEstimate>
+void QueryEngine::DrawRelease(const Admission& admission,
+                              const QueryRequest& request, Header* header,
+                              OnSlab&& on_slab, OnEstimate&& on_estimate) {
+  const RegisteredPolicy& entry = *admission.entry;
+  const Plan& plan = *admission.plan;
+  // Private random stream per release; immutable plan, caller-side rng.
+  // With a fixed seed the n-th release draws the n-th stream whether
+  // it materializes or streams — the equivalence the stream tests pin.
+  const uint64_t stream = submit_counter_.fetch_add(1) + 1;
+  // dp-lint: allow(charge-before-noise) the one release dispatch; Submit, SubmitBatch and AdmitStream reach it only after Admit's Charge succeeded
+  Rng rng(seed_ ^ (kStreamStep * stream));
+  const PrecomputePtr pre =
+      GetOrPrecompute(entry, plan, request.prefer_data_dependent);
+
+  header->plan_kind = plan.kind;
+  header->plan_cache_hit = admission.cache_hit;
+  // Balances observed atomically inside the charge — a ledger closed
+  // right after still reports the value this release actually saw.
+  header->session_remaining = admission.remaining[0];
+  header->policy_remaining = admission.remaining[1];
+  // The fast path reconstructs in the policy's own grid geometry, so
+  // the request's domain must match the policy's shape exactly, not
+  // just its flattened size.
+  header->range_fast_path =
+      request.ranges.has_value() && plan.range_mechanism != nullptr &&
+      request.ranges->domain().dims() == entry.policy.domain.dims();
+  if (header->range_fast_path) {
+    // Fast path: noise is drawn once for this submit's slab releases
+    // and only the queried ranges are reconstructed — O(q·edges),
+    // versus the adapter's O(k²·edges) full-histogram detour. The
+    // noise-free data transform is shared across submits.
+    const GridThetaRangeMechanism& mech = *plan.range_mechanism;
+    header->guarantee = mech.Guarantee(request.epsilon);
+    const auto* slab =
+        dynamic_cast<const GridThetaHistogramAdapter::SlabPrecompute*>(
+            pre.get());
+    if (slab != nullptr) {
+      on_slab(mech, slab->xg, slab->n, &rng);
+    } else {
+      // Safety net (the adapter always splits): transform per submit.
+      on_slab(mech, mech.PrecomputeTransformed(entry.data), Sum(entry.data),
+              &rng);
+    }
+    return;
+  }
+  // Histogram-release paths: the noisy estimate x̂ is the release;
+  // answers are post-processing of it.
+  header->guarantee = plan.mechanism->Guarantee(request.epsilon);
+  on_estimate(pre != nullptr
+                  ? plan.mechanism->RunPrecomputed(*pre, request.epsilon, &rng)
+                  : plan.mechanism->Run(entry.data, request.epsilon, &rng));
+}
+
+void QueryEngine::Materialize(const Admission& admission,
+                              const QueryRequest& request,
+                              QueryResult* result) {
+  DrawRelease(
+      admission, request, result,
+      [&](const GridThetaRangeMechanism& mech, const Vector& xg, double n,
+          Rng* rng) {
+        result->answers = mech.AnswerRangesOnTransformed(
+            *request.ranges, xg, n, request.epsilon, rng);
+      },
+      [&](const Vector& estimate) {
+        // Range workloads on histogram-release plans are answered from
+        // x̂ with a summed-area table; W is never materialized.
+        result->answers = request.ranges.has_value()
+                              ? request.ranges->Answer(estimate)
+                              : request.workload.Answer(estimate);
+      });
+}
+
+std::unique_ptr<ChunkCursor> QueryEngine::BuildCursor(
+    const Admission& admission, QueryRequest* request,
+    const StreamOptions& options, StreamHeader* header) {
+  const size_t chunk_queries = std::max<size_t>(1, options.chunk_queries);
+  std::unique_ptr<ChunkCursor> cursor;
+  DrawRelease(
+      admission, *request, header,
+      [&](const GridThetaRangeMechanism& mech, const Vector& xg, double n,
+          Rng* rng) {
+        // BeginRanges draws the submit's slab/line releases now
+        // (everything the charge covers); the cursor then reconstructs
+        // per query, exactly the increments AnswerRangesOnTransformed
+        // runs internally.
+        cursor = std::make_unique<GridStreamCursor>(
+            admission.plan,
+            mech.BeginRanges(std::move(*request->ranges), xg, n,
+                             request->epsilon, rng),
+            chunk_queries);
+      },
+      [&](Vector estimate) {
+        cursor = std::make_unique<EstimateStreamCursor>(
+            request, std::move(estimate), chunk_queries);
+      });
+  header->total_answers = cursor->total_answers();
+  return cursor;
+}
+
+void QueryEngine::Finish(bool submit, const QueryRequest& request,
+                         const RegisteredPolicy* entry, const Status& status,
+                         double charged_epsilon, Clock::time_point start,
+                         Clock::time_point admitted,
+                         RequestTrace* owned_trace) {
+  if (status.code() == StatusCode::kOutOfRange) m_refused_budget_->Add(1);
+  if (submit || obs_enabled_) {
+    const Clock::time_point end = Clock::now();
+    if (submit) {
+      if (!status.ok()) m_failures_->Add(1);
+      m_submit_latency_->Record(
+          std::chrono::duration<double, std::milli>(end - start).count());
+    }
+    RecordRequestObs(request, entry, status, charged_epsilon,
+                     MicrosBetween(start, admitted),
+                     MicrosBetween(start, end));
+  }
+  MaybeCheckpointJournal();
+  if (owned_trace != nullptr) telemetry_.FinishTrace(owned_trace, status.ok());
 }
 
 Result<QueryResult> QueryEngine::Submit(const QueryRequest& request,
                                         RequestTrace* trace) {
-  const auto start = std::chrono::steady_clock::now();
+  const Clock::time_point start = Clock::now();
   m_submits_->Add(1);
-  Result<Admission> admitted = Admit(request, trace);
+  RequestTrace sampled;
+  RequestTrace* owned = nullptr;
+  if (trace == nullptr) {
+    sampled = telemetry_.MaybeStartTrace();
+    trace = owned = &sampled;
+  }
+  Admission admission;
+  Status status = Resolve(request, &admission, trace);
+  if (status.ok()) {
+    status = Admit(request, 1, request.epsilon, /*disjoint=*/false,
+                   &admission, trace);
+  }
   // One extra clock read, only when the obs plane wants the admission
   // split for flight records.
-  uint32_t admit_us = 0;
-  if (obs_enabled_) {
-    admit_us = static_cast<uint32_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-  }
-  if (!admitted.ok()) {
-    m_failures_->Add(1);
-    m_submit_latency_->Record(std::chrono::duration<double, std::milli>(
-                                  std::chrono::steady_clock::now() - start)
-                                  .count());
-    RecordRequestObs(request, nullptr, admitted.status(),
-                     /*charged_epsilon=*/0.0, admit_us, admit_us);
-    return admitted.status();
-  }
-  const Admission admission = std::move(admitted).ValueOrDie();
-
+  const Clock::time_point admitted = obs_enabled_ ? Clock::now() : start;
   QueryResult result;
-  {
+  if (status.ok()) {
     TraceStageTimer timer(trace, TraceStage::kRelease);
-    result = Release(request, *admission.entry, *admission.plan,
-                     admission.cache_hit, admission.has_ranges);
+    Materialize(admission, request, &result);
   }
-  // Balances observed atomically inside the charge — a ledger closed
-  // right after still reports the value this submit actually saw.
-  result.session_remaining = admission.remaining[0];
-  result.policy_remaining = admission.remaining[1];
-  const auto end = std::chrono::steady_clock::now();
-  m_submit_latency_->Record(
-      std::chrono::duration<double, std::milli>(end - start).count());
-  RecordRequestObs(request, admission.entry.get(), Status::OK(),
-                   request.epsilon, admit_us,
-                   static_cast<uint32_t>(
-                       std::chrono::duration_cast<std::chrono::microseconds>(
-                           end - start)
-                           .count()));
-  MaybeCheckpointJournal();
+  Finish(/*submit=*/true, request, admission.entry.get(), status,
+         status.ok() ? request.epsilon : 0.0, start, admitted, owned);
+  if (!status.ok()) return status;
   return result;
+}
+
+Result<std::unique_ptr<ChunkCursor>> QueryEngine::AdmitStream(
+    QueryRequest request, const StreamOptions& options, StreamHeader* header,
+    RequestTrace* trace) {
+  const Clock::time_point start =
+      obs_enabled_ ? Clock::now() : Clock::time_point();
+  m_streams_->Add(1);
+  RequestTrace sampled;
+  RequestTrace* owned = nullptr;
+  if (trace == nullptr) {
+    sampled = telemetry_.MaybeStartTrace();
+    trace = owned = &sampled;
+  }
+  Admission admission;
+  Status status = Resolve(request, &admission, trace);
+  if (status.ok()) {
+    status = Admit(request, 1, request.epsilon, /*disjoint=*/false,
+                   &admission, trace);
+  }
+  const Clock::time_point admitted = obs_enabled_ ? Clock::now() : start;
+  std::unique_ptr<ChunkCursor> cursor;
+  if (status.ok()) {
+    // The release stage covers the noise draw at cursor construction
+    // (chunk production afterwards is pure post-processing, timed by
+    // the stream digests instead). Only the workload moves into the
+    // cursor; Finish still reads the request's ids.
+    TraceStageTimer timer(trace, TraceStage::kRelease);
+    cursor = BuildCursor(admission, &request, options, header);
+  }
+  Finish(/*submit=*/false, request, admission.entry.get(), status,
+         status.ok() ? request.epsilon : 0.0, start, admitted, owned);
+  if (!status.ok()) return status;
+  return cursor;
+}
+
+Result<std::shared_ptr<ResultStream>> QueryEngine::SubmitStream(
+    QueryRequest request, const StreamOptions& options) {
+  StreamHeader header;
+  Result<std::unique_ptr<ChunkCursor>> cursor =
+      AdmitStream(std::move(request), options, &header);
+  if (!cursor.ok()) return cursor.status();
+  return ResultStream::MakeInline(std::move(cursor).ValueOrDie(),
+                                  std::move(header));
 }
 
 std::vector<Result<QueryResult>> QueryEngine::SubmitBatch(
     const std::vector<QueryRequest>& batch, const BatchOptions& options) {
+  const Clock::time_point start =
+      obs_enabled_ ? Clock::now() : Clock::time_point();
   m_batches_->Add(1);
   m_batch_entries_->Add(batch.size());
+  // One span for the whole call: the entries' stages accumulate in it.
+  RequestTrace trace = telemetry_.MaybeStartTrace();
   std::vector<Result<QueryResult>> results(
       batch.size(),
       Result<QueryResult>(Status::Internal("batch entry not processed")));
 
-  // Group by (session ledger, policy snapshot, planner options):
-  // everything per-group work below — registry snapshot, plan lookup,
-  // budget charge — happens once per group instead of once per entry.
+  // Resolve every entry, then group by (session ledger, policy
+  // snapshot, planner options): the plan lookup and budget charge run
+  // once per group instead of once per entry.
   struct Group {
-    LedgerHandle session;
-    std::shared_ptr<const RegisteredPolicy> entry;
+    Admission admission;
     bool prefer_data_dependent = false;
     std::vector<size_t> indices;
     double eps_sum = 0.0;
     double eps_max = 0.0;
   };
   std::vector<Group> groups;
-
   for (size_t i = 0; i < batch.size(); ++i) {
     const QueryRequest& request = batch[i];
-    RequestShape shape;
-    Status valid = ValidateShape(request, &shape);
-    if (!valid.ok()) {
-      results[i] = valid;
-      RecordRequestObs(request, nullptr, valid, 0.0, 0, 0);
-      continue;
-    }
-    LedgerHandle session_ledger = request.session_handle;
-    if (!session_ledger.valid()) {
-      std::shared_lock<std::shared_mutex> lock(sessions_mu_);
-      auto it = sessions_.find(request.session);
-      if (it == sessions_.end()) {
-        Status not_found = Status::NotFound("session '" + request.session +
-                                            "' is not open");
-        results[i] = not_found;
-        lock.unlock();
-        RecordRequestObs(request, nullptr, not_found, 0.0, 0, 0);
-        continue;
-      }
-      session_ledger = it->second;
-    }
-    Result<std::shared_ptr<const RegisteredPolicy>> lookup =
-        request.policy_handle.valid() ? registry_.Get(request.policy_handle)
-                                      : registry_.Get(request.policy);
-    if (!lookup.ok()) {
-      results[i] = lookup.status();
-      RecordRequestObs(request, nullptr, lookup.status(), 0.0, 0, 0);
-      continue;
-    }
-    std::shared_ptr<const RegisteredPolicy> entry =
-        std::move(lookup).ValueOrDie();
-    Status domain_ok = CheckDomain(shape, *entry);
-    if (!domain_ok.ok()) {
-      results[i] = domain_ok;
-      RecordRequestObs(request, entry.get(), domain_ok, 0.0, 0, 0);
+    Admission resolved;
+    const Status status = Resolve(request, &resolved, &trace);
+    if (!status.ok()) {
+      results[i] = status;
+      Finish(/*submit=*/false, request, resolved.entry.get(), status, 0.0,
+             start, obs_enabled_ ? Clock::now() : start, nullptr);
       continue;
     }
     Group* group = nullptr;
     for (Group& g : groups) {
-      if (g.session == session_ledger && g.entry == entry &&
+      if (g.admission.session_ledger == resolved.session_ledger &&
+          g.admission.entry == resolved.entry &&
           g.prefer_data_dependent == request.prefer_data_dependent) {
         group = &g;
         break;
@@ -1525,84 +1457,48 @@ std::vector<Result<QueryResult>> QueryEngine::SubmitBatch(
     if (group == nullptr) {
       groups.emplace_back();
       group = &groups.back();
-      group->session = session_ledger;
-      group->entry = std::move(entry);
+      group->admission = std::move(resolved);
       group->prefer_data_dependent = request.prefer_data_dependent;
     }
     group->indices.push_back(i);
-    // dp-lint: allow(epsilon-confinement) composition pre-aggregation; the sum/max only shapes the batch charge handed to BudgetAccountant::Charge
+    // dp-lint: allow(epsilon-confinement) composition pre-aggregation; the sum/max only shapes the group charge Admit hands to BudgetAccountant::Charge
     group->eps_sum += request.epsilon;
     group->eps_max = std::max(group->eps_max, request.epsilon);
   }
 
   for (Group& group : groups) {
-    bool cache_hit = false;
-    Result<std::shared_ptr<const Plan>> plan_result =
-        GetOrPlan(group.entry, group.prefer_data_dependent, &cache_hit);
-    if (!plan_result.ok()) {
-      for (size_t i : group.indices) {
-        results[i] = plan_result.status();
-        RecordRequestObs(batch[i], group.entry.get(), plan_result.status(),
-                         0.0, 0, 0);
-      }
-      continue;
-    }
-    const std::shared_ptr<const Plan> plan =
-        std::move(plan_result).ValueOrDie();
-
     const size_t m = group.indices.size();
     const double epsilon =
         options.disjoint_domains ? group.eps_max : group.eps_sum;
-    const QueryRequest& first = batch[group.indices.front()];
-    const std::string& first_name = first.ranges.has_value()
-                                        ? first.ranges->name()
-                                        : first.workload.name();
-    std::string batch_label;
-    ChargeTag tag;
-    if (m == 1) {
-      tag.workload = first_name;
-    } else {
-      batch_label =
-          "batch[" + std::to_string(m) + "] incl. " + first_name;
-      tag.workload = batch_label;
-    }
-    tag.context = plan->audit_context;
-    tag.parallel_count =
-        options.disjoint_domains ? static_cast<uint32_t>(m) : 1;
-
-    const LedgerHandle ledgers[2] = {group.session, group.entry->ledger};
-    double remaining[2] = {0.0, 0.0};
-    const Status charged =
-        accountant_.Charge(ledgers, 2, epsilon, tag, remaining);
-    if (!charged.ok()) {
-      if (charged.code() == StatusCode::kOutOfRange &&
-          !options.disjoint_domains && m > 1) {
-        // The combined sequential charge does not fit. Degrade to
-        // per-entry charges in batch order so the budget admits
-        // exactly the prefix individual Submits would have admitted.
-        // (Each retried entry counts and audits as its own Submit.)
-        for (size_t i : group.indices) results[i] = Submit(batch[i]);
-      } else {
-        // A disjoint-domain charge is indivisible (parallel
-        // composition covers the whole set or none); resolution
-        // failures apply to every entry alike.
-        if (charged.code() == StatusCode::kOutOfRange) {
-          m_refused_budget_->Add(1);
-        }
-        for (size_t i : group.indices) {
-          results[i] = charged;
-          RecordRequestObs(batch[i], group.entry.get(), charged, 0.0, 0, 0);
-        }
-      }
+    Admission& admission = group.admission;
+    const Status status = Admit(batch[group.indices.front()], m, epsilon,
+                                options.disjoint_domains, &admission, &trace);
+    if (status.code() == StatusCode::kOutOfRange &&
+        !options.disjoint_domains && m > 1) {
+      // The combined sequential charge does not fit. Degrade to
+      // per-entry charges in batch order so the budget admits exactly
+      // the prefix individual Submits would have admitted. (Each
+      // retried entry counts and audits as its own Submit.)
+      for (size_t i : group.indices) results[i] = Submit(batch[i]);
       continue;
     }
-    m_eps_charged_->Add(epsilon);
+    const Clock::time_point admitted = obs_enabled_ ? Clock::now() : start;
     bool group_charge_recorded = false;
     for (size_t i : group.indices) {
-      QueryResult result = Release(batch[i], *group.entry, *plan, cache_hit,
-                                   batch[i].ranges.has_value());
-      result.session_remaining = remaining[0];
-      result.policy_remaining = remaining[1];
+      if (!status.ok()) {
+        // A disjoint-domain charge is indivisible (parallel
+        // composition covers the whole set or none); plan failures
+        // apply to every entry alike.
+        results[i] = status;
+        Finish(/*submit=*/false, batch[i], admission.entry.get(), status,
+               0.0, start, admitted, nullptr);
+        continue;
+      }
+      QueryResult result;
+      {
+        TraceStageTimer timer(&trace, TraceStage::kRelease);
+        Materialize(admission, batch[i], &result);
+      }
       results[i] = std::move(result);
       // ε attribution matches what the ledgers saw: each entry's own
       // ask under sequential composition (they sum to the charge), the
@@ -1612,10 +1508,13 @@ std::vector<Result<QueryResult>> QueryEngine::SubmitBatch(
         entry_epsilon = group_charge_recorded ? 0.0 : epsilon;
         group_charge_recorded = true;
       }
-      RecordRequestObs(batch[i], group.entry.get(), Status::OK(),
-                       entry_epsilon, 0, 0);
+      Finish(/*submit=*/false, batch[i], admission.entry.get(), status,
+             entry_epsilon, start, admitted, nullptr);
     }
   }
+  telemetry_.FinishTrace(
+      &trace, std::all_of(results.begin(), results.end(),
+                          [](const Result<QueryResult>& r) { return r.ok(); }));
   return results;
 }
 

@@ -7,9 +7,25 @@
 //   BudgetAccountant per-policy and per-session ε ledgers (sharded by
 //                    id hash), charged atomically before any noise is
 //                    drawn
-//   QueryEngine      Submit(): look up policy -> get-or-plan ->
-//                    charge budget -> dispatch to the cheapest
-//                    execution path the plan supports
+//   QueryEngine      Submit / SubmitBatch / SubmitStream over one
+//                    request path (below)
+//
+// The request path. Every entry point runs the same four steps, each
+// written once:
+//   resolve  validate the request (shape, ε) → session → policy
+//            snapshot → domain check. Per request.
+//   admit    get-or-plan, then one atomic two-ledger ε charge. Per
+//            group: a Submit or a stream is a group of one; SubmitBatch
+//            resolves every entry, groups them by (session, policy,
+//            planner options) and admits each group once.
+//   release  derive the request's private rng stream, fetch the cached
+//            noise-free precompute, draw the noise on the cheapest path
+//            the plan supports, state the guarantee. Submit and batch
+//            entries materialize the answers; a stream wraps the same
+//            release in a cursor.
+//   finish   failure/refusal and latency metrics, the per-(policy,
+//            tenant) metrics and flight record with real timings, a
+//            due journal checkpoint, and the trace — on every outcome.
 //
 // The warm hot path is handle-based. OpenSession / ResolveSession and
 // ResolvePolicy hand out integer handles; a QueryRequest carrying them
@@ -23,31 +39,32 @@
 // in a sharded engine cache. String-id requests still work and pay
 // only one hash per lookup.
 //
-// Execution dispatch. A dense workload is answered as W x̂ from the
-// plan's full-histogram release. An implicit range workload on a θ>=2
-// grid policy instead routes to GridThetaRangeMechanism's per-query
-// slab reconstruction (noise drawn once per submit, only the queried
-// ranges rebuilt — O(q·edges) instead of O(k²·edges)); on any other
-// policy it is answered from the histogram release via a summed-area
-// table. Both paths charge the same ε and state the same guarantee.
+// Release paths. A dense workload is answered as W x̂ from the plan's
+// full-histogram release. An implicit range workload on a θ>=2 grid
+// policy instead routes to GridThetaRangeMechanism's per-query slab
+// reconstruction (noise drawn once per submit, only the queried ranges
+// rebuilt — O(q·edges) instead of O(k²·edges)); on any other policy it
+// is answered from the histogram release via a summed-area table. All
+// paths charge the same ε and state the same guarantee.
 //
 // Privacy semantics. Every submit is one sequential-composition step:
 // it spends its ε on the policy's global cap (the data owner's bound
 // across *all* sessions, DPolicy-style release accounting) and on the
 // caller's session grant. A submit whose ε no ledger can afford fails
 // with kOutOfRange *before* the mechanism runs, so refused queries
-// leak nothing. Answers are post-processing of the submit's noisy
-// releases and are free: one release answers the whole workload.
-// SubmitBatch groups requests by (session, policy) and charges each
-// group once — Σε under sequential composition, or max ε when the
-// caller declares the batch's workloads disjoint-domain
-// (BatchOptions::disjoint_domains, the paper's parallel-composition
-// rule: one neighbor step touches one part).
+// leak nothing; the refusal names neither ledger to the caller (the
+// audit log keeps the detail). Answers are post-processing of the
+// submit's noisy releases and are free: one release answers the whole
+// workload. A batch group is charged once — Σε under sequential
+// composition, or max ε when the caller declares the batch's
+// workloads disjoint-domain (BatchOptions::disjoint_domains, the
+// paper's parallel-composition rule: one neighbor step touches one
+// part).
 //
 // Concurrency. Registry and accountant are sharded (see their
 // headers), plans and precomputes are immutable after construction
-// with caller-provided randomness — each submit derives a private Rng
-// stream from the engine seed and a submit counter, so concurrent
+// with caller-provided randomness — each release derives a private Rng
+// stream from the engine seed and a release counter, so concurrent
 // submits are reproducible-in-aggregate and never share generator
 // state.
 
@@ -55,6 +72,7 @@
 #define BLOWFISH_ENGINE_QUERY_ENGINE_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -202,7 +220,7 @@ struct EngineOptions {
   /// startup. Mid-journal corruption and seq gaps refuse regardless.
   bool journal_allow_torn_tail = false;
   /// Checkpoint + compact the journal automatically when it flags
-  /// itself due (runs after a submit, under all accountant shard
+  /// itself due (runs after each request, under all accountant shard
   /// locks). Off: the caller drives CheckpointJournal() itself.
   bool journal_auto_checkpoint = true;
   /// Test seam: pluggable journal I/O (fault injection; not owned).
@@ -294,7 +312,7 @@ class QueryEngine {
 
   /// Constructs an engine, surfacing journal recovery failure as a
   /// Status. The plain constructor cannot report one, so it instead
-  /// leaves the engine *poisoned*: every Admit refuses with the
+  /// leaves the engine *poisoned*: every request refuses with the
   /// recovery error and no charge is ever admitted unjournaled. Use
   /// this factory whenever `options.journal_path` is set.
   static Result<std::unique_ptr<QueryEngine>> Open(EngineOptions options);
@@ -383,18 +401,18 @@ class QueryEngine {
 
   /// Executes one request. Errors: kNotFound (unknown session or
   /// policy, or a stale handle), kInvalidArgument (workload/domain
-  /// mismatch, bad ε, both or neither workload representation set),
-  /// kOutOfRange (session or policy budget exhausted — charged before
-  /// any noise is drawn, so a refusal releases nothing).
-  Result<QueryResult> Submit(const QueryRequest& request);
-
-  /// Submit with a caller-owned trace span (the async pipeline passes
-  /// the span it started at enqueue so queue-wait and admission
-  /// stages land on one trace). The caller keeps ownership: this
-  /// overload records admission/release stages into `trace` but never
-  /// finishes it. Plain Submit == MaybeStartTrace + this + FinishTrace.
+  /// mismatch, an ε that is not a finite positive normal double, both
+  /// or neither workload representation set), kOutOfRange (session or
+  /// policy budget exhausted — charged before any noise is drawn, so a
+  /// refusal releases nothing).
+  ///
+  /// `trace` is a caller-owned span (the async pipeline passes the
+  /// span it started at enqueue so queue-wait and admission stages land
+  /// on one trace): stages are recorded into it, but the caller
+  /// finishes it. Null (the default) means the engine samples and
+  /// finishes its own.
   Result<QueryResult> Submit(const QueryRequest& request,
-                             RequestTrace* trace);
+                             RequestTrace* trace = nullptr);
 
   /// Executes one request as a result stream instead of a
   /// materialized answer vector. Admission — validate, resolve, plan,
@@ -412,27 +430,29 @@ class QueryEngine {
       QueryRequest request, const StreamOptions& options = StreamOptions());
 
   /// Streaming admission primitive behind SubmitStream (also used by
-  /// the async pipeline): performs the full Submit admission — ε is
-  /// spent here — draws the submit's noise, fills `header`, and
-  /// returns the resumable cursor over the answers. The request is
-  /// taken by value so its workload moves into the cursor instead of
-  /// being deep-copied (a dense W can be large — streaming exists to
-  /// avoid duplicating exactly that).
+  /// the async pipeline): the same resolve → admit → release → finish
+  /// as Submit — ε is spent here and the noise drawn — but the release
+  /// fills `header` and returns the resumable cursor over the answers.
+  /// The request is taken by value so its workload moves into the
+  /// cursor instead of being deep-copied (a dense W can be large —
+  /// streaming exists to avoid duplicating exactly that). `trace`
+  /// follows Submit's contract.
   Result<std::unique_ptr<ChunkCursor>> AdmitStream(
       QueryRequest request, const StreamOptions& options, StreamHeader* header,
       RequestTrace* trace = nullptr);
 
-  /// Executes a batch; entry i is the outcome of request i. Requests
-  /// are grouped by (session, policy, planner options): each group
-  /// resolves its registry snapshot and plan once and charges the
-  /// budget once — Σε_i (sequential composition), or max ε_i when
-  /// `options.disjoint_domains` declares the batch disjoint. A failed
+  /// Executes a batch; entry i is the outcome of request i. Every
+  /// entry is resolved on its own, then entries are grouped by
+  /// (session, policy snapshot, planner options): each group plans
+  /// once and charges the budget once — Σε_i (sequential
+  /// composition), or max ε_i when `options.disjoint_domains`
+  /// declares the batch disjoint. A failed
   /// entry does not stop the rest of the batch; if a group's combined
   /// sequential charge does not fit, the group degrades to per-entry
   /// charges in batch order (admitting the prefix the budget affords,
   /// exactly as individual Submits would). A disjoint group charges
   /// all-or-nothing: parallel composition covers the whole set or
-  /// none of it.
+  /// none of it. The call samples one trace covering all its entries.
   std::vector<Result<QueryResult>> SubmitBatch(
       const std::vector<QueryRequest>& batch,
       const BatchOptions& options = BatchOptions());
@@ -476,8 +496,8 @@ class QueryEngine {
 
   /// The composed health probe /healthz serves: 200 (ok) while
   /// charges can be made durable, 503 the moment durability_health()
-  /// refuses — the same fail-closed signal Admit refuses with. The
-  /// JSON body additionally reports snapshot generation, async queue
+  /// refuses — the same fail-closed signal requests are refused
+  /// with. The JSON body additionally reports snapshot generation, async queue
   /// depths, active burn alerts, and audit/trace ring drops (context
   /// for the on-call, not part of the up/down decision).
   HealthReport Healthz() const;
@@ -499,25 +519,70 @@ class QueryEngine {
  private:
   using PrecomputePtr =
       std::shared_ptr<const BlowfishMechanism::ReleasePrecompute>;
+  using Clock = std::chrono::steady_clock;
 
-  /// Everything Submit establishes before any noise is drawn: the
-  /// resolved snapshot, the plan, and the already-committed charge.
+  /// What the request path establishes before any noise is drawn.
+  /// Resolve fills the session ledger and policy snapshot; Admit adds
+  /// the plan and the already-committed charge's balances.
   struct Admission {
     std::shared_ptr<const RegisteredPolicy> entry;
     std::shared_ptr<const Plan> plan;
     LedgerHandle session_ledger;
     bool cache_hit = false;
-    bool has_ranges = false;
-    size_t num_queries = 0;
     double remaining[2] = {0.0, 0.0};  ///< post-charge session/policy
   };
 
-  /// The shared admission path of Submit and SubmitStream: validate →
-  /// resolve session and policy → domain check → get-or-plan → atomic
-  /// two-ledger charge. On success ε is spent; the caller must
-  /// release (materialized or streamed). Stages are stamped into
-  /// `trace` when it is active.
-  Result<Admission> Admit(const QueryRequest& request, RequestTrace* trace);
+  /// Resolve: the one per-request check — validate shape and ε →
+  /// session → policy snapshot → domain. Stages kValidate/kResolve
+  /// land in `trace`. A poisoned engine refuses here, before any work.
+  Status Resolve(const QueryRequest& request, Admission* admission,
+                 RequestTrace* trace);
+
+  /// Admit: the one plan + charge, for one request or one batch group
+  /// of `count` resolved entries led by `first` (its planner option
+  /// picks the plan, its workload name labels the charge). `epsilon` is
+  /// the group's composed ask; `disjoint` declares a parallel-
+  /// composition charge over the `count` releases. On success ε is
+  /// spent and the caller must release. Stages kPlan/kCharge.
+  Status Admit(const QueryRequest& first, size_t count, double epsilon,
+               bool disjoint, Admission* admission, RequestTrace* trace);
+
+  /// Release: the one dispatch, run only after Admit charged. Derives
+  /// the request's private rng stream, fetches the noise-free
+  /// precompute, fills `header`'s plan, balances, path and guarantee
+  /// (`Header` is QueryResult or StreamHeader), and draws the noise.
+  /// A range workload on a θ>=2 grid plan takes the slab fast path:
+  /// `on_slab(mech, xg, n, rng)` draws and reconstructs on the
+  /// transformed data (transformed per submit if the precompute did
+  /// not split). Every other request releases the histogram:
+  /// `on_estimate(x̂)`. Materialize and BuildCursor are its two tails.
+  template <typename Header, typename OnSlab, typename OnEstimate>
+  void DrawRelease(const Admission& admission, const QueryRequest& request,
+                   Header* header, OnSlab&& on_slab, OnEstimate&& on_estimate);
+
+  /// Release tail of Submit and batch entries: the answer vector.
+  void Materialize(const Admission& admission, const QueryRequest& request,
+                   QueryResult* result);
+
+  /// Release tail of streams: the resumable cursor over the answers.
+  /// All noise is drawn before it returns. Moves the request's
+  /// workload into the cursor; its ids stay for Finish.
+  std::unique_ptr<ChunkCursor> BuildCursor(const Admission& admission,
+                                           QueryRequest* request,
+                                           const StreamOptions& options,
+                                           StreamHeader* header);
+
+  /// Finish: the one post-request step, run on every outcome path of
+  /// every entry point — refusal count, Submit failure and latency
+  /// metrics (only when `submit`: batches and streams have their own
+  /// counters), RecordRequestObs with admission (`start` → `admitted`)
+  /// and total (`start` → now) timings, a due journal checkpoint, and
+  /// `owned_trace` when the engine sampled the span itself (null
+  /// otherwise). `admitted` is read only when obs is enabled.
+  void Finish(bool submit, const QueryRequest& request,
+              const RegisteredPolicy* entry, const Status& status,
+              double charged_epsilon, Clock::time_point start,
+              Clock::time_point admitted, RequestTrace* owned_trace);
 
   /// Post-release housekeeping: when the journal has flagged a
   /// checkpoint due (and auto-checkpointing is on), snapshot + compact.
@@ -534,15 +599,6 @@ class QueryEngine {
   /// lazily on first contact. Runs before any submit can exist, so it
   /// touches the shards without contention.
   void RestoreFromSnapshot();
-
-  /// Draws the submit's noise (its private rng stream) and wraps the
-  /// incremental remainder of the release in a cursor; mirrors
-  /// Release()'s dispatch (grid fast path / summed-area / dense
-  /// rows). Consumes the request's workload (moved into the cursor).
-  std::unique_ptr<ChunkCursor> BuildCursor(QueryRequest request,
-                                           const Admission& admission,
-                                           const StreamOptions& options,
-                                           StreamHeader* header);
 
   /// Per-snapshot plan slot fast path, falling back to the
   /// single-flight string-keyed cache on cold misses.
@@ -562,13 +618,6 @@ class QueryEngine {
   /// shards holding the snapshot's two option slots.
   void DropTransformed(const RegisteredPolicy& entry);
 
-  /// One release continuing from a charged budget: derives the
-  /// submit's private rng stream, dispatches range fast path /
-  /// precomputed dense / plain Run.
-  QueryResult Release(const QueryRequest& request,
-                      const RegisteredPolicy& entry, const Plan& plan,
-                      bool cache_hit, bool has_ranges);
-
   static size_t PrecomputeShardOf(uint64_t key);
 
   /// The bounded-cardinality tenant label of a session id: the prefix
@@ -578,11 +627,10 @@ class QueryEngine {
   /// `session_id`, no allocation.
   static std::string_view TenantClassOf(const std::string& session_id);
 
-  /// Per-request observability fan-out, called once per request on
-  /// every outcome path: bumps the per-(policy, tenant) metric
-  /// families and appends a flight record (running the incident
-  /// detector; the first incident dumps the ring to
-  /// options_.flight_dump_path). One branch when both features are
+  /// Per-request observability fan-out, called by Finish: bumps the
+  /// per-(policy, tenant) metric families and appends a flight record
+  /// (running the incident detector; the first incident dumps the ring
+  /// to options_.flight_dump_path). One branch when both features are
   /// disabled. `entry` may be null when the request failed before
   /// policy resolution; `charged_epsilon` is the ε this request
   /// actually added to the ledgers (0 on failures, and on batch
@@ -609,7 +657,7 @@ class QueryEngine {
   /// accountant -> journal -> telemetry.
   std::unique_ptr<LedgerJournal> journal_;
   /// Set when the plain constructor could not open/recover the
-  /// journal: the engine is poisoned and Admit refuses every request
+  /// journal: the engine is poisoned and Resolve refuses every request
   /// with this status (fail closed — never serve unjournaled charges).
   Status journal_error_;
   PolicyRegistry registry_;

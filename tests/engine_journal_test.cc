@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -688,9 +689,50 @@ TEST_F(JournalTest, CorruptJournalPoisonsEngineFailClosed) {
   request.epsilon = 0.01;
   Result<QueryResult> refused = engine.Submit(request);
   ASSERT_FALSE(refused.ok());
+  // Batches take the same path: no entry is charged unjournaled.
+  for (const Result<QueryResult>& entry :
+       engine.SubmitBatch({request, request})) {
+    EXPECT_EQ(entry.status().code(), refused.status().code());
+  }
+  EXPECT_EQ(*engine.SessionRemaining("alice"), 3.0);
 
   (void)PosixJournalIo()->Remove(path);
   (void)PosixJournalIo()->Remove(dir_ + "/" + JournalSegmentName(2));
+}
+
+TEST_F(JournalTest, BatchOnlyTrafficCheckpointsAndStaysCompact) {
+  // A small segment size fills every few dozen charges; without a
+  // checkpoint after each batch the rotated segments pile up forever.
+  EngineOptions options;
+  options.seed = 5;
+  options.journal_path = dir_;
+  options.journal_segment_bytes = 1u << 12;
+  Result<std::unique_ptr<QueryEngine>> opened = QueryEngine::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  QueryEngine& engine = **opened;
+  ASSERT_TRUE(
+      engine.RegisterPolicy("salaries", LinePolicy(16), Ramp(16, 13), 1e6)
+          .ok());
+  ASSERT_TRUE(engine.OpenSession("alice", 1e6).ok());
+  QueryRequest request;
+  request.session = "alice";
+  request.policy = "salaries";
+  request.workload = IdentityWorkload(16);
+  request.epsilon = 0.01;
+
+  size_t max_segments = 0;
+  for (int i = 0; i < 200; ++i) {
+    for (const Result<QueryResult>& result :
+         engine.SubmitBatch({request, request})) {
+      ASSERT_TRUE(result.ok());
+    }
+    max_segments = std::max(max_segments, engine.journal()->stats().segments);
+  }
+  // Each due checkpoint compacts into a fresh segment before the size
+  // trigger would rotate, so the directory never holds more than the
+  // active segment and the one being compacted away.
+  EXPECT_GT(engine.journal()->stats().checkpoints, 2u);
+  EXPECT_LE(max_segments, 2u);
 }
 
 // ------------------------------------------------- audit JSONL replay

@@ -347,6 +347,35 @@ TEST(FlightRecorder, HandleOnlyRequestsStillCarryTheirTenant) {
   EXPECT_STREQ(records[0].policy, "p");
 }
 
+TEST(FlightRecorder, BatchEntriesCarryTheirLatency) {
+  EngineOptions options;
+  options.seed = 7;
+  options.flight_recorder_capacity = 64;
+  QueryEngine engine(options);
+  ASSERT_TRUE(engine.RegisterPolicy("p", LinePolicy(8), Ramp(8), 4.0).ok());
+  ASSERT_TRUE(engine.OpenSession("fleet:worker-1", 2.0).ok());
+
+  const QueryRequest request = MakeRequest("fleet:worker-1", "p", 8, 0.1);
+  for (const Result<QueryResult>& result :
+       engine.SubmitBatch({request, request, request})) {
+    ASSERT_TRUE(result.ok());
+  }
+
+  // Every entry is timed from the batch call, the cold plan included,
+  // and lands in the tenant latency histogram.
+  const std::vector<FlightRecord> records =
+      engine.telemetry().flight().Snapshot();
+  ASSERT_EQ(records.size(), 3u);
+  for (const FlightRecord& record : records) {
+    EXPECT_GT(record.total_us, 0u);
+    EXPECT_GE(record.total_us, record.admit_us);
+  }
+  EXPECT_NE(engine.telemetry().metrics().PrometheusText().find(
+                "engine_tenant_latency_ms_count{policy=\"p\","
+                "tenant=\"fleet\"} 3"),
+            std::string::npos);
+}
+
 // ------------------------------------------- exposition conformance
 
 // A minimal exposition parser: enough structure to assert HELP/TYPE

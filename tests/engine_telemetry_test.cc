@@ -363,6 +363,34 @@ TEST(EngineTelemetry, RateOneTracesEverySubmitThroughAllStages) {
   EXPECT_NE(std::string::npos, jsonl.find("\"ok\":true"));
 }
 
+TEST(EngineTelemetry, RateOneTracesEverySubmitBatchCall) {
+  EngineOptions options;
+  options.seed = 3;
+  options.trace_sample_rate = 1.0;
+  QueryEngine engine(options);
+  ASSERT_TRUE(
+      engine.RegisterPolicy("line", LinePolicy(16), Ramp(16), 100.0).ok());
+  ASSERT_TRUE(engine.OpenSession("s", 10.0).ok());
+
+  const std::vector<QueryRequest> batch = {MakeRequest("s", "line", 0.01),
+                                           MakeRequest("s", "line", 0.02),
+                                           MakeRequest("s", "line", 0.03)};
+  for (const Result<QueryResult>& result : engine.SubmitBatch(batch)) {
+    ASSERT_TRUE(result.ok());
+  }
+
+  // One span per call, covering every entry's stages.
+  const std::vector<TraceRecord> traces = engine.telemetry().SnapshotTraces();
+  ASSERT_EQ(traces.size(), 1u);
+  EXPECT_TRUE(traces[0].ok);
+  for (TraceStage stage :
+       {TraceStage::kValidate, TraceStage::kResolve, TraceStage::kPlan,
+        TraceStage::kCharge, TraceStage::kRelease}) {
+    EXPECT_GE(traces[0].stage_ms[static_cast<size_t>(stage)], 0.0)
+        << TraceStageName(stage);
+  }
+}
+
 // ---- async pipeline coverage (also exercised under TSan in CI) -----
 
 TEST(EngineTelemetry, AsyncPipelineFeedsRegistryAndTraces) {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "engine/query_engine.h"
 #include "workload/builders.h"
 
@@ -73,28 +76,39 @@ TEST(PolicyRegistry, LifecycleAndValidation) {
 
 TEST(BudgetAccountant, AtomicMultiLedgerCharge) {
   BudgetAccountant accountant;
-  ASSERT_TRUE(accountant.OpenLedger("a", 1.0).ok());
-  ASSERT_TRUE(accountant.OpenLedger("b", 0.5).ok());
+  const LedgerHandle a = accountant.OpenLedger("a", 1.0).ValueOrDie();
+  const LedgerHandle b = accountant.OpenLedger("b", 0.5).ValueOrDie();
+  ChargeTag tag;
+  tag.workload = "joint";
 
-  ASSERT_TRUE(accountant.Charge({"a", "b"}, 0.4, "joint").ok());
+  const LedgerHandle joint[2] = {a, b};
+  ASSERT_TRUE(accountant.Charge(joint, 2, 0.4, tag).ok());
   EXPECT_NEAR(*accountant.Remaining("a"), 0.6, 1e-12);
   EXPECT_NEAR(*accountant.Remaining("b"), 0.1, 1e-12);
 
   // 'a' could afford 0.2 but 'b' cannot: neither ledger may move.
-  const Status refused = accountant.Charge({"a", "b"}, 0.2, "joint");
+  const Status refused = accountant.Charge(joint, 2, 0.2, tag);
   EXPECT_EQ(refused.code(), StatusCode::kOutOfRange);
   EXPECT_NEAR(*accountant.Remaining("a"), 0.6, 1e-12);
   EXPECT_NEAR(*accountant.Remaining("b"), 0.1, 1e-12);
 
-  // Unknown ledger refuses without side effects too.
-  EXPECT_EQ(accountant.Charge({"a", "ghost"}, 0.1, "x").code(),
+  // A closed (stale) or never-opened ledger refuses without side
+  // effects too.
+  const LedgerHandle ghost = accountant.OpenLedger("ghost", 1.0).ValueOrDie();
+  ASSERT_TRUE(accountant.CloseLedger(ghost).ok());
+  const LedgerHandle with_ghost[2] = {a, ghost};
+  EXPECT_EQ(accountant.Charge(with_ghost, 2, 0.1, tag).code(),
+            StatusCode::kNotFound);
+  const LedgerHandle with_invalid[2] = {a, LedgerHandle()};
+  EXPECT_EQ(accountant.Charge(with_invalid, 2, 0.1, tag).code(),
             StatusCode::kNotFound);
   EXPECT_NEAR(*accountant.Remaining("a"), 0.6, 1e-12);
 
-  // A repeated id composes sequentially within one charge.
-  EXPECT_EQ(accountant.Charge({"a", "a"}, 0.4, "double").code(),
+  // A repeated handle composes sequentially within one charge.
+  const LedgerHandle twice[2] = {a, a};
+  EXPECT_EQ(accountant.Charge(twice, 2, 0.4, tag).code(),
             StatusCode::kOutOfRange);
-  ASSERT_TRUE(accountant.Charge({"a", "a"}, 0.3, "double").ok());
+  ASSERT_TRUE(accountant.Charge(twice, 2, 0.3, tag).ok());
   EXPECT_NEAR(*accountant.Remaining("a"), 0.0, 1e-9);
 }
 
@@ -249,8 +263,6 @@ TEST_F(QueryEngineTest, SessionBudgetExhaustionRefusesBeforeRelease) {
       engine_.Submit(Request("alice", "salaries", 0.6));
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kOutOfRange);
-  EXPECT_NE(refused.status().message().find("session/alice"),
-            std::string::npos);
   // The refusal left both ledgers untouched.
   EXPECT_NEAR(*engine_.SessionRemaining("alice"), 0.4, 1e-9);
   EXPECT_NEAR(*engine_.PolicyRemaining("salaries"), 99.4, 1e-9);
@@ -274,8 +286,22 @@ TEST_F(QueryEngineTest, PolicyCapIsSharedAcrossSessions) {
       engine_.Submit(Request("bob", "scarce", 0.5));
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kOutOfRange);
-  EXPECT_NE(refused.status().message().find("policy/scarce"),
+  // Bob learns neither ledger nor Alice's spend from the refusal; the
+  // audit event keeps which ledgers were involved.
+  EXPECT_EQ(refused.status().message().find("policy/scarce"),
             std::string::npos);
+  EXPECT_EQ(refused.status().message().find("session/bob"),
+            std::string::npos);
+  EXPECT_EQ(refused.status().message().find("0.7"), std::string::npos);
+  const std::vector<AuditEvent> events =
+      engine_.telemetry().audit().Snapshot();
+  ASSERT_FALSE(events.empty());
+  const AuditEvent& last = events.back();
+  EXPECT_FALSE(last.charged);
+  EXPECT_EQ(last.refusal, StatusCode::kOutOfRange);
+  ASSERT_EQ(last.num_ledgers, 2u);
+  EXPECT_EQ(last.ledgers[0].id, "session/bob");
+  EXPECT_EQ(last.ledgers[1].id.rfind("policy/scarce", 0), 0u);
   // Bob's session ledger must not record the refused spend.
   EXPECT_NEAR(*engine_.SessionRemaining("bob"), 10.0, 1e-9);
   EXPECT_TRUE(engine_.Submit(Request("bob", "scarce", 0.3)).ok());
@@ -305,6 +331,43 @@ TEST_F(QueryEngineTest, RequestValidation) {
   ASSERT_TRUE(engine_.CloseSession("alice").ok());
   EXPECT_EQ(engine_.Submit(Request("alice", "salaries", 1.0)).status().code(),
             StatusCode::kNotFound);
+}
+
+TEST_F(QueryEngineTest, MalformedEpsilonIsInvalidOnEveryEntryPoint) {
+  // NaN, ±inf and a denormal ε are malformed input: every entry point
+  // rejects them at validation, before any ledger or audit event sees
+  // them (a NaN refused as kOutOfRange would feed the refusal-burst
+  // detector and write "eps":nan into the audit JSONL).
+  ASSERT_TRUE(engine_.OpenSession("alice", 10.0).ok());
+  const uint64_t audit_before = engine_.telemetry().audit().total_events();
+  BatchOptions disjoint;
+  disjoint.disjoint_domains = true;
+  for (const double eps : {std::nan(""),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           1e-320}) {
+    const QueryRequest request = Request("alice", "salaries", eps);
+    EXPECT_EQ(engine_.Submit(request).status().code(),
+              StatusCode::kInvalidArgument)
+        << eps;
+    for (const BatchOptions& options : {BatchOptions(), disjoint}) {
+      for (const Result<QueryResult>& entry :
+           engine_.SubmitBatch({request, request}, options)) {
+        EXPECT_EQ(entry.status().code(), StatusCode::kInvalidArgument) << eps;
+      }
+    }
+    EXPECT_EQ(engine_.SubmitStream(request).status().code(),
+              StatusCode::kInvalidArgument)
+        << eps;
+  }
+  EXPECT_EQ(engine_.telemetry().audit().total_events(), audit_before);
+  EXPECT_EQ(*engine_.SessionRemaining("alice"), 10.0);
+  EXPECT_EQ(*engine_.PolicyRemaining("salaries"), 100.0);
+  EXPECT_EQ(engine_.telemetry()
+                .metrics()
+                .counter("engine_refused_budget_total")
+                ->value(),
+            0u);
 }
 
 TEST_F(QueryEngineTest, RangeWorkloadsDispatchToTheFastPathOnThetaGrids) {
