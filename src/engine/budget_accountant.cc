@@ -121,9 +121,10 @@ const BudgetAccountant::Slot* BudgetAccountant::SlotFor(
 
 Result<LedgerHandle> BudgetAccountant::OpenLedger(const std::string& id,
                                                   double total_epsilon) {
-  if (total_epsilon <= 0.0) {
-    return Status::InvalidArgument("ledger '" + id +
-                                   "' needs a positive budget");
+  // NaN, inf and denormals are malformed input (NaN passes `<= 0.0`).
+  if (!(std::isnormal(total_epsilon) && total_epsilon > 0.0)) {
+    return Status::InvalidArgument(
+        "ledger '" + id + "' needs a finite, positive, normal budget");
   }
   const size_t shard_index = ShardOf(id);
   Shard& shard = shards_[shard_index];
@@ -326,9 +327,7 @@ Status BudgetAccountant::Charge(const LedgerHandle* handles, size_t count,
     // Validated above under the same (still-held) shard locks, so the
     // slot cannot have gone stale between the two loops.
     BF_DCHECK(slot != nullptr);
-    slot->budget
-        ->SpendTagged(epsilon, tag.workload, tag.context, tag.parallel_count)
-        .Check();
+    slot->budget->Spend(epsilon).Check();
     const double balance = slot->budget->remaining();
     if (remaining != nullptr) remaining[i] = balance;
     if (i < AuditEvent::kMaxLedgers) balances[i] = balance;
@@ -376,7 +375,7 @@ Status BudgetAccountant::AppendJournalCharge(const LedgerHandle* handles,
     // Prospective post-charge balance, computed by replaying the chain
     // of spends the commit loop is about to perform on this ledger (a
     // handle repeated n times composes sequentially). Same doubles in
-    // the same order as SpendTagged's `spent += ε`, so the journaled
+    // the same order as Spend's `spent += ε`, so the journaled
     // balance is bit-identical to what the ledger will hold — and to
     // what recovery replays.
     double prospective = slot->budget->spent();
@@ -457,24 +456,14 @@ Result<double> BudgetAccountant::Remaining(LedgerHandle handle) const {
   return slot->budget->remaining();
 }
 
-Result<double> BudgetAccountant::Spent(const std::string& id) const {
+Result<PrivacyBudget> BudgetAccountant::Ledger(const std::string& id) const {
   const Shard& shard = shards_[ShardOf(id)];
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.by_id.find(id);
   if (it == shard.by_id.end()) {
     return Status::NotFound("ledger '" + id + "' is not open");
   }
-  return shard.slots[it->second].budget->spent();
-}
-
-Result<std::string> BudgetAccountant::Audit(const std::string& id) const {
-  const Shard& shard = shards_[ShardOf(id)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.by_id.find(id);
-  if (it == shard.by_id.end()) {
-    return Status::NotFound("ledger '" + id + "' is not open");
-  }
-  return shard.slots[it->second].budget->ToString();
+  return *shard.slots[it->second].budget;
 }
 
 }  // namespace blowfish

@@ -1,6 +1,7 @@
 // Multi-ledger budget accounting for the serving layer. Builds on
-// PrivacyBudget (mech/budget.h), which gives one auditable
-// sequential-composition ledger; the accountant keys many of them and
+// PrivacyBudget (mech/budget.h), one sequential-composition ledger
+// that keeps totals, not history (the ε-audit ring and the journal
+// below record each charge); the accountant keys many of them and
 // adds the two properties a concurrent engine needs: an
 // all-or-nothing Charge() across several ledgers at once, and enough
 // internal sharding that unrelated sessions never contend on one
@@ -88,13 +89,13 @@ class LedgerHandle {
   uint64_t bits_ = 0;  ///< 0 = invalid
 };
 
-/// \brief Structured description of one charge, recorded on the audit
-/// trail without building a per-charge label string. `workload` is the
-/// short per-request part (copied into the entry; short names stay in
-/// SSO storage); `context` is the shared per-(policy, plan) suffix
-/// (one refcount bump). `parallel_count > 1` declares the charge a
-/// parallel-composition spend covering that many disjoint-domain
-/// releases at max-ε cost.
+/// \brief Structured description of one charge, recorded in the audit
+/// ring and journal without building a per-charge label string.
+/// `workload` is the short per-request part (copied into the event;
+/// short names stay in SSO storage); `context` is the shared
+/// per-(policy, plan) suffix (one refcount bump). `parallel_count > 1`
+/// declares the charge a parallel-composition spend covering that many
+/// disjoint-domain releases at max-ε cost.
 struct ChargeTag {
   std::string_view workload;
   std::shared_ptr<const std::string> context;
@@ -128,11 +129,11 @@ class BudgetAccountant {
   static constexpr size_t kShardCount = 16;
 
   /// Creates a ledger and returns its handle; kAlreadyExists if the id
-  /// is taken, kInvalidArgument if the budget is not positive.
+  /// is taken, kInvalidArgument unless the budget is positive normal.
   Result<LedgerHandle> OpenLedger(const std::string& id,
                                   double total_epsilon);
 
-  /// Removes a ledger (its audit trail is discarded); kNotFound if
+  /// Removes a ledger (its totals are discarded); kNotFound if
   /// absent. Outstanding handles to it become stale.
   Status CloseLedger(const std::string& id);
   Status CloseLedger(LedgerHandle handle);
@@ -171,11 +172,9 @@ class BudgetAccountant {
   Result<double> Remaining(const std::string& id) const;
   Result<double> Remaining(LedgerHandle handle) const;
 
-  /// Total spent ε; kNotFound if absent.
-  Result<double> Spent(const std::string& id) const;
-
-  /// The ledger's human-readable audit trail; kNotFound if absent.
-  Result<std::string> Audit(const std::string& id) const;
+  /// A copy of the ledger's total, spent ε and spend count, read
+  /// under one shard lock; kNotFound if absent.
+  Result<PrivacyBudget> Ledger(const std::string& id) const;
 
   /// Attaches the engine's ε-audit event log (not owned; the engine
   /// guarantees it outlives the accountant). Charge() appends one

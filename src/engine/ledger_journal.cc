@@ -300,7 +300,8 @@ class PosixIo : public JournalIo {
  public:
   Result<std::unique_ptr<JournalFile>> OpenAppend(
       const std::string& path) override {
-    const int fd = ::open(path.c_str(), O_CREAT | O_WRONLY | O_APPEND, 0644);
+    // Owner-only: segments carry tenant ids and their spend history.
+    const int fd = ::open(path.c_str(), O_CREAT | O_WRONLY | O_APPEND, 0600);
     if (fd < 0) return Status::IOError(ErrnoMessage("open", path));
     return std::unique_ptr<JournalFile>(new PosixJournalFile(fd, path));
   }

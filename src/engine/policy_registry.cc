@@ -1,5 +1,7 @@
 #include "engine/policy_registry.h"
 
+#include <algorithm>
+#include <cmath>
 #include <mutex>
 #include <utility>
 
@@ -24,8 +26,15 @@ Status Validate(const std::string& name, const Policy& policy,
         " does not match policy domain size " +
         std::to_string(policy.domain_size()));
   }
-  if (epsilon_cap <= 0.0) {
-    return Status::InvalidArgument("epsilon cap must be positive");
+  // The request-ε rule: NaN passes `<= 0.0`; inf/denormal are no cap.
+  if (!(std::isnormal(epsilon_cap) && epsilon_cap > 0.0)) {
+    return Status::InvalidArgument(
+        "epsilon cap must be finite, positive and normal");
+  }
+  // Non-finite counts poison every answer and the snapshot.
+  if (!std::all_of(data.begin(), data.end(),
+                   [](double v) { return std::isfinite(v); })) {
+    return Status::InvalidArgument("policy data must be finite");
   }
   return Status::OK();
 }

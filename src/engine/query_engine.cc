@@ -6,7 +6,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <utility>
+
+#include <unistd.h>
 
 #include "core/grid_theta_adapter.h"
 #include "core/mechanisms_kd.h"
@@ -26,6 +29,17 @@ struct RequestShape {
   size_t domain = 0;
   const std::string* workload_name = nullptr;
 };
+
+// Resident set size: /proc/self/statm's second field, in pages. 0
+// where procfs is unavailable.
+double ProcessResidentBytes() {
+  std::FILE* statm = std::fopen("/proc/self/statm", "r");
+  if (statm == nullptr) return 0.0;
+  unsigned long size = 0, resident = 0;
+  if (std::fscanf(statm, "%lu %lu", &size, &resident) != 2) resident = 0;
+  std::fclose(statm);
+  return static_cast<double>(resident) * ::sysconf(_SC_PAGESIZE);
+}
 
 Status ValidateShape(const QueryRequest& request, RequestShape* shape) {
   // NaN passes `<= 0.0` and a denormal ε blows the noise scale up to
@@ -236,6 +250,10 @@ QueryEngine::QueryEngine(EngineOptions options)
     std::shared_lock<std::shared_mutex> lock(sessions_mu_);
     return static_cast<double>(sessions_.size());
   });
+  // Shows unbounded per-request state growing before it is an outage.
+  metrics.gauge_callback(
+      "engine_process_resident_bytes", [] { return ProcessResidentBytes(); },
+      "Resident set size of the engine process (from /proc/self/statm)");
   metrics.gauge_callback("engine_audit_events_total", [this] {
     return static_cast<double>(telemetry_.audit().total_events());
   });
@@ -1541,7 +1559,38 @@ Result<double> QueryEngine::PolicyRemaining(const std::string& name) const {
 
 Result<std::string> QueryEngine::SessionAudit(
     const std::string& session_id) const {
-  return accountant_.Audit(SessionLedger(session_id));
+  const std::string ledger_id = SessionLedger(session_id);
+  Result<PrivacyBudget> ledger = accountant_.Ledger(ledger_id);
+  if (!ledger.ok()) return ledger.status();
+  std::ostringstream out;
+  out << "budget " << ledger->total() << ", spent " << ledger->spent()
+      << " in " << ledger->spends() << " charge(s):";
+  uint64_t shown = 0;
+  for (const AuditEvent& event : telemetry_.audit().Snapshot()) {
+    const AuditEvent::LedgerLine* end = event.ledgers + event.num_ledgers;
+    if (std::none_of(event.ledgers, end,
+                     [&](const AuditEvent::LedgerLine& line) {
+                       return line.id == ledger_id;
+                     })) {
+      continue;
+    }
+    out << "\n  " << event.epsilon << "  " << event.workload;
+    if (event.context != nullptr) out << " on " << *event.context;
+    if (event.parallel_count > 1) {
+      out << " (parallel x" << event.parallel_count << ")";
+    }
+    if (event.charged) {
+      ++shown;
+    } else {
+      out << "  [refused]";
+    }
+  }
+  if (shown < ledger->spends()) {
+    out << "\n  (" << ledger->spends() - shown << " earlier charge(s) are"
+        << " not in the audit ring; a configured ledger journal keeps every"
+        << " charge, see ledger_fsck)";
+  }
+  return out.str();
 }
 
 }  // namespace blowfish

@@ -462,7 +462,11 @@ class QueryEngine {
 
   Result<double> SessionRemaining(const std::string& session_id) const;
   Result<double> PolicyRemaining(const std::string& name) const;
-  /// Human-readable per-session spend ledger.
+  /// Human-readable spend trail: budget, spent ε and charge count, then
+  /// one line per ε-audit ring event naming the session's ledger (a
+  /// reopened id also lists its predecessor's). The ring is bounded;
+  /// a last line counts the charges it no longer holds, which only a
+  /// configured ledger journal keeps (tools/ledger_fsck reads it).
   Result<std::string> SessionAudit(const std::string& session_id) const;
 
   /// True when submitting `request` now would run no expensive cold

@@ -479,7 +479,8 @@ Status SyncDir(const std::string& dir) {
 }
 
 Status WriteFileDurably(const std::string& path, const std::string& bytes) {
-  const int fd = ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
+  // Owner-only: snapshots carry the private histograms.
+  const int fd = ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0600);
   if (fd < 0) return Status::IOError(ErrnoMessage("open", path));
   size_t off = 0;
   while (off < bytes.size()) {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <sstream>
+#include <string>
 
 #include "common/check.h"
 
@@ -16,51 +16,27 @@ bool PrivacyBudget::CanSpend(double epsilon) const {
   if (epsilon <= 0.0) return false;
   // Tolerance for floating-point budget arithmetic: splits like ε/3
   // accumulate one ulp-scale rounding per committed spend, so the
-  // slack is a few ulps of the running sum per ledger entry. It must
-  // NOT scale multiplicatively with the cap alone (a 1e9 cap with a
+  // slack is a few ulps of the running sum per spend. It must NOT
+  // scale multiplicatively with the cap alone (a 1e9 cap with a
   // relative 1e-9 slack would admit ~1 full unit of ε past the
   // bound); ulp-proportional slack stays negligible at every scale.
   const double scale = std::max(total_, spent_ + epsilon);
-  const double slack = 4.0 * static_cast<double>(ledger_.size() + 1) *
+  const double slack = 4.0 * static_cast<double>(spends_ + 1) *
                        std::numeric_limits<double>::epsilon() * scale;
   return spent_ + epsilon <= total_ + slack;
 }
 
-Status PrivacyBudget::Spend(double epsilon, const std::string& label) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("spend must be positive: " + label);
+Status PrivacyBudget::Spend(double epsilon) {
+  if (!(epsilon > 0.0)) {
+    return Status::InvalidArgument("spend must be positive");
   }
   if (!CanSpend(epsilon)) {
     return Status::InvalidArgument(
-        "budget exceeded by '" + label + "': spent " +
-        std::to_string(spent_) + " + " + std::to_string(epsilon) + " > " +
-        std::to_string(total_));
+        "budget exceeded: spent " + std::to_string(spent_) + " + " +
+        std::to_string(epsilon) + " > " + std::to_string(total_));
   }
   spent_ += epsilon;
-  ledger_.push_back(Entry{epsilon, label, nullptr, 1});
-  return Status::OK();
-}
-
-Status PrivacyBudget::SpendTagged(double epsilon, std::string_view workload,
-                                  std::shared_ptr<const std::string> context,
-                                  uint32_t parallel_count) {
-  if (parallel_count == 0) {
-    return Status::InvalidArgument("parallel spend needs >= 1 release");
-  }
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("spend must be positive: " +
-                                   std::string(workload));
-  }
-  if (!CanSpend(epsilon)) {
-    return Status::InvalidArgument(
-        "budget exceeded by '" + std::string(workload) + "': spent " +
-        std::to_string(spent_) + " + " + std::to_string(epsilon) + " > " +
-        std::to_string(total_));
-  }
-  spent_ += epsilon;
-  ledger_.push_back(
-      Entry{epsilon, std::string(workload), std::move(context),
-            parallel_count});
+  ++spends_;
   return Status::OK();
 }
 
@@ -68,38 +44,18 @@ Status PrivacyBudget::RestoreSpent(double spent_epsilon) {
   if (spent_epsilon < 0.0) {
     return Status::InvalidArgument("recovered spend must be >= 0");
   }
-  if (!ledger_.empty() || spent_ != 0.0) {
+  if (spends_ != 0 || spent_ != 0.0) {
     return Status::InvalidArgument(
         "RestoreSpent needs a fresh ledger; this one already recorded " +
-        std::to_string(ledger_.size()) + " spend(s)");
+        std::to_string(spends_) + " spend(s)");
   }
   if (spent_epsilon == 0.0) return Status::OK();
   // Assignment, not accumulation: the journal replay already performed
   // the ordered `spent += ε` chain, so copying its result preserves
   // bit-exactness with the pre-crash ledger.
   spent_ = spent_epsilon;
-  ledger_.push_back(Entry{spent_epsilon, "recovered-from-journal", nullptr, 1});
+  spends_ = 1;
   return Status::OK();
-}
-
-Status PrivacyBudget::SpendParallel(double epsilon, size_t count,
-                                    const std::string& label) {
-  if (count == 0) {
-    return Status::InvalidArgument("parallel spend needs >= 1 release");
-  }
-  return Spend(epsilon,
-               label + " (parallel x" + std::to_string(count) + ")");
-}
-
-std::string PrivacyBudget::ToString() const {
-  std::ostringstream out;
-  out << "budget " << total_ << ", spent " << spent_ << ":";
-  for (const Entry& e : ledger_) {
-    out << "\n  " << e.epsilon << "  " << e.label;
-    if (e.context != nullptr) out << " on " << *e.context;
-    if (e.parallel_count > 1) out << " (parallel x" << e.parallel_count << ")";
-  }
-  return out.str();
 }
 
 }  // namespace blowfish

@@ -5,19 +5,18 @@
 //   parallel:   releases on disjoint sub-domains share one ε
 //               (one neighbor step touches one part).
 //
-// PrivacyBudget makes the accounting auditable: mechanisms that split
-// budget (DAWA's two stages, the Theorem 5.6 slab systems, Lemma 4.5's
-// stretch division) can record their spends, and tests can assert the
-// ledger matches the claimed guarantee.
+// Both rules need only a ledger's running sum: a parallel charge over
+// n disjoint releases is one spend of max ε. PrivacyBudget therefore
+// holds a total, the amount spent and the number of spends that made
+// it up — constant state however long the ledger serves. It keeps no
+// history. The serving engine records each charge elsewhere: the
+// bounded ε-audit ring holds the recent events, and the write-ahead
+// journal holds every one (engine/budget_accountant.h).
 
 #ifndef BLOWFISH_MECH_BUDGET_H_
 #define BLOWFISH_MECH_BUDGET_H_
 
 #include <cstdint>
-#include <memory>
-#include <string>
-#include <string_view>
-#include <vector>
 
 #include "common/status.h"
 
@@ -34,30 +33,14 @@ class PrivacyBudget {
   /// engine's BudgetAccountant) probe with this before committing.
   bool CanSpend(double epsilon) const;
 
-  /// Records a sequential spend; fails without side effects if it
-  /// would exceed the total.
-  Status Spend(double epsilon, const std::string& label);
-
-  /// Parallel composition: `count` releases over disjoint sub-domains
-  /// cost max over parts = `epsilon` once; recorded as a single entry.
-  Status SpendParallel(double epsilon, size_t count,
-                       const std::string& label);
-
-  /// A spend recorded without building a per-spend label string. The
-  /// hot serving path charges thousands of times per second against
-  /// the same (policy, plan) pair; `context` is that pair's shared
-  /// preformatted description (one refcount bump to record, never
-  /// copied), and only the per-request part — the short workload
-  /// name — is copied into the entry. `parallel_count > 1` marks the
-  /// entry as one parallel-composition charge covering that many
-  /// disjoint-domain releases.
-  Status SpendTagged(double epsilon, std::string_view workload,
-                     std::shared_ptr<const std::string> context,
-                     uint32_t parallel_count = 1);
+  /// Records a sequential spend; fails without side effects if
+  /// `epsilon` is not positive or would exceed the total. A parallel
+  /// charge over disjoint releases is one Spend of their max ε.
+  Status Spend(double epsilon);
 
   /// Journal-replay restore: sets the spent total to exactly
   /// `spent_epsilon` (bit-for-bit the value the write-ahead journal
-  /// replayed to) as a single "recovered" ledger entry. Unlike Spend
+  /// replayed to); a nonzero balance counts as one spend. Unlike Spend
   /// this may leave the ledger exhausted past its cap — a journal that
   /// outlived a cap reduction must still pin every recorded spend, so
   /// recovery never refills a budget. Only meaningful on a fresh
@@ -68,25 +51,13 @@ class PrivacyBudget {
   double total() const { return total_; }
   double spent() const { return spent_; }
   double remaining() const { return total_ - spent_; }
-
-  struct Entry {
-    double epsilon;
-    std::string label;
-    /// Shared suffix for tagged entries (null for plain spends); the
-    /// audit line is `label + " on " + *context`.
-    std::shared_ptr<const std::string> context;
-    /// >1 marks a parallel-composition charge over that many releases.
-    uint32_t parallel_count = 1;
-  };
-  const std::vector<Entry>& ledger() const { return ledger_; }
-
-  /// Human-readable audit trail.
-  std::string ToString() const;
+  /// Spends committed so far; scales CanSpend's rounding slack.
+  uint64_t spends() const { return spends_; }
 
  private:
   double total_;
   double spent_ = 0.0;
-  std::vector<Entry> ledger_;
+  uint64_t spends_ = 0;
 };
 
 }  // namespace blowfish

@@ -155,7 +155,13 @@ TEST(EngineConcurrency, SubmitsRaceRegistryChurn) {
     if (first_error.empty()) first_error = status.ToString();
   };
 
+  // Readers that finished one round over both policies (or gave up).
+  // The writer churns only once all have: its rounds can otherwise end
+  // before any reader submits, leaving the race untested.
+  std::atomic<size_t> readers_ready{0};
+
   std::thread writer([&] {
+    while (readers_ready.load() < kReaderThreads) std::this_thread::yield();
     for (size_t round = 0; round < kWriterRounds; ++round) {
       // Swap between two shapes so cached plans really go stale.
       Policy policy =
@@ -174,9 +180,10 @@ TEST(EngineConcurrency, SubmitsRaceRegistryChurn) {
       const std::string session = "r" + std::to_string(t);
       if (!engine.OpenSession(session, 1e6).ok()) {
         unexpected.fetch_add(1);
+        readers_ready.fetch_add(1);
         return;
       }
-      while (!stop.load()) {
+      for (bool first = true; first || !stop.load(); first = false) {
         for (const char* policy : {"stable", "churn"}) {
           QueryRequest request;
           request.session = session;
@@ -190,6 +197,7 @@ TEST(EngineConcurrency, SubmitsRaceRegistryChurn) {
             note(Status::Internal("wrong answer size"));
           }
         }
+        if (first) readers_ready.fetch_add(1);
       }
     });
   }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -576,6 +577,33 @@ TEST_F(JournalTest, EngineRecoversBalancesBitExact) {
   EXPECT_TRUE(BitEqual(engine->PolicyRemaining("salaries").ValueOrDie(),
                        policy_remaining));
   EXPECT_TRUE(engine->durability_health().ok());
+}
+
+TEST_F(JournalTest, SegmentsAreOwnerOnly) {
+  // Segments name every tenant and its spend history: no group or
+  // other access bits, whatever the process umask allows.
+  EngineOptions options;
+  options.journal_path = dir_;
+  auto engine = QueryEngine::Open(options).ValueOrDie();
+  ASSERT_TRUE(
+      engine->RegisterPolicy("salaries", LinePolicy(16), Ramp(16, 13), 4.0)
+          .ok());
+  ASSERT_TRUE(engine->OpenSession("alice", 3.0).ok());
+  QueryRequest request;
+  request.session = "alice";
+  request.policy = "salaries";
+  request.workload = IdentityWorkload(16);
+  request.epsilon = 0.5;
+  ASSERT_TRUE(engine->Submit(request).ok());
+
+  JournalScanReport report;
+  ASSERT_TRUE(LedgerJournal::Scan(dir_, PosixJournalIo(), &report).ok());
+  ASSERT_FALSE(report.segments.empty());
+  for (const auto& segment : report.segments) {
+    struct stat st;
+    ASSERT_EQ(::stat((dir_ + "/" + segment.name).c_str(), &st), 0);
+    EXPECT_EQ(st.st_mode & 077, 0u) << segment.name;
+  }
 }
 
 TEST_F(JournalTest, EngineJournalFailureRefusesChargeAndDrawsNoNoise) {

@@ -183,6 +183,18 @@ TEST(BurnRate, EngineExposesBurnGauges) {
   EXPECT_EQ(value, 2.0);
 }
 
+// Resident memory is exported so growth shows before it is an outage.
+TEST(ResourceGauges, EngineExportsProcessResidentBytes) {
+  QueryEngine engine;
+  double resident = 0.0;
+  ASSERT_TRUE(engine.telemetry().metrics().TryReadValue(
+      "engine_process_resident_bytes", &resident));
+  EXPECT_GT(resident, 1024.0 * 1024.0);  // any live process holds > 1 MiB
+  EXPECT_NE(engine.telemetry().metrics().PrometheusText().find(
+                "# TYPE engine_process_resident_bytes gauge"),
+            std::string::npos);
+}
+
 // ------------------------------------------------------ scrape server
 
 TEST(ObsServer, ServesMetricsVarzHealthzFlightz) {

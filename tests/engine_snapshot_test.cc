@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <dirent.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -262,6 +263,26 @@ TEST(SnapshotStoreTest, WritePrunesToKeepGenerations) {
   ASSERT_EQ(files.ValueOrDie().size(), 2u);
   EXPECT_EQ(files.ValueOrDie().back(), snapshot::FileName(4));
   EXPECT_EQ(files.ValueOrDie().front(), snapshot::FileName(3));
+
+  RemoveTree(dir);
+}
+
+TEST(SnapshotStoreTest, SnapshotFilesAreOwnerOnly) {
+  // A snapshot carries the registered private histograms: no group or
+  // other access bits, whatever the process umask allows.
+  const std::string dir = MakeTempDir();
+  QueryEngine engine(SnapOptions(dir));
+  RegisterAll(&engine);
+  ASSERT_TRUE(engine.WriteSnapshot().ok());
+
+  Result<std::vector<std::string>> files = snapshot::ListFiles(dir);
+  ASSERT_TRUE(files.ok());
+  ASSERT_FALSE(files.ValueOrDie().empty());
+  for (const std::string& name : files.ValueOrDie()) {
+    struct stat st;
+    ASSERT_EQ(::stat((dir + "/" + name).c_str(), &st), 0);
+    EXPECT_EQ(st.st_mode & 077, 0u) << name;
+  }
 
   RemoveTree(dir);
 }

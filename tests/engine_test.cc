@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "engine/query_engine.h"
 #include "workload/builders.h"
@@ -103,6 +108,13 @@ TEST(BudgetAccountant, AtomicMultiLedgerCharge) {
   EXPECT_EQ(accountant.Charge(with_invalid, 2, 0.1, tag).code(),
             StatusCode::kNotFound);
   EXPECT_NEAR(*accountant.Remaining("a"), 0.6, 1e-12);
+
+  // A parallel charge must cover at least one release.
+  ChargeTag no_parts = tag;
+  no_parts.parallel_count = 0;
+  EXPECT_EQ(accountant.Charge(&a, 1, 0.1, no_parts).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(accountant.Ledger("a")->spends(), 1u);
 
   // A repeated handle composes sequentially within one charge.
   const LedgerHandle twice[2] = {a, a};
@@ -370,6 +382,70 @@ TEST_F(QueryEngineTest, MalformedEpsilonIsInvalidOnEveryEntryPoint) {
             0u);
 }
 
+// Budgets and caps follow the request-ε rule: NaN, ±inf, denormals,
+// zero and negatives are malformed input, refused as kInvalidArgument
+// (NaN passes a `<= 0.0` check, so each entry point needs the rule).
+const double kHostileBudgets[] = {std::nan(""),
+                                  std::numeric_limits<double>::infinity(),
+                                  -std::numeric_limits<double>::infinity(),
+                                  1e-320, 0.0, -1.0};
+
+TEST_F(QueryEngineTest, HostileSessionBudgetIsInvalid) {
+  for (const double budget : kHostileBudgets) {
+    EXPECT_EQ(engine_.OpenSession("mallory", budget).code(),
+              StatusCode::kInvalidArgument)
+        << budget;
+    EXPECT_EQ(engine_.SessionRemaining("mallory").status().code(),
+              StatusCode::kNotFound)
+        << budget;
+  }
+  EXPECT_TRUE(engine_.OpenSession("mallory", 1.0).ok());
+}
+
+TEST_F(QueryEngineTest, HostilePolicyCapOrDataIsInvalidOnRegister) {
+  for (const double cap : kHostileBudgets) {
+    EXPECT_EQ(engine_.RegisterPolicy("hostile", LinePolicy(16), Ramp(16), cap)
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << cap;
+  }
+  for (const double bad : {std::nan(""),
+                           std::numeric_limits<double>::infinity()}) {
+    Vector data = Ramp(16);
+    data[3] = bad;
+    EXPECT_EQ(engine_.RegisterPolicy("hostile", LinePolicy(16), data, 1.0)
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  EXPECT_EQ(engine_.num_policies(), 3u);
+  EXPECT_EQ(engine_.PolicyRemaining("hostile").status().code(),
+            StatusCode::kNotFound);
+}
+
+TEST_F(QueryEngineTest, HostilePolicyCapOrDataIsInvalidOnReplace) {
+  for (const double cap : kHostileBudgets) {
+    EXPECT_EQ(
+        engine_.ReplacePolicy("salaries", LinePolicy(16), Ramp(16), cap).code(),
+        StatusCode::kInvalidArgument)
+        << cap;
+  }
+  for (const double bad : {std::nan(""),
+                           -std::numeric_limits<double>::infinity()}) {
+    Vector data = Ramp(16);
+    data[0] = bad;
+    EXPECT_EQ(
+        engine_.ReplacePolicy("salaries", LinePolicy(16), data, 1.0).code(),
+        StatusCode::kInvalidArgument)
+        << bad;
+  }
+  // The registered version keeps serving: a replacement would carry
+  // its own fresh cap of 1.0.
+  EXPECT_EQ(*engine_.PolicyRemaining("salaries"), 100.0);
+  ASSERT_TRUE(engine_.OpenSession("alice", 1.0).ok());
+  EXPECT_TRUE(engine_.Submit(Request("alice", "salaries", 0.5)).ok());
+}
+
 TEST_F(QueryEngineTest, RangeWorkloadsDispatchToTheFastPathOnThetaGrids) {
   // θ=4 over 8x8: the planner picks grid-theta-range, and an explicit
   // range request must bypass the full-histogram adapter.
@@ -601,6 +677,67 @@ TEST_F(QueryEngineTest, AuditTrailNamesWorkloadPolicyAndPlan) {
   EXPECT_NE(audit.find("I_16"), std::string::npos);
   EXPECT_NE(audit.find("salaries"), std::string::npos);
   EXPECT_NE(audit.find("tree-transform"), std::string::npos);
+}
+
+TEST_F(QueryEngineTest, AuditSaysWhenTheRingNoLongerHoldsEveryCharge) {
+  EngineOptions options;
+  options.audit_log_capacity = 0;
+  QueryEngine engine(options);
+  ASSERT_TRUE(
+      engine.RegisterPolicy("salaries", LinePolicy(16), Ramp(16), 100.0).ok());
+  ASSERT_TRUE(engine.OpenSession("alice", 10.0).ok());
+  ASSERT_TRUE(engine.Submit(Request("alice", "salaries", 1.0)).ok());
+  ASSERT_TRUE(engine.Submit(Request("alice", "salaries", 0.5)).ok());
+  const std::string audit = engine.SessionAudit("alice").ValueOrDie();
+  EXPECT_NE(audit.find("spent 1.5 in 2 charge(s)"), std::string::npos)
+      << audit;
+  EXPECT_NE(audit.find("2 earlier charge(s) are not in the audit ring"),
+            std::string::npos)
+      << audit;
+  EXPECT_NE(audit.find("ledger_fsck"), std::string::npos) << audit;
+}
+
+TEST_F(QueryEngineTest, AuditMarksRefusals) {
+  ASSERT_TRUE(engine_.OpenSession("alice", 1.0).ok());
+  ASSERT_TRUE(engine_.Submit(Request("alice", "salaries", 0.75)).ok());
+  EXPECT_EQ(engine_.Submit(Request("alice", "salaries", 0.5)).status().code(),
+            StatusCode::kOutOfRange);
+  const std::string audit = engine_.SessionAudit("alice").ValueOrDie();
+  EXPECT_NE(audit.find("in 1 charge(s)"), std::string::npos) << audit;
+  EXPECT_NE(audit.find("[refused]"), std::string::npos) << audit;
+  EXPECT_EQ(audit.find("not in the audit ring"), std::string::npos) << audit;
+}
+
+TEST_F(QueryEngineTest, WarmSubmitsHoldHeapFlat) {
+#if defined(__GLIBC__)
+  // Serving ledgers keep totals, not history: once the audit ring is
+  // full, warm submits must not grow the heap however many run.
+  ASSERT_TRUE(engine_.RegisterPolicy("bulk", LinePolicy(16), Ramp(16), 1e9)
+                  .ok());
+  ASSERT_TRUE(engine_.OpenSession("alice", 1e9).ok());
+  ASSERT_TRUE(engine_.OpenSession("bob", 1e9).ok());
+  const QueryRequest requests[2] = {Request("alice", "bulk", 1e-3),
+                                    Request("bob", "bulk", 1e-3)};
+  const size_t warm_up = 2 * EngineOptions().audit_log_capacity;
+  for (size_t i = 0; i < warm_up; ++i) {
+    ASSERT_TRUE(engine_.Submit(requests[i % 2]).ok());
+  }
+  // Arena bytes in use plus mmapped chunks (large vectors bypass the
+  // arena once they pass the mmap threshold).
+  const auto heap_in_use = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return info.uordblks + info.hblkhd;
+  };
+  const size_t before = heap_in_use();
+  for (size_t i = 0; i < 50000; ++i) {
+    ASSERT_TRUE(engine_.Submit(requests[i % 2]).ok());
+  }
+  const size_t after = heap_in_use();
+  EXPECT_LT(after - std::min(after, before), 256u * 1024u)
+      << "heap grew from " << before << " to " << after << " bytes";
+#else
+  GTEST_SKIP() << "mallinfo2 is glibc-only";
+#endif
 }
 
 TEST_F(QueryEngineTest, MetadataAccessor) {

@@ -35,8 +35,8 @@ Rules
                       no multi-argument scoped_lock / std::lock over shard
                       mutexes, no descending literal shard-index locks.
   journal-before-admit In src/engine/, a function that commits a ledger
-                      spend (Spend/SpendTagged/SpendParallel on a budget)
-                      must reach a write-ahead journal append
+                      spend (Spend on a budget) must reach a write-ahead
+                      journal append
                       (AppendJournal*/->AppendCharge) earlier in the same
                       function — the crash journal's fail-closed invariant:
                       a spend record is durable before the charge commits.
