@@ -1,7 +1,6 @@
 #include "core/grid_theta_adapter.h"
 
 #include "common/check.h"
-#include "workload/builders.h"
 
 namespace blowfish {
 
@@ -10,22 +9,20 @@ GridThetaHistogramAdapter::Create(size_t k, size_t theta) {
   Result<std::unique_ptr<GridThetaRangeMechanism>> inner =
       GridThetaRangeMechanism::Create(k, theta);
   if (!inner.ok()) return inner.status();
-  RangeWorkload cells = HistogramRanges(DomainShape({k, k}));
   return std::unique_ptr<GridThetaHistogramAdapter>(
-      new GridThetaHistogramAdapter(std::move(inner).ValueOrDie(),
-                                    std::move(cells)));
+      new GridThetaHistogramAdapter(std::move(inner).ValueOrDie(), k * k));
 }
 
 Vector GridThetaHistogramAdapter::Run(const Vector& x, double epsilon,
                                       Rng* rng) const {
-  BF_CHECK_EQ(x.size(), cells_.domain().size());
+  BF_CHECK_EQ(x.size(), num_cells_);
   return inner_->ReleaseHistogramOnTransformed(
       inner_->PrecomputeTransformed(x), Sum(x), epsilon, rng);
 }
 
 std::shared_ptr<const BlowfishMechanism::ReleasePrecompute>
 GridThetaHistogramAdapter::PrecomputeRelease(const Vector& x) const {
-  BF_CHECK_EQ(x.size(), cells_.domain().size());
+  BF_CHECK_EQ(x.size(), num_cells_);
   auto pre = std::make_shared<SlabPrecompute>();
   pre->xg = inner_->PrecomputeTransformed(x);
   pre->n = Sum(x);

@@ -10,10 +10,10 @@
 //
 // This gives the planner a uniform execution path (Plan::mechanism is
 // never null; the engine answers any linear workload as W x̂). Callers
-// with an explicit range workload over a large domain should still
-// prefer inner().AnswerRanges(), which reconstructs only the queried
-// ranges; the full-histogram reconstruction here costs
-// O(k² · #spanner-edges) per release.
+// with an explicit range workload should still prefer
+// inner().AnswerRanges(), whose per-range error scales with the range
+// perimeter rather than its area; the full-histogram reconstruction
+// here costs O(k²) table reads per release.
 
 #ifndef BLOWFISH_CORE_GRID_THETA_ADAPTER_H_
 #define BLOWFISH_CORE_GRID_THETA_ADAPTER_H_
@@ -24,7 +24,6 @@
 #include "common/status.h"
 #include "core/blowfish_mechanism.h"
 #include "core/mechanisms_kd.h"
-#include "workload/workload.h"
 
 namespace blowfish {
 
@@ -97,11 +96,11 @@ class GridThetaHistogramAdapter : public BlowfishMechanism {
 
  private:
   GridThetaHistogramAdapter(std::unique_ptr<GridThetaRangeMechanism> inner,
-                            RangeWorkload cells)
-      : inner_(std::move(inner)), cells_(std::move(cells)) {}
+                            size_t num_cells)
+      : inner_(std::move(inner)), num_cells_(num_cells) {}
 
   std::shared_ptr<const GridThetaRangeMechanism> inner_;
-  RangeWorkload cells_;  ///< all k² unit ranges, flattened-domain order
+  size_t num_cells_;  ///< k²
 };
 
 }  // namespace blowfish

@@ -66,15 +66,11 @@ GridThetaRangeMechanism::Create(size_t k, size_t theta) {
     EdgeInfo& info = m->edge_info_[e];
     info.u = edges[e].u;
     info.v = edges[e].v;
-    const bool u_is_black = spanner.internal_edge[edges[e].u] == e;
-    const bool v_is_black = spanner.internal_edge[edges[e].v] == e;
-    info.internal = u_is_black || v_is_black;
-    if (info.internal) {
-      const size_t black = u_is_black ? edges[e].u : edges[e].v;
-      const std::vector<size_t> c = domain.Unflatten(black);
-      info.bi = c[0];
-      info.bj = c[1];
-    } else {
+    // Internal edges run black -> red, so an estimate enters a range
+    // with sign +1 at its black cell; the slab tables rely on it.
+    info.internal = spanner.internal_edge[edges[e].u] == e;
+    BF_CHECK_NE(spanner.internal_edge[edges[e].v], e);
+    if (!info.internal) {
       // External edge between adjacent red corners; group by line.
       const std::vector<size_t> cu = domain.Unflatten(edges[e].u);
       const std::vector<size_t> cv = domain.Unflatten(edges[e].v);
@@ -107,61 +103,79 @@ GridThetaRangeMechanism::Create(size_t k, size_t theta) {
   if (m->transform_.num_edges() != m->edge_info_.size()) {
     return Status::Internal("θ-grid reduction changed the edge count");
   }
+  m->line_privelet_ =
+      std::make_shared<const PriveletMechanism>(DomainShape({reds_per_dim}));
+  m->row_privelet_ =
+      std::make_shared<const PriveletMechanism>(DomainShape({block, k}));
+  m->col_privelet_ =
+      std::make_shared<const PriveletMechanism>(DomainShape({k, block}));
   return m;
 }
 
-GridThetaRangeMechanism::Releases GridThetaRangeMechanism::RunReleases(
-    const Vector& xg, double eps_prime, Rng* rng) const {
+GridThetaRangeMechanism::Estimates GridThetaRangeMechanism::DrawEstimates(
+    const Vector& xg, double epsilon, Rng* rng) const {
+  BF_CHECK_GT(epsilon, 0.0);
   BF_CHECK_EQ(xg.size(), edge_info_.size());
-  Releases rel;
-  rel.est_row.assign(xg.size(), 0.0);
-  rel.est_col.assign(xg.size(), 0.0);
-  rel.est_ext.assign(xg.size(), 0.0);
+  const double eps_prime = epsilon / static_cast<double>(stretch_);
+  Estimates est{Vector(k_ * k_), Vector(k_ * k_), Vector(xg.size())};
 
   // External: one 1D Privelet per red-grid line at full ε' (disjoint).
-  {
-    std::map<size_t, std::shared_ptr<PriveletMechanism>> cache;
-    for (const std::vector<size_t>& line : external_lines_) {
-      auto it = cache.find(line.size());
-      if (it == cache.end()) {
-        it = cache
-                 .emplace(line.size(), std::make_shared<PriveletMechanism>(
-                                           DomainShape({line.size()})))
-                 .first;
-      }
-      Vector sub(line.size());
-      for (size_t i = 0; i < line.size(); ++i) sub[i] = xg[line[i]];
-      const Vector est = it->second->Run(sub, eps_prime, rng);
-      for (size_t i = 0; i < line.size(); ++i) rel.est_ext[line[i]] = est[i];
-    }
+  Vector sub(k_ / block_);
+  for (const std::vector<size_t>& line : external_lines_) {
+    for (size_t i = 0; i < line.size(); ++i) sub[i] = xg[line[i]];
+    const Vector line_est = line_privelet_->Run(sub, eps_prime, rng);
+    for (size_t i = 0; i < line.size(); ++i) est.ext[line[i]] = line_est[i];
   }
 
-  // Internal: slab systems. Cells indexed by the black endpoint; red
-  // cells (no internal edge) stay zero.
-  const size_t num_slabs = k_ / block_;
-  const PriveletMechanism row_privelet(DomainShape({block_, k_}));
-  const PriveletMechanism col_privelet(DomainShape({k_, block_}));
-  // Map each internal edge to its slabs once.
-  std::vector<Vector> row_slabs(num_slabs, Vector(block_ * k_, 0.0));
-  std::vector<Vector> col_slabs(num_slabs, Vector(k_ * block_, 0.0));
+  // Internal: the slab systems over the k×k grid of black cells (red
+  // cells stay zero). Row slab b is rows [b·s, (b+1)·s), a contiguous
+  // run of the row-major grid; column slab b is columns [b·s, (b+1)·s).
+  Vector cells(k_ * k_, 0.0);
+  for (size_t e = 0; e < edge_info_.size(); ++e) {
+    if (edge_info_[e].internal) cells[edge_info_[e].u] = xg[e];
+  }
+  const size_t slab = block_ * k_;
+  Vector col_slab(slab);
+  for (size_t b = 0; b < k_ / block_; ++b) {
+    const Vector row_slab(cells.begin() + b * slab,
+                          cells.begin() + (b + 1) * slab);
+    for (size_t i = 0; i < k_; ++i) {
+      std::copy_n(&cells[i * k_ + b * block_], block_, &col_slab[i * block_]);
+    }
+    const Vector row_out = row_privelet_->Run(row_slab, eps_prime / 2.0, rng);
+    const Vector col_out = col_privelet_->Run(col_slab, eps_prime / 2.0, rng);
+    std::copy(row_out.begin(), row_out.end(), est.row.begin() + b * slab);
+    for (size_t i = 0; i < k_; ++i) {
+      std::copy_n(&col_out[i * block_], block_, &est.col[i * k_ + b * block_]);
+    }
+  }
+  return est;
+}
+
+GridThetaRangeMechanism::Releases GridThetaRangeMechanism::Tabulate(
+    const Estimates& est) const {
+  const size_t w = k_ + 1;
+  Releases rel{Vector(w * w, 0.0), Vector(w * w, 0.0), Vector(w * w, 0.0)};
+  // Cell (i, j) goes to entry (i + 1, j + 1); prefix sums follow.
+  const auto at = [&](size_t c) { return (c / k_ + 1) * w + c % k_ + 1; };
   for (size_t e = 0; e < edge_info_.size(); ++e) {
     const EdgeInfo& info = edge_info_[e];
-    if (!info.internal) continue;
-    row_slabs[info.bi / block_][(info.bi % block_) * k_ + info.bj] = xg[e];
-    col_slabs[info.bj / block_][info.bi * block_ + (info.bj % block_)] = xg[e];
+    if (info.internal) {
+      rel.row[at(info.u)] = est.row[info.u];
+      rel.col[at(info.u)] = est.col[info.u];
+    } else {
+      rel.ext[at(info.u)] += est.ext[e];
+      rel.ext[at(info.v)] -= est.ext[e];
+    }
   }
-  std::vector<Vector> row_est(num_slabs), col_est(num_slabs);
-  for (size_t b = 0; b < num_slabs; ++b) {
-    row_est[b] = row_privelet.Run(row_slabs[b], eps_prime / 2.0, rng);
-    col_est[b] = col_privelet.Run(col_slabs[b], eps_prime / 2.0, rng);
-  }
-  for (size_t e = 0; e < edge_info_.size(); ++e) {
-    const EdgeInfo& info = edge_info_[e];
-    if (!info.internal) continue;
-    rel.est_row[e] =
-        row_est[info.bi / block_][(info.bi % block_) * k_ + info.bj];
-    rel.est_col[e] =
-        col_est[info.bj / block_][info.bi * block_ + (info.bj % block_)];
+  for (Vector* table : {&rel.ext, &rel.row, &rel.col}) {
+    Vector& t = *table;
+    for (size_t i = 1; i < w; ++i) {
+      for (size_t j = 1; j < w; ++j) t[i * w + j] += t[i * w + j - 1];
+    }
+    for (size_t i = 1; i < w; ++i) {
+      for (size_t j = 1; j < w; ++j) t[i * w + j] += t[(i - 1) * w + j];
+    }
   }
   return rel;
 }
@@ -173,43 +187,38 @@ Vector GridThetaRangeMechanism::AnswerRanges(const RangeWorkload& workload,
                                    Sum(x), epsilon, rng);
 }
 
-double GridThetaRangeMechanism::AnswerOneRange(const RangeQuery& q,
+double GridThetaRangeMechanism::AnswerOneRange(size_t r1, size_t r2,
+                                               size_t c1, size_t c2,
                                                const Releases& rel,
                                                double n) const {
-  const size_t corner_i = k_ - 1, corner_j = k_ - 1;  // Case-II vertex
-  const size_t r1 = q.lo[0], r2 = q.hi[0];
-  const size_t c1 = q.lo[1], c2 = q.hi[1];
-  const auto inside = [&](size_t i, size_t j) {
-    return i >= r1 && i <= r2 && j >= c1 && j <= c2;
+  const size_t w = k_ + 1;
+  // Table sum over the cells [i0, i1)×[j0, j1); 0 when empty.
+  const auto rect = [w](const Vector& t, size_t i0, size_t i1, size_t j0,
+                        size_t j1) {
+    if (i0 >= i1 || j0 >= j1) return 0.0;
+    return t[i1 * w + j1] - t[i0 * w + j1] - t[i1 * w + j0] + t[i0 * w + j0];
   };
-  double acc = 0.0;
-  // Case-II constant q[corner] * n.
-  if (inside(corner_i, corner_j)) acc += n;
-  for (size_t e = 0; e < edge_info_.size(); ++e) {
-    const EdgeInfo& info = edge_info_[e];
-    const size_t ui = info.u / k_, uj = info.u % k_;
-    const size_t vi = info.v / k_, vj = info.v % k_;
-    const double coef = (inside(ui, uj) ? 1.0 : 0.0) -
-                        (inside(vi, vj) ? 1.0 : 0.0);
-    if (coef == 0.0) continue;
-    double est;
-    if (!info.internal) {
-      est = rel.est_ext[e];
-    } else {
-      // Strip classification (Figure 7d): pick the slab system whose
-      // slabs run along the strip's long axis.
-      const size_t red_i = (info.bi / block_ + 1) * block_ - 1;
-      bool use_row;
-      if (inside(info.bi, info.bj)) {
-        // Black inside, red outside: top overflow -> horizontal strip.
-        use_row = red_i > r2;
-      } else {
-        // Red inside, black outside: bottom/left underflow.
-        use_row = info.bi < r1;
-      }
-      est = use_row ? rel.est_row[e] : rel.est_col[e];
-    }
-    acc += coef * est;
+  const size_t s = block_;
+  // First row (column) of r1's (c1's) block, and the end of the last
+  // block that closes inside the range: a black cell before row_end
+  // (col_end) has its red row (column) at or before r2 (c2).
+  const size_t row_start = r1 / s * s, col_start = c1 / s * s;
+  const size_t row_end = (r2 + 1) / s * s, col_end = (c2 + 1) / s * s;
+
+  // Case-II constant q[corner] * n, then the external lines.
+  double acc = (r2 == k_ - 1 && c2 == k_ - 1) ? n : 0.0;
+  acc += rect(rel.ext, r1, r2 + 1, c1, c2 + 1);
+  // Figure 7d strips. Black inside, red below r2: row slabs.
+  acc += rect(rel.row, std::max(r1, row_end), r2 + 1, c1, c2 + 1);
+  // Black inside, red right of c2 (not below r2): column slabs.
+  acc += rect(rel.col, r1, row_end, std::max(c1, col_end), c2 + 1);
+  // Red inside, black above r1: row slabs.
+  if (row_start + s - 1 <= r2) {
+    acc -= rect(rel.row, row_start, r1, col_start, col_end);
+  }
+  // Red inside, black left of c1 (not above r1): column slabs.
+  if (col_start + s - 1 <= c2) {
+    acc -= rect(rel.col, r1, row_end, col_start, c1);
   }
   return acc;
 }
@@ -217,15 +226,14 @@ double GridThetaRangeMechanism::AnswerOneRange(const RangeQuery& q,
 Vector GridThetaRangeMechanism::AnswerRangesOnTransformed(
     const RangeWorkload& workload, const Vector& xg, double n,
     double epsilon, Rng* rng) const {
-  BF_CHECK_GT(epsilon, 0.0);
   BF_CHECK_EQ(workload.domain().num_dims(), 2u);
   BF_CHECK_EQ(workload.domain().size(), k_ * k_);
-  const double eps_prime = epsilon / static_cast<double>(stretch_);
-  const Releases rel = RunReleases(xg, eps_prime, rng);
+  const Releases rel = Tabulate(DrawEstimates(xg, epsilon, rng));
 
   Vector answers(workload.num_queries(), 0.0);
   for (size_t qi = 0; qi < workload.num_queries(); ++qi) {
-    answers[qi] = AnswerOneRange(workload.queries()[qi], rel, n);
+    const RangeQuery& q = workload.queries()[qi];
+    answers[qi] = AnswerOneRange(q.lo[0], q.hi[0], q.lo[1], q.hi[1], rel, n);
   }
   return answers;
 }
@@ -234,14 +242,12 @@ std::unique_ptr<GridThetaRangeMechanism::RangeCursor>
 GridThetaRangeMechanism::BeginRanges(RangeWorkload workload, const Vector& xg,
                                      double n, double epsilon,
                                      Rng* rng) const {
-  BF_CHECK_GT(epsilon, 0.0);
   BF_CHECK_EQ(workload.domain().num_dims(), 2u);
   BF_CHECK_EQ(workload.domain().size(), k_ * k_);
-  const double eps_prime = epsilon / static_cast<double>(stretch_);
   // All noise for the submit is drawn here — the cursor's chunks are
   // post-processing, so pausing or abandoning it leaks nothing beyond
   // the releases the charge already covered.
-  Releases rel = RunReleases(xg, eps_prime, rng);
+  Releases rel = Tabulate(DrawEstimates(xg, epsilon, rng));
   return std::unique_ptr<RangeCursor>(
       new RangeCursor(this, std::move(workload), std::move(rel), n));
 }
@@ -252,46 +258,21 @@ size_t GridThetaRangeMechanism::RangeCursor::AnswerNext(size_t count,
   const size_t produced = end - next_;
   out->reserve(out->size() + produced);
   for (; next_ < end; ++next_) {
-    out->push_back(
-        mech_->AnswerOneRange(workload_.queries()[next_], releases_, n_));
+    const RangeQuery& q = workload_.queries()[next_];
+    out->push_back(mech_->AnswerOneRange(q.lo[0], q.hi[0], q.lo[1], q.hi[1],
+                                         releases_, n_));
   }
   return produced;
 }
 
 Vector GridThetaRangeMechanism::ReleaseHistogramOnTransformed(
     const Vector& xg, double n, double epsilon, Rng* rng) const {
-  BF_CHECK_GT(epsilon, 0.0);
-  const double eps_prime = epsilon / static_cast<double>(stretch_);
-  const Releases rel = RunReleases(xg, eps_prime, rng);
+  const Releases rel = Tabulate(DrawEstimates(xg, epsilon, rng));
 
-  Vector answers(k_ * k_, 0.0);
-  // Case-II constant, added before any edge contribution (matching
-  // the generic path's accumulation order exactly).
-  answers[k_ * k_ - 1] = n;
-  for (size_t e = 0; e < edge_info_.size(); ++e) {
-    const EdgeInfo& info = edge_info_[e];
-    // A unit-cell range contains an endpoint or it does not: the
-    // generic coefficient (inside(u) - inside(v)) collapses to +1 on
-    // u's cell and -1 on v's cell, with the same strip-classification
-    // rule evaluated at that single cell.
-    const size_t endpoints[2] = {info.u, info.v};
-    const double signs[2] = {1.0, -1.0};
-    for (int s = 0; s < 2; ++s) {
-      const size_t cell = endpoints[s];
-      double est;
-      if (!info.internal) {
-        est = rel.est_ext[e];
-      } else {
-        const size_t pi = cell / k_, pj = cell % k_;
-        const size_t red_i = (info.bi / block_ + 1) * block_ - 1;
-        const bool endpoint_is_black = (info.bi == pi && info.bj == pj);
-        // Black inside: top overflow -> horizontal strip. Red inside:
-        // bottom/left underflow (Figure 7d), as in the generic path.
-        const bool use_row =
-            endpoint_is_black ? (red_i > pi) : (info.bi < pi);
-        est = use_row ? rel.est_row[e] : rel.est_col[e];
-      }
-      answers[cell] += signs[s] * est;
+  Vector answers(k_ * k_);
+  for (size_t i = 0; i < k_; ++i) {
+    for (size_t j = 0; j < k_; ++j) {
+      answers[i * k_ + j] = AnswerOneRange(i, i, j, j, rel, n);
     }
   }
   return answers;

@@ -24,6 +24,9 @@
 // reconstruction, this mechanism answers range workloads directly
 // rather than releasing a single histogram estimate (both releases are
 // still published noisy vectors; reconstruction is post-processing).
+// Each submit folds its releases into three summed-area tables, so a
+// range is read in O(1) from at most five rectangles: the whole range
+// on the external-line table and the four strips on the slab tables.
 
 #ifndef BLOWFISH_CORE_MECHANISMS_KD_H_
 #define BLOWFISH_CORE_MECHANISMS_KD_H_
@@ -39,15 +42,18 @@
 
 namespace blowfish {
 
+class PriveletMechanism;
+
 /// \brief Gθ_{k²} range-query mechanism (θ >= 2).
 class GridThetaRangeMechanism {
  private:
-  /// One submit's noisy edge-domain releases — defined before the
-  /// public section so RangeCursor can hold them by value.
+  /// One submit's noisy releases as (k+1)×(k+1) row-major summed-area
+  /// tables: entry (i, j) sums the cells [0, i)×[0, j). Defined before
+  /// the public section so RangeCursor can hold them by value.
   struct Releases {
-    Vector est_row;  // per edge; meaningful for internal edges
-    Vector est_col;  // per edge; internal
-    Vector est_ext;  // per edge; external
+    Vector ext;  // external-line estimates, ± at the edge endpoints
+    Vector row;  // row-slab estimates at internal edges' black cells
+    Vector col;  // column-slab estimates, likewise
   };
 
  public:
@@ -75,12 +81,12 @@ class GridThetaRangeMechanism {
 
   /// \brief Resumable form of AnswerRangesOnTransformed. The noisy
   /// slab/line releases — the whole privacy-relevant part of the
-  /// submit — are drawn at construction; AnswerNext() then
-  /// reconstructs queries strictly in workload order, any number at a
-  /// time, as pure post-processing of those releases. Concatenating
-  /// every block is bit-identical to the one-shot call with the same
-  /// rng stream. Not thread-safe; the owning mechanism must outlive
-  /// the cursor.
+  /// submit — are drawn and tabulated at construction; AnswerNext()
+  /// then reconstructs queries in O(1) each, strictly in workload
+  /// order, any number at a time, as pure post-processing of those
+  /// releases. Concatenating every block is bit-identical to the
+  /// one-shot call with the same rng stream. Not thread-safe; the
+  /// owning mechanism must outlive the cursor.
   class RangeCursor {
    public:
     /// Appends up to `count` answers (fewer at the tail) for queries
@@ -116,12 +122,10 @@ class GridThetaRangeMechanism {
                                            const Vector& xg, double n,
                                            double epsilon, Rng* rng) const;
 
-  /// Full-histogram release x̂ (all k² cells, flattened row-major):
-  /// bit-identical to answering every unit-cell range through
-  /// AnswerRangesOnTransformed, but one O(edges) scatter pass instead
-  /// of O(k²·edges) — each edge estimate touches exactly its two
-  /// incident cells, so the per-cell accumulation order (edge order)
-  /// matches the generic path and the floating-point sums are equal.
+  /// Full-histogram release x̂ (all k² cells, flattened row-major): the
+  /// range reconstruction evaluated at every unit cell, O(k²) in all,
+  /// so it is bit-identical to answering the unit-cell ranges through
+  /// AnswerRangesOnTransformed.
   Vector ReleaseHistogramOnTransformed(const Vector& xg, double n,
                                        double epsilon, Rng* rng) const;
 
@@ -133,13 +137,24 @@ class GridThetaRangeMechanism {
  private:
   GridThetaRangeMechanism() = default;
 
-  Releases RunReleases(const Vector& xg, double eps_prime, Rng* rng) const;
+  friend class GridThetaRangeMechanismTestPeer;
 
-  /// Reconstructs one range query from the releases (the generic
-  /// Figure 7d strip classification); both the one-shot path and the
-  /// cursor call exactly this, so their answers are bit-identical.
-  double AnswerOneRange(const RangeQuery& query, const Releases& releases,
-                        double n) const;
+  /// One submit's noisy estimates: ext per spanner edge; row and col
+  /// per cell, read only at internal edges' black cells.
+  struct Estimates { Vector row, col, ext; };
+
+  /// Draws the submit's noise at ε' = ε/ℓ — the only randomized step.
+  Estimates DrawEstimates(const Vector& xg, double epsilon,
+                              Rng* rng) const;
+  /// Folds the estimates into the summed-area tables.
+  Releases Tabulate(const Estimates& est) const;
+
+  /// Reconstructs the range [r1, r2]×[c1, c2] (inclusive) from the
+  /// tables (the Figure 7d strip classification); the one-shot path,
+  /// the cursor and the histogram release all call exactly this, so
+  /// their answers are bit-identical.
+  double AnswerOneRange(size_t r1, size_t r2, size_t c1, size_t c2,
+                        const Releases& releases, double n) const;
 
   size_t k_ = 0;
   size_t theta_ = 0;
@@ -151,13 +166,15 @@ class GridThetaRangeMechanism {
   // Per-edge metadata (index = P_G column = spanner edge index).
   struct EdgeInfo {
     bool internal = false;
-    size_t u = 0, v = 0;  // original endpoints (v is the red/second one)
-    // Internal: black endpoint coordinates.
-    size_t bi = 0, bj = 0;
+    size_t u = 0, v = 0;  // endpoints; an internal edge runs black -> red
   };
   std::vector<EdgeInfo> edge_info_;
   // External line groups: edge indices ordered along the line.
   std::vector<std::vector<size_t>> external_lines_;
+  // Built once in Create: k/s-edge lines, s×k row and k×s column slabs.
+  std::shared_ptr<const PriveletMechanism> line_privelet_;
+  std::shared_ptr<const PriveletMechanism> row_privelet_;
+  std::shared_ptr<const PriveletMechanism> col_privelet_;
 };
 
 }  // namespace blowfish

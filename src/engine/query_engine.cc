@@ -1264,9 +1264,9 @@ void QueryEngine::DrawRelease(const Admission& admission,
       request.ranges->domain().dims() == entry.policy.domain.dims();
   if (header->range_fast_path) {
     // Fast path: noise is drawn once for this submit's slab releases
-    // and only the queried ranges are reconstructed — O(q·edges),
-    // versus the adapter's O(k²·edges) full-histogram detour. The
-    // noise-free data transform is shared across submits.
+    // and tabulated; each queried range is then read in O(1), with no
+    // full-histogram detour. The noise-free data transform is shared
+    // across submits.
     const GridThetaRangeMechanism& mech = *plan.range_mechanism;
     header->guarantee = mech.Guarantee(request.epsilon);
     const auto* slab =

@@ -42,9 +42,9 @@
 // Release paths. A dense workload is answered as W x̂ from the plan's
 // full-histogram release. An implicit range workload on a θ>=2 grid
 // policy instead routes to GridThetaRangeMechanism's per-query slab
-// reconstruction (noise drawn once per submit, only the queried ranges
-// rebuilt — O(q·edges) instead of O(k²·edges)); on any other policy it
-// is answered from the histogram release via a summed-area table. All
+// reconstruction (noise drawn once per submit into summed-area tables,
+// each queried range read in O(1)); on any other policy it is answered
+// from the histogram release via a summed-area table. All
 // paths charge the same ε and state the same guarantee.
 //
 // Privacy semantics. Every submit is one sequential-composition step:

@@ -101,6 +101,10 @@ PriveletMechanism::PriveletMechanism(DomainShape domain)
     sensitivity_ *= static_cast<double>(Log2(p) + 1);
   }
   padded_ = DomainShape(padded_dims);
+  padded_index_.resize(domain_.size());
+  for (size_t i = 0; i < domain_.size(); ++i) {
+    padded_index_[i] = padded_.Flatten(domain_.Unflatten(i));
+  }
   // Per-cell weight = product over axes of the 1D coefficient weight of
   // the cell's coordinate along that axis.
   coefficient_weights_.assign(padded_.size(), 1.0);
@@ -120,9 +124,7 @@ Vector PriveletMechanism::Run(const Vector& x, double epsilon,
 
   // Embed into the padded grid.
   Vector padded(padded_.size(), 0.0);
-  for (size_t i = 0; i < domain_.size(); ++i) {
-    padded[padded_.Flatten(domain_.Unflatten(i))] = x[i];
-  }
+  for (size_t i = 0; i < domain_.size(); ++i) padded[padded_index_[i]] = x[i];
   // Forward transform along each axis.
   for (size_t axis = 0; axis < padded_.num_dims(); ++axis) {
     ForEachLine(&padded, padded_.dims(), axis,
@@ -139,9 +141,7 @@ Vector PriveletMechanism::Run(const Vector& x, double epsilon,
   }
   // Crop back to the logical domain.
   Vector out(domain_.size());
-  for (size_t i = 0; i < domain_.size(); ++i) {
-    out[i] = padded[padded_.Flatten(domain_.Unflatten(i))];
-  }
+  for (size_t i = 0; i < domain_.size(); ++i) out[i] = padded[padded_index_[i]];
   return out;
 }
 

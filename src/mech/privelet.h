@@ -51,6 +51,7 @@ class PriveletMechanism : public HistogramMechanism {
  private:
   DomainShape domain_;         // logical domain
   DomainShape padded_;         // power-of-two padded domain
+  std::vector<size_t> padded_index_;  // logical cell -> padded cell
   Vector coefficient_weights_; // per padded cell, product across axes
   double sensitivity_;
 };

@@ -51,26 +51,27 @@ SummedAreaAnswerer::SummedAreaAnswerer(DomainShape domain, const Vector& x)
 
 double SummedAreaAnswerer::Answer(const RangeQuery& q) const {
   const size_t d = domain_.num_dims();
-  std::vector<size_t> corner(d);
   double acc = 0.0;
   // Inclusion-exclusion over the 2^d corners of the box.
   for (size_t mask = 0; mask < (size_t{1} << d); ++mask) {
     bool valid = true;
     int sign = 1;
+    size_t index = 0;
     for (size_t dim = 0; dim < d; ++dim) {
+      size_t coord = q.hi[dim];
       if (mask & (size_t{1} << dim)) {
         sign = -sign;
         if (q.lo[dim] == 0) {
           valid = false;
           break;
         }
-        corner[dim] = q.lo[dim] - 1;
-      } else {
-        corner[dim] = q.hi[dim];
+        coord = q.lo[dim] - 1;
       }
+      BF_CHECK_LT(coord, domain_.dim(dim));
+      index = index * domain_.dim(dim) + coord;
     }
     if (!valid) continue;
-    acc += sign * sat_[domain_.Flatten(corner)];
+    acc += sign * sat_[index];
   }
   return acc;
 }

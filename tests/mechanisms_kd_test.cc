@@ -2,13 +2,127 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "core/mechanisms_kd.h"
 #include "mech/privelet.h"
 #include "rng/rng.h"
 #include "workload/builders.h"
 
 namespace blowfish {
+
+// Reaches the mechanism's per-edge estimates and summed-area
+// reconstruction, so both can be checked against a per-edge oracle.
+class GridThetaRangeMechanismTestPeer {
+ public:
+  explicit GridThetaRangeMechanismTestPeer(const GridThetaRangeMechanism& m)
+      : m_(m) {}
+
+  /// Draws one submit's per-edge estimates and tabulates them.
+  void Draw(const Vector& xg, double epsilon, Rng* rng) {
+    est_ = m_.DrawEstimates(xg, epsilon, rng);
+    rel_ = m_.Tabulate(est_);
+  }
+
+  double Tables(const RangeQuery& q, double n) const {
+    return m_.AnswerOneRange(q.lo[0], q.hi[0], q.lo[1], q.hi[1], rel_, n);
+  }
+
+  /// The per-edge reconstruction: every spanner edge contributes
+  /// (q[u] − q[v]) times its estimate, internal edges picking their
+  /// slab system by the Figure 7d strip rule.
+  double PerEdge(const RangeQuery& q, double n) const {
+    const size_t k = m_.k_, block = m_.block_;
+    const size_t r1 = q.lo[0], r2 = q.hi[0];
+    const size_t c1 = q.lo[1], c2 = q.hi[1];
+    const auto inside = [&](size_t i, size_t j) {
+      return i >= r1 && i <= r2 && j >= c1 && j <= c2;
+    };
+    double acc = inside(k - 1, k - 1) ? n : 0.0;
+    for (size_t e = 0; e < m_.edge_info_.size(); ++e) {
+      const auto& info = m_.edge_info_[e];
+      const double coef = (inside(info.u / k, info.u % k) ? 1.0 : 0.0) -
+                          (inside(info.v / k, info.v % k) ? 1.0 : 0.0);
+      if (coef == 0.0) continue;
+      double est;
+      if (!info.internal) {
+        est = est_.ext[e];
+      } else {
+        // The black endpoint is u; its cell indexes the slab estimates.
+        const size_t bi = info.u / k, bj = info.u % k;
+        const size_t red_i = (bi / block + 1) * block - 1;
+        // Black inside: top overflow -> horizontal strip. Red inside:
+        // bottom/left underflow.
+        const bool use_row = inside(bi, bj) ? red_i > r2 : bi < r1;
+        est = use_row ? est_.row[info.u] : est_.col[info.u];
+      }
+      acc += coef * est;
+    }
+    return acc;
+  }
+
+ private:
+  const GridThetaRangeMechanism& m_;
+  GridThetaRangeMechanism::Estimates est_;
+  GridThetaRangeMechanism::Releases rel_;
+};
+
 namespace {
+
+// Checks the summed-area reconstruction against the per-edge oracle on
+// `queries`, over noisy estimates (row and column estimates of an edge
+// differ, so a strip read from the wrong slab system shows).
+void ExpectTablesMatchPerEdge(size_t k, size_t theta,
+                              const std::vector<RangeQuery>& queries) {
+  auto mech = GridThetaRangeMechanism::Create(k, theta).ValueOrDie();
+  const DomainShape domain({k, k});
+  Rng rng(17 * k + theta);
+  Vector x(domain.size());
+  for (double& v : x) v = static_cast<double>(rng.UniformInt(0, 20));
+  GridThetaRangeMechanismTestPeer peer(*mech);
+  peer.Draw(mech->PrecomputeTransformed(x), 0.5, &rng);
+  const double n = Sum(x);
+  for (const RangeQuery& q : queries) {
+    const double oracle = peer.PerEdge(q, n);
+    ASSERT_NEAR(peer.Tables(q, n), oracle,
+                1e-9 * std::max(1.0, std::abs(oracle)))
+        << "k=" << k << " θ=" << theta << " rows [" << q.lo[0] << ","
+        << q.hi[0] << "] cols [" << q.lo[1] << "," << q.hi[1] << "]";
+  }
+}
+
+TEST(GridTheta, SummedAreaReconstructionMatchesPerEdgeOnEveryRange) {
+  for (size_t k : {8, 12}) {
+    for (size_t theta = 2; theta <= 6; ++theta) {
+      const size_t block = std::max<size_t>(1, theta / 2);
+      if (k % block != 0) continue;
+      std::vector<RangeQuery> all;
+      for (size_t r1 = 0; r1 < k; ++r1) {
+        for (size_t r2 = r1; r2 < k; ++r2) {
+          for (size_t c1 = 0; c1 < k; ++c1) {
+            for (size_t c2 = c1; c2 < k; ++c2) {
+              all.push_back({{r1, c1}, {r2, c2}});
+            }
+          }
+        }
+      }
+      ExpectTablesMatchPerEdge(k, theta, all);
+    }
+  }
+}
+
+TEST(GridTheta, SummedAreaReconstructionMatchesPerEdgeOnRandomRanges) {
+  for (size_t k : {16, 32}) {
+    for (size_t theta = 2; theta <= 6; ++theta) {
+      const size_t block = std::max<size_t>(1, theta / 2);
+      if (k % block != 0) continue;
+      Rng qrng(k + theta);
+      ExpectTablesMatchPerEdge(
+          k, theta, RandomRanges(DomainShape({k, k}), 2000, &qrng).queries());
+    }
+  }
+}
 
 TEST(GridTheta, RejectsThetaOne) {
   EXPECT_FALSE(GridThetaRangeMechanism::Create(8, 1).ok());
@@ -62,6 +176,42 @@ TEST(GridTheta, UnbiasedUnderNoise) {
     EXPECT_NEAR(mean[i], truth[i], std::max(3.0, 0.05 * truth[i]));
   }
 }
+
+// Every query's mean over `trials` submits lies within five standard
+// errors of the truth.
+void ExpectUnbiased(size_t k, size_t theta, size_t trials) {
+  auto mech = GridThetaRangeMechanism::Create(k, theta).ValueOrDie();
+  const DomainShape domain({k, k});
+  Vector x(domain.size(), 3.0);
+  Rng qrng(k * theta);
+  RangeWorkload w = RandomRanges(domain, 6, &qrng);
+  std::vector<RangeQuery> queries = w.queries();
+  queries.push_back({{0, 0}, {k - 1, k - 1}});
+  queries.push_back({{k / 2, k / 2}, {k / 2, k / 2}});
+  w = RangeWorkload("probe", domain, queries);
+  const Vector truth = w.Answer(x);
+  Rng rng(theta);
+  const Vector xg = mech->PrecomputeTransformed(x);
+  Vector sum(truth.size(), 0.0), sum_sq(truth.size(), 0.0);
+  for (size_t t = 0; t < trials; ++t) {
+    const Vector est =
+        mech->AnswerRangesOnTransformed(w, xg, Sum(x), 2.0, &rng);
+    for (size_t i = 0; i < est.size(); ++i) {
+      sum[i] += est[i];
+      sum_sq[i] += est[i] * est[i];
+    }
+  }
+  for (size_t i = 0; i < truth.size(); ++i) {
+    const double mean = sum[i] / trials;
+    const double var = std::max(0.0, sum_sq[i] / trials - mean * mean);
+    EXPECT_NEAR(mean, truth[i], 5.0 * std::sqrt(var / trials) + 1e-6)
+        << "k=" << k << " θ=" << theta << " query " << i;
+  }
+}
+
+TEST(GridTheta, UnbiasedUnderNoiseK16Theta3) { ExpectUnbiased(16, 3, 1500); }
+
+TEST(GridTheta, UnbiasedUnderNoiseK16Theta4) { ExpectUnbiased(16, 4, 1500); }
 
 namespace {
 
