@@ -121,8 +121,9 @@ Vector GridBlowfishMechanism::RunOnTransformed(const Vector& xg, double n,
   Vector noisy(xg.size(), 0.0);
   // Each line runs its (shared, immutable) Privelet instance at the
   // full budget — lines are disjoint, so parallel composition applies.
+  Vector sub;
   for (size_t gi = 0; gi < groups_.size(); ++gi) {
-    Vector sub(groups_[gi].size());
+    sub.resize(groups_[gi].size());
     for (size_t i = 0; i < sub.size(); ++i) sub[i] = xg[groups_[gi][i]];
     const Vector est = group_mechanisms_[gi]->Run(sub, epsilon, rng);
     for (size_t i = 0; i < sub.size(); ++i) noisy[groups_[gi][i]] = est[i];

@@ -1,5 +1,6 @@
 #include "mech/privelet.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -23,32 +24,37 @@ size_t Log2(size_t n) {
 }
 
 // Applies `fn` to every 1D line of `data` along `axis` of the grid
-// `dims` (row-major layout): gathers the line, transforms, scatters.
+// `dims` (row-major layout): gathers the line into `line`, transforms,
+// scatters. The lines start at the first `stride` cells of each block
+// of extent·stride cells, in ascending order.
 template <typename Fn>
 void ForEachLine(Vector* data, const std::vector<size_t>& dims, size_t axis,
-                 Fn&& fn) {
-  const size_t d = dims.size();
-  std::vector<size_t> stride(d, 1);
-  for (size_t i = d - 1; i-- > 0;) stride[i] = stride[i + 1] * dims[i + 1];
+                 Vector* line, Fn&& fn) {
+  size_t stride = 1;
+  for (size_t i = axis + 1; i < dims.size(); ++i) stride *= dims[i];
   const size_t extent = dims[axis];
-  const size_t s = stride[axis];
-  const size_t total = data->size();
-  Vector line(extent);
-  // Enumerate all positions with coordinate 0 along `axis`.
-  for (size_t base = 0; base < total; ++base) {
-    if ((base / s) % extent != 0) continue;
-    for (size_t j = 0; j < extent; ++j) line[j] = (*data)[base + j * s];
-    fn(&line);
-    for (size_t j = 0; j < extent; ++j) (*data)[base + j * s] = line[j];
+  const size_t block = extent * stride;
+  line->resize(extent);
+  for (size_t start = 0; start < data->size(); start += block) {
+    for (size_t base = start; base < start + stride; ++base) {
+      for (size_t j = 0; j < extent; ++j) {
+        (*line)[j] = (*data)[base + j * stride];
+      }
+      fn(line);
+      for (size_t j = 0; j < extent; ++j) {
+        (*data)[base + j * stride] = (*line)[j];
+      }
+    }
   }
 }
 
 }  // namespace
 
-void HaarForward(Vector* v) {
+void HaarForward(Vector* v, Vector* scratch) {
   const size_t n = v->size();
   BF_CHECK_MSG(IsPowerOfTwo(n), "Haar transform requires power-of-two length");
-  Vector tmp(n);
+  Vector& tmp = *scratch;
+  tmp.resize(n);
   for (size_t m = n; m > 1; m /= 2) {
     const size_t half = m / 2;
     for (size_t j = 0; j < half; ++j) {
@@ -61,10 +67,11 @@ void HaarForward(Vector* v) {
   }
 }
 
-void HaarInverse(Vector* v) {
+void HaarInverse(Vector* v, Vector* scratch) {
   const size_t n = v->size();
   BF_CHECK_MSG(IsPowerOfTwo(n), "Haar transform requires power-of-two length");
-  Vector tmp(n);
+  Vector& tmp = *scratch;
+  tmp.resize(n);
   for (size_t m = 2; m <= n; m *= 2) {
     const size_t half = m / 2;
     for (size_t j = 0; j < half; ++j) {
@@ -75,6 +82,16 @@ void HaarInverse(Vector* v) {
     }
     for (size_t j = 0; j < m; ++j) (*v)[j] = tmp[j];
   }
+}
+
+void HaarForward(Vector* v) {
+  Vector scratch;
+  HaarForward(v, &scratch);
+}
+
+void HaarInverse(Vector* v) {
+  Vector scratch;
+  HaarInverse(v, &scratch);
 }
 
 Vector HaarWeights(size_t n) {
@@ -125,19 +142,25 @@ Vector PriveletMechanism::Run(const Vector& x, double epsilon,
   // Embed into the padded grid.
   Vector padded(padded_.size(), 0.0);
   for (size_t i = 0; i < domain_.size(); ++i) padded[padded_index_[i]] = x[i];
+  // One line buffer and one Haar scratch serve every line of every axis.
+  const std::vector<size_t>& dims = padded_.dims();
+  const size_t widest = *std::max_element(dims.begin(), dims.end());
+  Vector line, scratch;
+  line.reserve(widest);
+  scratch.reserve(widest);
   // Forward transform along each axis.
-  for (size_t axis = 0; axis < padded_.num_dims(); ++axis) {
-    ForEachLine(&padded, padded_.dims(), axis,
-                [](Vector* line) { HaarForward(line); });
+  for (size_t axis = 0; axis < dims.size(); ++axis) {
+    ForEachLine(&padded, dims, axis, &line,
+                [&](Vector* l) { HaarForward(l, &scratch); });
   }
   // Generalized Laplace noise: scale sensitivity/(eps * weight).
   for (size_t i = 0; i < padded.size(); ++i) {
     padded[i] += rng->Laplace(sensitivity_ / (epsilon * coefficient_weights_[i]));
   }
   // Inverse transform.
-  for (size_t axis = 0; axis < padded_.num_dims(); ++axis) {
-    ForEachLine(&padded, padded_.dims(), axis,
-                [](Vector* line) { HaarInverse(line); });
+  for (size_t axis = 0; axis < dims.size(); ++axis) {
+    ForEachLine(&padded, dims, axis, &line,
+                [&](Vector* l) { HaarInverse(l, &scratch); });
   }
   // Crop back to the logical domain.
   Vector out(domain_.size());

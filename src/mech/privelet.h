@@ -32,6 +32,11 @@ void HaarForward(Vector* v);
 /// Exact inverse of HaarForward.
 void HaarInverse(Vector* v);
 
+/// The same transforms with caller-owned scratch (resized to v's
+/// length), so a loop over many lines allocates it once.
+void HaarForward(Vector* v, Vector* scratch);
+void HaarInverse(Vector* v, Vector* scratch);
+
 /// Per-coefficient generalized weights for a power-of-two length:
 /// weight[0] = n (base), weight[2^{h-ℓ} + j] = 2^ℓ.
 Vector HaarWeights(size_t n);

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/check.h"
@@ -62,7 +63,7 @@ inline const ExpZigguratTables kExpZig;
 /// its seeding cost on every query), and it passes the usual
 /// statistical batteries. Uniform doubles take the top 53 bits of one
 /// word; Laplace(b) draws ±b·Exponential(1) through the ziggurat
-/// above, falling back to the exact wedge/tail computation on ~1% of
+/// above, falling back to the exact wedge/tail computation on ~2% of
 /// draws.
 class Rng {
  public:
@@ -116,18 +117,25 @@ class Rng {
 
   /// Laplace(0, scale) draw; Var = 2*scale^2. One generator word on
   /// the ziggurat's common path: bits 0..7 pick the layer, bit 8 the
-  /// sign, bits 11..63 the 53-bit uniform (all disjoint).
+  /// sign, bits 11..63 the 53-bit uniform (all disjoint). The sign is
+  /// branch-free: a clear bit 8 is moved to the IEEE sign bit of
+  /// scale·magnitude, so the fair coin costs no mispredicted branch.
+  /// Rounding is symmetric, so -(scale·m) == (-scale)·m bit for bit.
   double Laplace(double scale) {
     BF_CHECK_GT(scale, 0.0);
     const uint64_t word = (*this)();
-    const double signed_scale = (word & 0x100u) ? scale : -scale;
     const uint64_t jz = word >> 11;
     const size_t iz = word & 255u;
-    if (jz < rng_internal::kExpZig.ke[iz]) {
-      return signed_scale *
-             (static_cast<double>(jz) * rng_internal::kExpZig.we[iz]);
-    }
-    return signed_scale * ExponentialZigguratSlow(word);
+    const double magnitude =
+        scale * (jz < rng_internal::kExpZig.ke[iz]
+                     ? static_cast<double>(jz) * rng_internal::kExpZig.we[iz]
+                     : ExponentialZigguratSlow(word));
+    uint64_t bits;
+    std::memcpy(&bits, &magnitude, sizeof bits);
+    bits ^= (~word & 0x100u) << 55;
+    double draw;
+    std::memcpy(&draw, &bits, sizeof draw);
+    return draw;
   }
 
   /// Vector of n iid Laplace(0, scale) draws.
@@ -156,7 +164,7 @@ class Rng {
     return (x << k) | (x >> (64 - k));
   }
 
-  /// Wedge/tail/retry continuation of the ziggurat, entered on ~1% of
+  /// Wedge/tail/retry continuation of the ziggurat, entered on ~2% of
   /// draws with the word that failed the fast test.
   double ExponentialZigguratSlow(uint64_t word);
 

@@ -23,20 +23,18 @@ namespace {
 
 // Summed-area table over the row-major flattened domain: after the
 // d-th pass, sat[i] holds the sum of x over the dominated box in the
-// first d dimensions.
+// first d dimensions. A pass along an axis of stride s walks blocks of
+// extent·s cells; in each block, every cell past the first s adds the
+// cell s before it.
 Vector SummedAreaTable(const DomainShape& domain, const Vector& x) {
   Vector sat = x;
-  const size_t d = domain.num_dims();
-  // Strides of the row-major layout.
-  std::vector<size_t> stride(d, 1);
-  for (size_t i = d - 1; i-- > 0;) stride[i] = stride[i + 1] * domain.dim(i + 1);
-  for (size_t dim = 0; dim < d; ++dim) {
-    const size_t s = stride[dim];
-    const size_t extent = domain.dim(dim);
-    for (size_t i = 0; i < domain.size(); ++i) {
-      const size_t coord = (i / s) % extent;
-      if (coord > 0) sat[i] += sat[i - s];
+  size_t block = domain.size();
+  for (size_t dim = 0; dim < domain.num_dims(); ++dim) {
+    const size_t s = block / domain.dim(dim);
+    for (size_t start = 0; start < sat.size(); start += block) {
+      for (size_t i = start + s; i < start + block; ++i) sat[i] += sat[i - s];
     }
+    block = s;
   }
   return sat;
 }

@@ -6,9 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <map>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,30 +15,7 @@
 #include "engine/telemetry.h"
 #include "workload/builders.h"
 
-// ---- global allocation counter -------------------------------------
-// Counts every operator-new in the test binary; the rate-0 hot-path
-// test asserts a zero delta across telemetry calls.
-
-namespace {
-std::atomic<uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "alloc_counter.h"
 
 namespace blowfish {
 namespace {

@@ -121,6 +121,116 @@ TEST(Privelet, NonPowerOfTwoDomainPreservesLogicalCells) {
   for (size_t i = 0; i < 10; ++i) EXPECT_NEAR(est[i], x[i], 1e-5);
 }
 
+// ---- reference walk ------------------------------------------------
+// PriveletMechanism::Run as it was written before the block walk: each
+// line start is found by a per-cell coordinate test, every line gets
+// fresh stride and line vectors, and each Haar call its own temporary.
+// The block walk must reproduce it bit for bit.
+
+void ReferenceHaarForward(Vector* v) {
+  const size_t n = v->size();
+  Vector tmp(n);
+  for (size_t m = n; m > 1; m /= 2) {
+    const size_t half = m / 2;
+    for (size_t j = 0; j < half; ++j) {
+      const double a = (*v)[2 * j];
+      const double b = (*v)[2 * j + 1];
+      tmp[j] = 0.5 * (a + b);
+      tmp[half + j] = 0.5 * (a - b);
+    }
+    for (size_t j = 0; j < m; ++j) (*v)[j] = tmp[j];
+  }
+}
+
+void ReferenceHaarInverse(Vector* v) {
+  const size_t n = v->size();
+  Vector tmp(n);
+  for (size_t m = 2; m <= n; m *= 2) {
+    const size_t half = m / 2;
+    for (size_t j = 0; j < half; ++j) {
+      const double avg = (*v)[j];
+      const double diff = (*v)[half + j];
+      tmp[2 * j] = avg + diff;
+      tmp[2 * j + 1] = avg - diff;
+    }
+    for (size_t j = 0; j < m; ++j) (*v)[j] = tmp[j];
+  }
+}
+
+template <typename Fn>
+void ReferenceForEachLine(Vector* data, const std::vector<size_t>& dims,
+                          size_t axis, Fn&& fn) {
+  const size_t d = dims.size();
+  std::vector<size_t> stride(d, 1);
+  for (size_t i = d - 1; i-- > 0;) stride[i] = stride[i + 1] * dims[i + 1];
+  const size_t extent = dims[axis];
+  const size_t s = stride[axis];
+  Vector line(extent);
+  for (size_t base = 0; base < data->size(); ++base) {
+    if ((base / s) % extent != 0) continue;
+    for (size_t j = 0; j < extent; ++j) line[j] = (*data)[base + j * s];
+    fn(&line);
+    for (size_t j = 0; j < extent; ++j) (*data)[base + j * s] = line[j];
+  }
+}
+
+Vector ReferencePriveletRun(const DomainShape& domain, const Vector& x,
+                            double epsilon, Rng* rng) {
+  std::vector<size_t> padded_dims;
+  double sensitivity = 1.0;
+  for (size_t i = 0; i < domain.num_dims(); ++i) {
+    size_t p = 1, h = 0;
+    while (p < domain.dim(i)) p <<= 1, ++h;
+    padded_dims.push_back(p);
+    sensitivity *= static_cast<double>(h + 1);
+  }
+  const DomainShape padded_domain(padded_dims);
+  Vector weights(padded_domain.size(), 1.0);
+  for (size_t axis = 0; axis < padded_dims.size(); ++axis) {
+    const Vector axis_weights = HaarWeights(padded_dims[axis]);
+    for (size_t i = 0; i < weights.size(); ++i) {
+      weights[i] *= axis_weights[padded_domain.Unflatten(i)[axis]];
+    }
+  }
+  Vector padded(padded_domain.size(), 0.0);
+  for (size_t i = 0; i < domain.size(); ++i) {
+    padded[padded_domain.Flatten(domain.Unflatten(i))] = x[i];
+  }
+  for (size_t axis = 0; axis < padded_dims.size(); ++axis) {
+    ReferenceForEachLine(&padded, padded_dims, axis, ReferenceHaarForward);
+  }
+  for (size_t i = 0; i < padded.size(); ++i) {
+    padded[i] += rng->Laplace(sensitivity / (epsilon * weights[i]));
+  }
+  for (size_t axis = 0; axis < padded_dims.size(); ++axis) {
+    ReferenceForEachLine(&padded, padded_dims, axis, ReferenceHaarInverse);
+  }
+  Vector out(domain.size());
+  for (size_t i = 0; i < domain.size(); ++i) {
+    out[i] = padded[padded_domain.Flatten(domain.Unflatten(i))];
+  }
+  return out;
+}
+
+TEST(Privelet, BlockWalkIsBitIdenticalToTheReferenceWalk) {
+  // Odd and unit extents, a unit leading and trailing axis, and 3D.
+  const std::vector<std::vector<size_t>> shapes = {
+      {37}, {1, 16}, {16, 1}, {5, 12}, {3, 4, 8}};
+  for (const std::vector<size_t>& dims : shapes) {
+    const DomainShape domain(dims);
+    Rng data_rng(17);
+    Vector x(domain.size());
+    for (double& v : x) v = data_rng.Uniform(0.0, 50.0);
+    const PriveletMechanism mech(domain);
+    for (const double epsilon : {0.1, 1.0}) {
+      Rng a(2026), b(2026);
+      EXPECT_EQ(mech.Run(x, epsilon, &a),
+                ReferencePriveletRun(domain, x, epsilon, &b))
+          << "domain of " << domain.size() << " cells, eps " << epsilon;
+    }
+  }
+}
+
 TEST(PriveletParam, ErrorScalesAsInverseEpsilonSquared) {
   const DomainShape domain({128});
   PriveletMechanism mech{domain};

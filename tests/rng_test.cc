@@ -1,6 +1,7 @@
 #include "rng/rng.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -47,6 +48,32 @@ TEST(Rng, LaplaceMomentsMatchTheory) {
   const double var = sum_sq / n - mean * mean;
   EXPECT_NEAR(mean, 0.0, 0.05);
   EXPECT_NEAR(var, 2.0 * scale * scale, 0.4);
+}
+
+// FNV-1a over the IEEE bit patterns of the first 2^16 Laplace(scale)
+// draws from seed 20261018. About 2% of these draws leave the
+// ziggurat's fast path, so the hash pins the fast path, its sign and
+// the wedge/tail continuation: a sampler change that moves any bit of
+// any draw changes the engine's answers for a fixed seed.
+uint64_t LaplaceStreamHash(double scale) {
+  Rng rng(20261018);
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (size_t i = 0; i < (size_t{1} << 16); ++i) {
+    const double v = rng.Laplace(scale);
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xffu;
+      hash *= 0x100000001b3ull;
+    }
+  }
+  return hash;
+}
+
+TEST(Rng, LaplaceStreamIsPinned) {
+  EXPECT_EQ(LaplaceStreamHash(1.0), 0x06270009ec54ca5aull);
+  EXPECT_EQ(LaplaceStreamHash(128.0), 0x58871525f45a8064ull);
+  EXPECT_EQ(LaplaceStreamHash(384.0), 0xfa0a95cadf60d8f7ull);
 }
 
 TEST(Rng, LaplaceVectorSize) {

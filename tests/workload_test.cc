@@ -70,6 +70,23 @@ TEST(RangeWorkload, AnswerMatchesExplicitMatrix3D) {
   for (size_t i = 0; i < fast.size(); ++i) EXPECT_NEAR(fast[i], slow[i], 1e-9);
 }
 
+TEST(RangeWorkload, AnswerWithUnitExtentAxesMatchesExplicitMatrix) {
+  // A unit-extent axis makes a summed-area pass a no-op block walk (its
+  // stride equals its block), the edge of the pass loop's bounds.
+  for (const std::vector<size_t>& dims :
+       {std::vector<size_t>{1, 7}, std::vector<size_t>{4, 1, 3},
+        std::vector<size_t>{5, 1}}) {
+    const DomainShape domain(dims);
+    const RangeWorkload w = AllRangesNd(domain);
+    Vector x(domain.size());
+    for (size_t i = 0; i < x.size(); ++i) x[i] = static_cast<double>(3 * i % 11);
+    const Vector fast = w.Answer(x);
+    const Vector slow = w.ToWorkload().Answer(x);
+    ASSERT_EQ(fast.size(), slow.size());
+    for (size_t i = 0; i < fast.size(); ++i) EXPECT_EQ(fast[i], slow[i]);
+  }
+}
+
 TEST(RangeWorkload, AllRangesNdCount) {
   const DomainShape domain({3, 3});
   const RangeWorkload w = AllRangesNd(domain);
