@@ -142,7 +142,9 @@ Vector PriveletMechanism::Run(const Vector& x, double epsilon,
   // Embed into the padded grid.
   Vector padded(padded_.size(), 0.0);
   for (size_t i = 0; i < domain_.size(); ++i) padded[padded_index_[i]] = x[i];
-  // One line buffer and one Haar scratch serve every line of every axis.
+  // One line buffer and one Haar scratch serve every line of every axis;
+  // reserving the widest axis up front keeps non-square domains (the
+  // slab releases) from regrowing them per axis.
   const std::vector<size_t>& dims = padded_.dims();
   const size_t widest = *std::max_element(dims.begin(), dims.end());
   Vector line, scratch;
