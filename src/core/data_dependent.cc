@@ -22,6 +22,15 @@ Result<BlowfishMechanismPtr> MakeLineVariant(size_t k,
   return BlowfishMechanismPtr(std::move(mech).ValueOrDie());
 }
 
+Result<BlowfishMechanismPtr> MakeThetaLineVariant(
+    size_t k, size_t theta, HistogramMechanismPtr inner,
+    const std::string& label, bool use_grouped_privelet = false) {
+  Result<std::unique_ptr<SpannerMechanism>> mech = MakeThetaLineMechanism(
+      k, theta, std::move(inner), label, use_grouped_privelet);
+  if (!mech.ok()) return mech.status();
+  return BlowfishMechanismPtr(std::move(mech).ValueOrDie());
+}
+
 }  // namespace
 
 Result<BlowfishMechanismPtr> MakeTransformedLaplace(size_t k) {
@@ -44,21 +53,20 @@ Result<BlowfishMechanismPtr> MakeTransformedDawa(size_t k,
 
 Result<BlowfishMechanismPtr> MakeThetaTransformedLaplace(size_t k,
                                                          size_t theta) {
-  return MakeThetaLineMechanism(k, theta,
-                                std::make_shared<LaplaceMechanism>(),
-                                "Transformed + Laplace");
+  return MakeThetaLineVariant(k, theta, std::make_shared<LaplaceMechanism>(),
+                              "Transformed + Laplace");
 }
 
 Result<BlowfishMechanismPtr> MakeThetaTransformedDawa(size_t k,
                                                       size_t theta) {
-  return MakeThetaLineMechanism(k, theta, std::make_shared<DawaMechanism>(),
-                                "Trans + Dawa");
+  return MakeThetaLineVariant(k, theta, std::make_shared<DawaMechanism>(),
+                              "Trans + Dawa");
 }
 
 Result<BlowfishMechanismPtr> MakeThetaGroupedPrivelet(size_t k,
                                                       size_t theta) {
-  return MakeThetaLineMechanism(k, theta, nullptr, "GroupedPrivelet",
-                                /*use_grouped_privelet=*/true);
+  return MakeThetaLineVariant(k, theta, nullptr, "GroupedPrivelet",
+                              /*use_grouped_privelet=*/true);
 }
 
 }  // namespace blowfish

@@ -166,30 +166,11 @@ HistogramMechanismPtr MakeGroupedPriveletForLineSpanner(
       spanner.group_ends, factory, "GroupedPrivelet");
 }
 
-Result<BlowfishMechanismPtr> MakeThetaLineMechanism(
+Result<std::unique_ptr<SpannerMechanism>> MakeThetaLineMechanism(
     size_t k, size_t theta, HistogramMechanismPtr inner,
-    const std::string& label, bool use_grouped_privelet,
-    std::optional<int64_t> certified_stretch) {
-  Policy original = Theta1DPolicy(k, theta);
-  Result<SpannerCertificate> cert = [&]() -> Result<SpannerCertificate> {
-    if (certified_stretch.has_value()) {
-      // Warm-restart path: the spanner construction is deterministic
-      // in (k, θ), so only the certification BFS — the cost this
-      // branch exists to skip — is trusted from the hint. A
-      // nonsensical hint still fails closed on the privacy side:
-      // SpannerMechanism rejects stretch < 1.
-      if (*certified_stretch < 1) {
-        return Status::InvalidArgument("certified stretch must be >= 1");
-      }
-      if (k % theta != 0) {
-        return Status::InvalidArgument("Hθ_k requires θ | k");
-      }
-      Policy spanner{"H^" + std::to_string(theta) + "_" + std::to_string(k),
-                     original.domain, BuildLineThetaSpanner(k, theta).graph};
-      return SpannerCertificate{std::move(spanner), *certified_stretch};
-    }
-    return LineThetaSpannerFor(original, theta);
-  }();
+    const std::string& label, bool use_grouped_privelet) {
+  const Policy original = Theta1DPolicy(k, theta);
+  Result<SpannerCertificate> cert = LineThetaSpannerFor(original, theta);
   if (!cert.ok()) return cert.status();
   const SpannerCertificate& c = cert.ValueOrDie();
 
@@ -208,8 +189,8 @@ Result<BlowfishMechanismPtr> MakeThetaLineMechanism(
       TreeTransformMechanism::Create(c.spanner, std::move(effective_inner),
                                      options);
   if (!tree.ok()) return tree.status();
-  return BlowfishMechanismPtr(std::make_unique<SpannerMechanism>(
-      original.name, c.stretch, std::move(tree).ValueOrDie()));
+  return std::make_unique<SpannerMechanism>(original.name, c.stretch,
+                                            std::move(tree).ValueOrDie());
 }
 
 }  // namespace blowfish

@@ -21,7 +21,6 @@
 #define BLOWFISH_CORE_MECHANISMS_1D_H_
 
 #include <memory>
-#include <optional>
 
 #include "common/status.h"
 #include "core/blowfish_mechanism.h"
@@ -125,16 +124,12 @@ HistogramMechanismPtr MakeGroupedPriveletForLineSpanner(
 /// experiments' "Transformed + Laplace", DAWA = "Trans + Dawa",
 /// grouped Privelet = Theorem 5.5).
 ///
-/// `certified_stretch`, when set, skips the spanner-certification BFS
-/// (the dominant cold-plan cost) and trusts the given stretch. Sound
-/// ONLY when the stretch was previously certified for the
-/// byte-identical (k, θ) spanner — the warm-restart snapshot path,
-/// whose hints ride under the snapshot file's CRC and were recorded
-/// by a prior certified plan of the same policy version.
-Result<BlowfishMechanismPtr> MakeThetaLineMechanism(
+/// Every call certifies the spanner's stretch against Gθ_k
+/// (MaxEdgeStretch, well under a millisecond at k=4096); the result's
+/// stretch() is that certified value.
+Result<std::unique_ptr<SpannerMechanism>> MakeThetaLineMechanism(
     size_t k, size_t theta, HistogramMechanismPtr inner,
-    const std::string& label, bool use_grouped_privelet = false,
-    std::optional<int64_t> certified_stretch = std::nullopt);
+    const std::string& label, bool use_grouped_privelet = false);
 
 }  // namespace blowfish
 

@@ -9,20 +9,6 @@
 
 namespace blowfish {
 
-namespace {
-
-// The spanner structure is translation invariant, so the worst-case
-// edge stretch stabilizes once the grid comfortably contains a few
-// blocks in each direction; certify on a small grid and reuse.
-size_t CertificationGridSize(size_t k, size_t theta, size_t block) {
-  const size_t want = 8 * std::max(theta, block);
-  size_t size = std::min(k, want);
-  size -= size % block;  // keep divisibility
-  return std::max(size, 2 * block);
-}
-
-}  // namespace
-
 Result<std::unique_ptr<GridThetaRangeMechanism>>
 GridThetaRangeMechanism::Create(size_t k, size_t theta) {
   if (theta < 2) {
@@ -40,20 +26,13 @@ GridThetaRangeMechanism::Create(size_t k, size_t theta) {
   m->theta_ = theta;
   m->block_ = block;
 
-  // Certify the stretch on a translation-representative grid.
-  const size_t kc = CertificationGridSize(k, theta, block);
-  {
-    const DomainShape small({kc, kc});
-    const Graph g_small = DistanceThresholdGraph(small, theta);
-    const GridSpanner h_small = BuildGridThetaSpanner(small, block);
-    const int64_t stretch = MaxEdgeStretch(g_small, h_small.graph);
-    if (stretch < 0) return Status::Internal("spanner failed to connect");
-    m->stretch_ = stretch;
-  }
-
   const DomainShape domain({k, k});
-  m->original_policy_name_ = GridPolicy(domain, theta).name;
+  const Policy original = GridPolicy(domain, theta);
+  m->original_policy_name_ = original.name;
   GridSpanner spanner = BuildGridThetaSpanner(domain, block);
+  // Lemma 4.5: certify the stretch on the real k×k domain.
+  m->stretch_ = MaxEdgeStretch(original.graph, spanner.graph);
+  if (m->stretch_ < 0) return Status::Internal("spanner failed to connect");
 
   // Edge metadata, aligned with P_G columns (the reduction keeps edge
   // order; the removed vertex is the policy-graph corner, which is red,

@@ -138,18 +138,21 @@ Result<Plan> PlanMechanismImpl(PlanRequest request) {
   if (const size_t theta = DetectTheta1D(request.policy); theta > 0) {
     const size_t k = request.policy.domain_size();
     if (k % theta == 0) {
-      Result<BlowfishMechanismPtr> mech = MakeThetaLineMechanism(
-          k, theta, InnerFor(request),
-          request.prefer_data_dependent ? "Trans + Dawa"
-                                        : "Transformed + Laplace",
-          /*use_grouped_privelet=*/false, request.certified_stretch);
+      Result<std::unique_ptr<SpannerMechanism>> mech =
+          MakeThetaLineMechanism(k, theta, InnerFor(request),
+                                 request.prefer_data_dependent
+                                     ? "Trans + Dawa"
+                                     : "Transformed + Laplace");
       if (!mech.ok()) return mech.status();
       Plan plan;
       plan.kind = "spanner-tree";
-      plan.stretch = 3;  // certified inside MakeThetaLineMechanism
+      plan.stretch = mech.ValueOrDie()->stretch();
+      const std::string stretch = std::to_string(plan.stretch);
       plan.rationale =
-          "1D distance-threshold policy; Hθ_k spanner has stretch <= 3 "
-          "(Lemma 4.5), running the tree transform at ε/3";
+          "1D distance-threshold policy; Hθ_k spanner certified with "
+          "stretch " +
+          stretch + " (Lemma 4.5), running the tree transform at ε/" +
+          stretch;
       plan.mechanism = std::move(mech).ValueOrDie();
       return plan;
     }
@@ -197,17 +200,11 @@ Result<Plan> PlanMechanismImpl(PlanRequest request) {
   // III reduction then joins them through the shared ⊥) with certified
   // stretch.
   {
-    // BfsSpanningForest is deterministic in the edge list, so on the
-    // warm-restart path (hint set) the certification pass — the
-    // expensive half — is skipped and the recorded stretch reused.
     const Graph forest = BfsSpanningForest(request.policy.graph);
     Policy spanner{request.policy.name + "-bfs-forest", request.policy.domain,
                    forest};
     Result<SpannerCertificate> cert =
-        request.certified_stretch.has_value() && *request.certified_stretch >= 1
-            ? Result<SpannerCertificate>(SpannerCertificate{
-                  std::move(spanner), *request.certified_stretch})
-            : CertifySpanner(request.policy, std::move(spanner));
+        CertifySpanner(request.policy, std::move(spanner));
     if (!cert.ok()) return cert.status();
     const int64_t stretch = cert.ValueOrDie().stretch;
     Result<std::unique_ptr<TreeTransformMechanism>> inner =

@@ -23,7 +23,6 @@
 #define BLOWFISH_CORE_PLANNER_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "common/status.h"
@@ -40,15 +39,12 @@ struct PlanRequest {
   /// Prefer data-dependent estimation (DAWA) over Laplace for the
   /// transformed database.
   bool prefer_data_dependent = false;
-  /// Warm-restart hint: a spanner stretch previously certified for
-  /// this exact policy (same graph, byte-identical). When set, the
-  /// spanner-backed strategies skip the certification BFS — the
-  /// dominant cold-plan cost — and trust this value. Suppliers must
-  /// only pass stretches recorded by a prior certified plan of the
-  /// same policy (the snapshot store keys hints by policy version and
-  /// CRC-protects them); planning with a wrong stretch weakens the
-  /// stated guarantee.
-  std::optional<int64_t> certified_stretch;
+  /// Empty and never read: the planner always certifies spanner
+  /// stretch itself. It keeps three-element initializers
+  /// (`PlanRequest{policy, dd, {}}`, as perfbench/src writes them)
+  /// compiling.
+  struct Retired {};
+  Retired retired_hint = {};
 };
 
 /// \brief A selected mechanism plus the reasoning.

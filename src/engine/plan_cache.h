@@ -1,7 +1,7 @@
 // Shared plan cache. Planning is the expensive part of serving a
 // Blowfish query — PolicyTransform::Create runs a reduction plus a
 // conjugate-gradient factorization, spanner construction certifies
-// stretch on a representative grid, and the θ-grid strategy builds
+// its stretch against the policy graph, and the θ-grid strategy builds
 // per-slab Privelet systems. None of that depends on the query or the
 // data values, only on (policy, planner options), so plans are cached
 // and shared: a cache entry is a shared_ptr<const Plan> whose

@@ -186,6 +186,12 @@ QueryEngine::QueryEngine(EngineOptions options)
       "Total epsilon charged across all successful admissions");
   m_submit_latency_ = metrics.histogram("engine_submit_latency_ms",
                                         "End-to-end Submit latency");
+  // One series per plan kind; the planner has five, so the cap never
+  // folds a real kind into "other".
+  f_plan_latency_ = metrics.histogram_family(
+      "engine_plan_latency_ms", {"kind"}, 8,
+      "Cold planning time (PlanMechanism on a plan-cache miss) per plan "
+      "kind");
 
   // Per-(policy, tenant) slices of the counters above: the tenant
   // label is the session id's class prefix (see TenantClassOf), the
@@ -580,14 +586,10 @@ void QueryEngine::RestoreFromSnapshot() {
       PlanRequest plan_request;
       plan_request.policy = entry.ValueOrDie()->policy;
       plan_request.prefer_data_dependent = hint.slot == 1;
-      if (hint.certified_stretch >= 1) {
-        plan_request.certified_stretch = hint.certified_stretch;
-      }
       Result<Plan> planned = PlanMechanism(std::move(plan_request));
       // The replanned strategy must be the one the hint was recorded
       // for — a kind mismatch means the planner (or the policy)
-      // changed since the snapshot, and a stretch hint recorded for a
-      // different strategy must not leak into this one.
+      // changed since the snapshot.
       if (!planned.ok() || planned.ValueOrDie().kind != hint.kind) {
         ++snapshot_restore_stats_.items_skipped;
         continue;
@@ -680,7 +682,6 @@ Status QueryEngine::WriteSnapshot() {
       SnapshotPlanHint hint;
       hint.slot = static_cast<uint8_t>(slot);
       hint.kind = plan->kind;
-      hint.certified_stretch = plan->stretch;
       sp.plan_hints.push_back(std::move(hint));
     }
     live_versions.emplace(entry.version, entry.name);
@@ -1059,10 +1060,14 @@ Result<std::shared_ptr<const Plan>> QueryEngine::GetOrPlan(
   Result<std::shared_ptr<const Plan>> planned = plan_cache_.GetOrCompute(
       key,
       [&]() -> Result<Plan> {
+        const Clock::time_point start = Clock::now();
         Result<Plan> result =
             PlanMechanism(PlanRequest{entry->policy, prefer_data_dependent});
         if (!result.ok()) return result;
         Plan plan = std::move(result).ValueOrDie();
+        f_plan_latency_->WithLabels(plan.kind)->Record(
+            std::chrono::duration<double, std::milli>(Clock::now() - start)
+                .count());
         // Formatted once per plan; every charge on this plan shares it
         // (see ChargeTag::context).
         plan.audit_context = std::make_shared<const std::string>(

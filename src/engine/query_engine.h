@@ -596,9 +596,10 @@ class QueryEngine {
 
   /// Construction-time warm restart: maps the newest valid snapshot
   /// generation and re-registers its policies (claiming their
-  /// persisted versions), replans each recorded plan slot with the
-  /// certified-stretch hint (skipping the certification BFS), and
-  /// pre-populates the transform cache from the decoded precomputes.
+  /// persisted versions), replans each recorded plan slot (spanner
+  /// stretch is re-certified, which costs well under a millisecond),
+  /// and pre-populates the transform cache from the decoded
+  /// precomputes.
   /// Every failure is fail-open: the item is skipped and recomputed
   /// lazily on first contact. Runs before any submit can exist, so it
   /// touches the shards without contention.
@@ -678,6 +679,7 @@ class QueryEngine {
   Counter* m_streams_;           ///< stream admissions attempted
   DoubleCounter* m_eps_charged_; ///< Σε across successful charges
   LatencyHistogram* m_submit_latency_;  ///< every Submit, end to end
+  HistogramFamily* f_plan_latency_;     ///< cold planning per Plan::kind
 
   // Per-(policy, tenant) labeled families (null when
   // options_.tenant_metrics_capacity == 0). Updates are the family's

@@ -192,7 +192,7 @@ void EncodePolicySection(const SnapshotPolicy& p, std::string* out) {
   for (const SnapshotPlanHint& h : p.plan_hints) {
     out->push_back(static_cast<char>(h.slot));
     PutLenPrefixed(out, h.kind);
-    PutU64(out, static_cast<uint64_t>(h.certified_stretch));
+    PutU64(out, 0);  // ignored field (a legacy stretch hint)
   }
 }
 
@@ -219,7 +219,7 @@ bool DecodePolicySection(ByteReader* r, SnapshotPolicy* p) {
   for (uint8_t i = 0; i < nhints && r->ok; ++i) {
     p->plan_hints[i].slot = r->U8();
     if (!r->Str(&p->plan_hints[i].kind)) return false;
-    p->plan_hints[i].certified_stretch = static_cast<int64_t>(r->U64());
+    r->U64();  // ignored field (a legacy stretch hint)
   }
   return r->done();
 }

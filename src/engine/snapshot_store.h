@@ -2,9 +2,9 @@
 // durable-state item (the ledger journal of PR 8 is the first). One
 // mmap'd file per generation persists the registry's policy snapshots
 // and the cached noise-free `ReleasePrecompute` transforms — the
-// spanner certifications and solver outputs a cold plan pays seconds
-// for — so a restarted replica readmits warm traffic without
-// recomputing anything.
+// solver outputs a cold plan pays for — so a restarted replica
+// readmits warm traffic without recomputing them. Plans are rebuilt
+// from kind hints, re-certifying any spanner stretch.
 //
 // File format (`snapshot-<generation:016x>.bfs`, little-endian):
 //
@@ -47,16 +47,17 @@ namespace blowfish {
 
 /// \brief One engine-managed plan slot worth of replan hints. The
 /// snapshot never persists a Plan object (mechanisms are code, not
-/// data); it persists what makes replanning cheap: the strategy kind
-/// that must come back (else the hint is dropped, fail-open) and the
-/// certified spanner stretch, so the restored planner can skip the
-/// certification pass — the dominant cold-plan cost.
+/// data); it persists which slots to replan at restore and the
+/// strategy kind that must come back (else the hint is dropped,
+/// fail-open). Replanning always re-certifies spanner stretch.
+///
+/// On disk each hint still carries a u64 after the kind, where older
+/// builds stored a certified stretch to skip certification. It is now
+/// an ignored field: written as 0, read and discarded on load, so the
+/// byte format and every file written before stays valid.
 struct SnapshotPlanHint {
   uint8_t slot = 0;  ///< plan-slot index: 0 plain, 1 data-dependent
   std::string kind;  ///< Plan::kind the hint was recorded for
-  /// Certified stretch for spanner-backed plans; 0 when the plan kind
-  /// has no spanner (the hint then only pre-populates the slot).
-  int64_t certified_stretch = 0;
 };
 
 /// \brief One registered policy, complete enough to re-register it:

@@ -49,6 +49,12 @@ Graph BfsSpanningForest(const Graph& g);
 /// Maximum over edges (u,v) of `g` of the distance between u and v in
 /// `h` — the stretch ℓ of Lemma 4.5 when h spans g's vertices. Returns
 /// -1 if some edge of g has disconnected endpoints in h.
+///
+/// Exact, and local: one BFS over h per source vertex of g's edges,
+/// stopping as soon as every distinct g-neighbour of that source is
+/// reached. The cost is the ball of h each search explores, so it is
+/// near-linear in k for bounded-stretch spanners and O(k·|h|) only in
+/// the worst case; scratch arrays are allocated once for all sources.
 int64_t MaxEdgeStretch(const Graph& g, const Graph& h);
 
 }  // namespace blowfish

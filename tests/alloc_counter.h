@@ -16,21 +16,28 @@ namespace {
 std::atomic<uint64_t> g_allocations{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Every replacement is kept out of line: inlined, GCC pairs the
+// malloc() in operator new or the free() in operator delete with the
+// caller's new/delete and reports -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
-void* operator new[](std::size_t size) {
+[[gnu::noinline]] void* operator new[](std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 #endif  // BLOWFISH_TESTS_ALLOC_COUNTER_H_

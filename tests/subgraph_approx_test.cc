@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "core/subgraph_approx.h"
 #include "graph/algorithms.h"
+#include "graph/builders.h"
 
 namespace blowfish {
 namespace {
@@ -107,8 +112,7 @@ TEST_P(GridSpannerStretchTest, StretchSmallAndStable) {
   EXPECT_LE(stretch, 8);
 
   // Translation invariance: the stretch at a larger grid of the same
-  // block structure matches (this justifies certifying on a small
-  // representative inside GridThetaRangeMechanism).
+  // block structure matches.
   const size_t k2 = k * 2;
   const DomainShape domain2({k2, k2});
   const Graph g2 = DistanceThresholdGraph(domain2, theta);
@@ -138,6 +142,147 @@ TEST(Certify, IdenticalGraphHasStretchOne)
   Policy g = Theta1DPolicy(6, 2);
   const SpannerCertificate cert = CertifySpanner(g, g).ValueOrDie();
   EXPECT_EQ(cert.stretch, 1);
+}
+
+// ---------------------------------------------------------------------
+// Early-exit MaxEdgeStretch against the full-BFS oracle.
+
+// The certification loop MaxEdgeStretch used before its BFS stopped
+// early: one full BFS over h per source vertex of g's edges.
+int64_t FullBfsMaxEdgeStretch(const Graph& g, const Graph& h) {
+  std::vector<std::vector<size_t>> by_source(g.num_vertices());
+  for (const Graph::Edge& e : g.edges()) {
+    by_source[e.u].push_back(e.v == Graph::kBottom ? h.num_vertices() : e.v);
+  }
+  int64_t worst = 0;
+  for (size_t src = 0; src < by_source.size(); ++src) {
+    if (by_source[src].empty()) continue;
+    const std::vector<int64_t> dist = BfsDistances(h, src);
+    for (size_t t : by_source[src]) {
+      if (dist[t] < 0) return -1;
+      worst = std::max(worst, dist[t]);
+    }
+  }
+  return worst;
+}
+
+// `h` without its edge number `drop`, other edges in order.
+Graph WithoutEdge(const Graph& h, size_t drop) {
+  Graph out(h.num_vertices());
+  for (size_t e = 0; e < h.num_edges(); ++e) {
+    if (e != drop) out.AddEdge(h.edges()[e].u, h.edges()[e].v);
+  }
+  return out;
+}
+
+TEST(StretchOracle, ThetaLineSpanners) {
+  for (size_t k : {64u, 256u, 1024u, 4096u}) {
+    for (size_t theta : {2u, 3u, 4u, 6u, 8u}) {
+      if (k % theta != 0) continue;
+      SCOPED_TRACE("k=" + std::to_string(k) + " θ=" + std::to_string(theta));
+      const Graph g = Theta1DPolicy(k, theta).graph;
+      const Graph h = BuildLineThetaSpanner(k, theta).graph;
+      const int64_t expected = FullBfsMaxEdgeStretch(g, h);
+      ASSERT_GE(expected, 1);
+      EXPECT_EQ(MaxEdgeStretch(g, h), expected);
+    }
+  }
+}
+
+TEST(StretchOracle, GridThetaSpanners) {
+  for (size_t k : {8u, 12u, 16u, 24u, 32u, 48u, 64u}) {
+    for (size_t theta = 2; theta <= 6; ++theta) {
+      const size_t block = std::max<size_t>(1, theta / 2);
+      if (k % block != 0) continue;
+      SCOPED_TRACE("k=" + std::to_string(k) + " θ=" + std::to_string(theta));
+      const DomainShape domain({k, k});
+      const Graph g = DistanceThresholdGraph(domain, theta);
+      const Graph h = BuildGridThetaSpanner(domain, block).graph;
+      const int64_t expected = FullBfsMaxEdgeStretch(g, h);
+      ASSERT_GE(expected, 1);
+      EXPECT_EQ(MaxEdgeStretch(g, h), expected);
+    }
+  }
+}
+
+TEST(StretchOracle, CycleVersusSpanningTree) {
+  for (size_t n : {3u, 9u, 64u}) {
+    const Graph g = CycleGraph(n);
+    const Graph t = BfsSpanningTree(g, 0);
+    EXPECT_EQ(FullBfsMaxEdgeStretch(g, t), static_cast<int64_t>(n) - 1);
+    EXPECT_EQ(MaxEdgeStretch(g, t), static_cast<int64_t>(n) - 1);
+  }
+}
+
+TEST(StretchOracle, BottomEdges) {
+  // Line 0-…-7 with ⊥ edges at 0, 3 and 7: certification must both
+  // reach ⊥ as a target and route through it.
+  Graph g(8);
+  for (size_t i = 0; i + 1 < 8; ++i) g.AddEdge(i, i + 1);
+  g.AddEdge(0, Graph::kBottom);
+  g.AddEdge(3, Graph::kBottom);
+  g.AddEdge(7, Graph::kBottom);
+  // Spanner: the BFS forest roots at ⊥, so 0-1 routes via ⊥ or 1-0.
+  const Graph forest = BfsSpanningForest(g);
+  EXPECT_EQ(MaxEdgeStretch(g, forest), FullBfsMaxEdgeStretch(g, forest));
+  // Spanner of ⊥ edges only: every line edge routes i-⊥-(i+1).
+  Graph star(8);
+  for (size_t i = 0; i < 8; ++i) star.AddEdge(i, Graph::kBottom);
+  EXPECT_EQ(FullBfsMaxEdgeStretch(g, star), 2);
+  EXPECT_EQ(MaxEdgeStretch(g, star), 2);
+  // Drop ⊥ from the spanner's reach: every ⊥ target is unreachable.
+  Graph line(8);
+  for (size_t i = 0; i + 1 < 8; ++i) line.AddEdge(i, i + 1);
+  EXPECT_EQ(FullBfsMaxEdgeStretch(g, line), -1);
+  EXPECT_EQ(MaxEdgeStretch(g, line), -1);
+}
+
+TEST(StretchOracle, RandomGraphsWithBottom) {
+  std::mt19937_64 gen(20261018);
+  size_t disconnected = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t n = 2 + gen() % 30;
+    Graph g(n);
+    Graph h(n);
+    for (size_t u = 0; u < n; ++u) {
+      for (size_t v = u + 1; v <= n; ++v) {
+        const size_t w = v == n ? Graph::kBottom : v;
+        if (gen() % 4 == 0) g.AddEdge(u, w);
+        if (gen() % 5 == 0) h.AddEdge(u, w);
+      }
+    }
+    const int64_t expected = FullBfsMaxEdgeStretch(g, h);
+    if (expected < 0) ++disconnected;
+    EXPECT_EQ(MaxEdgeStretch(g, h), expected) << "trial " << trial;
+  }
+  // Both outcomes occur, so the -1 path is exercised too.
+  EXPECT_GT(disconnected, 0u);
+  EXPECT_LT(disconnected, 200u);
+}
+
+TEST(StretchOracle, SpannerMissingOneEdgeIsRejected) {
+  // Hθ_k is a tree, so dropping any edge disconnects some Gθ_k edge.
+  const Graph g_line = Theta1DPolicy(64, 4).graph;
+  const Graph h_line = BuildLineThetaSpanner(64, 4).graph;
+  for (size_t drop = 0; drop < h_line.num_edges(); ++drop) {
+    const Graph cut = WithoutEdge(h_line, drop);
+    ASSERT_EQ(FullBfsMaxEdgeStretch(g_line, cut), -1) << "edge " << drop;
+    EXPECT_EQ(MaxEdgeStretch(g_line, cut), -1) << "edge " << drop;
+  }
+  // The grid spanner: dropping an internal edge strands a black cell;
+  // dropping an external one leaves the red grid connected but
+  // lengthens some paths. Either way the answer matches the oracle.
+  const DomainShape domain({12, 12});
+  const Graph g_grid = DistanceThresholdGraph(domain, 4);
+  const GridSpanner h_grid = BuildGridThetaSpanner(domain, 2);
+  size_t rejected = 0;
+  for (size_t drop = 0; drop < h_grid.graph.num_edges(); ++drop) {
+    const Graph cut = WithoutEdge(h_grid.graph, drop);
+    const int64_t expected = FullBfsMaxEdgeStretch(g_grid, cut);
+    if (expected < 0) ++rejected;
+    EXPECT_EQ(MaxEdgeStretch(g_grid, cut), expected) << "edge " << drop;
+  }
+  EXPECT_EQ(rejected, 144u - 36u);  // one per black cell
 }
 
 }  // namespace
