@@ -83,6 +83,14 @@ using namespace blowfish;
 
 namespace {
 
+/// Default options with a fixed seed; plans are built on first use.
+EngineOptions SeededOptions(uint64_t seed) {
+  EngineOptions options;
+  options.seed = seed;
+  options.warm_plan_cache = false;
+  return options;
+}
+
 Vector Ramp(size_t n) {
   Vector x(n);
   for (size_t i = 0; i < n; ++i) x[i] = static_cast<double>(i % 11);
@@ -323,7 +331,7 @@ int main(int argc, char** argv) {
   std::vector<double> speedups;
 
   for (Subject& subject : subjects) {
-    QueryEngine engine(EngineOptions{/*seed=*/2015, false});
+    QueryEngine engine(SeededOptions(2015));
     engine
         .RegisterPolicy(subject.policy_name, subject.policy,
                         Ramp(subject.domain), 1e9)
@@ -408,7 +416,7 @@ int main(int argc, char** argv) {
     const size_t domain = 256;
     const size_t batch_size = 64;
     const size_t rounds = smoke ? 4 : 40;
-    QueryEngine engine(EngineOptions{/*seed=*/2015, false});
+    QueryEngine engine(SeededOptions(2015));
     engine.RegisterPolicy("batch", LinePolicy(domain), Ramp(domain), 1e9)
         .Check();
     engine.OpenSession("loop", 1e9).Check();
@@ -520,7 +528,7 @@ int main(int argc, char** argv) {
     const size_t warm_range_submits = smoke ? 3 : (full ? 20 : 5);
     const size_t legacy_cells = smoke ? 64 : 256;  // sampled, then scaled
 
-    QueryEngine engine(EngineOptions{/*seed=*/7, /*warm_plan_cache=*/false});
+    QueryEngine engine(SeededOptions(7));
     engine
         .RegisterPolicy("bigslab", GridPolicy(DomainShape({k, k}), theta),
                         Ramp(k * k), 1e9)

@@ -7,6 +7,7 @@
 #include "core/subgraph_approx.h"
 #include "core/transform.h"
 #include "graph/algorithms.h"
+#include "graph/builders.h"
 #include "mech/dawa.h"
 #include "mech/laplace.h"
 
@@ -33,7 +34,6 @@ bool IsConsecutiveLineGraph(const Graph& g) {
 size_t DetectTheta1D(const Policy& policy) {
   if (policy.domain.num_dims() != 1) return 0;
   if (policy.graph.has_bottom()) return 0;
-  const size_t k = policy.domain_size();
   // θ = max edge span; then verify the edge set matches exactly.
   size_t theta = 0;
   for (const Graph::Edge& e : policy.graph.edges()) {
@@ -41,21 +41,20 @@ size_t DetectTheta1D(const Policy& policy) {
     theta = std::max(theta, span);
   }
   if (theta == 0) return 0;
-  size_t expected = 0;
-  for (size_t span = 1; span <= theta; ++span) expected += k - span;
-  return policy.graph.num_edges() == expected ? theta : 0;
+  return policy.graph.num_edges() ==
+                 DistanceThresholdEdgeCount(policy.domain, theta)
+             ? theta
+             : 0;
 }
 
 // Detects a θ=1 grid policy over a >=2-dimensional domain.
 bool IsUnitGrid(const Policy& policy) {
   if (policy.domain.num_dims() < 2) return false;
   if (policy.graph.has_bottom()) return false;
-  size_t expected = 0;
-  for (size_t i = 0; i < policy.domain.num_dims(); ++i) {
-    expected += (policy.domain.dim(i) - 1) * policy.domain.size() /
-                policy.domain.dim(i);
+  if (policy.graph.num_edges() !=
+      DistanceThresholdEdgeCount(policy.domain, 1)) {
+    return false;
   }
-  if (policy.graph.num_edges() != expected) return false;
   for (const Graph::Edge& e : policy.graph.edges()) {
     if (policy.domain.L1Distance(e.u, e.v) != 1) return false;
   }
@@ -71,8 +70,12 @@ size_t DetectGridTheta(const Policy& policy) {
     theta = std::max(theta, policy.domain.L1Distance(e.u, e.v));
   }
   if (theta < 2) return 0;
-  const Graph expected = DistanceThresholdGraph(policy.domain, theta);
-  return expected.num_edges() == policy.graph.num_edges() ? theta : 0;
+  // Every edge lies within L1 distance θ and the graph holds no
+  // duplicates, so matching Gθ's edge count means matching its edge set.
+  return policy.graph.num_edges() ==
+                 DistanceThresholdEdgeCount(policy.domain, theta)
+             ? theta
+             : 0;
 }
 
 HistogramMechanismPtr InnerFor(const PlanRequest& request) {

@@ -1,22 +1,12 @@
 #include "engine/ledger_journal.h"
 
-#include <dirent.h>
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <sys/types.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <set>
 #include <thread>
 #include <utility>
 
 #include "common/check.h"
-#include "common/crc32c.h"
 
 namespace blowfish {
 
@@ -24,116 +14,9 @@ namespace {
 
 constexpr char kMagic[8] = {'B', 'F', 'L', 'J', 'R', 'N', 'L', '1'};
 constexpr uint32_t kFormatVersion = 1;
-constexpr size_t kHeaderBytes = 24;
-constexpr size_t kFrameOverhead = 8;  // u32 len + u32 masked crc
 // Far above any real record (a record is one charge: a handful of
 // ledger lines); a larger claimed length is garbage, not data.
 constexpr uint32_t kMaxRecordBytes = 1u << 26;
-
-// ------------------------------------------ little-endian wire encode
-
-void PutU16(std::string* out, uint16_t v) {
-  out->push_back(static_cast<char>(v & 0xFF));
-  out->push_back(static_cast<char>((v >> 8) & 0xFF));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void PutF64(std::string* out, double v) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v), "IEEE double expected");
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-void PutLenPrefixed(std::string* out, std::string_view s) {
-  // Ledger ids and workload tags are short by construction; a >64KiB
-  // tag is pathological and truncation only loses label detail, never
-  // accounting.
-  const size_t n = std::min<size_t>(s.size(), 0xFFFF);
-  PutU16(out, static_cast<uint16_t>(n));
-  out->append(s.data(), n);
-}
-
-uint32_t GetU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<uint8_t>(p[i]);
-  }
-  return v;
-}
-
-uint64_t GetU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<uint8_t>(p[i]);
-  }
-  return v;
-}
-
-/// Bounds-checked record parser: every read that would run past the
-/// payload flips `ok` and yields zeros, so decode failure is a single
-/// flag check, never UB.
-struct ByteReader {
-  const char* p;
-  const char* end;
-  bool ok = true;
-
-  bool Take(size_t n) {
-    if (!ok || static_cast<size_t>(end - p) < n) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-  uint8_t U8() {
-    if (!Take(1)) return 0;
-    return static_cast<uint8_t>(*p++);
-  }
-  uint16_t U16() {
-    if (!Take(2)) return 0;
-    uint16_t v = static_cast<uint16_t>(static_cast<uint8_t>(p[0]) |
-                                       (static_cast<uint8_t>(p[1]) << 8));
-    p += 2;
-    return v;
-  }
-  uint32_t U32() {
-    if (!Take(4)) return 0;
-    uint32_t v = GetU32(p);
-    p += 4;
-    return v;
-  }
-  uint64_t U64() {
-    if (!Take(8)) return 0;
-    uint64_t v = GetU64(p);
-    p += 8;
-    return v;
-  }
-  double F64() {
-    uint64_t bits = U64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  bool Str(std::string* out) {
-    uint16_t n = U16();
-    if (!Take(n)) return false;
-    out->assign(p, n);
-    p += n;
-    return true;
-  }
-  bool done() const { return ok && p == end; }
-};
 
 bool DecodeRecord(const char* data, size_t n, JournalRecord* rec) {
   ByteReader r{data, data + n};
@@ -174,23 +57,6 @@ int64_t WallMicros() {
       .count();
 }
 
-bool IsSegmentName(const std::string& name) {
-  // journal-<16 hex>.bfj — fixed width, so lexicographic order is
-  // start-seq order.
-  if (name.size() != 8 + 16 + 4) return false;
-  if (name.compare(0, 8, "journal-") != 0) return false;
-  if (name.compare(24, 4, ".bfj") != 0) return false;
-  for (size_t i = 8; i < 24; ++i) {
-    const char c = name[i];
-    if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))) return false;
-  }
-  return true;
-}
-
-std::string ErrnoMessage(const std::string& op, const std::string& path) {
-  return op + "(" + path + "): " + std::strerror(errno);
-}
-
 }  // namespace
 
 void JournalEncodeRecord(const JournalRecord& record, std::string* out) {
@@ -222,252 +88,21 @@ void JournalEncodeRecord(const JournalRecord& record, std::string* out) {
   }
 }
 
-void JournalFrameRecord(const std::string& payload, std::string* out) {
-  PutU32(out, static_cast<uint32_t>(payload.size()));
-  PutU32(out, Crc32cMask(Crc32c(payload.data(), payload.size())));
-  out->append(payload);
-}
-
 std::string JournalSegmentHeader(uint64_t start_seq) {
   std::string h;
-  h.reserve(kHeaderBytes);
-  h.append(kMagic, sizeof(kMagic));
-  PutU32(&h, kFormatVersion);
-  PutU64(&h, start_seq);
-  PutU32(&h, Crc32c(h.data(), h.size()));
-  BF_DCHECK_EQ(h.size(), kHeaderBytes);
+  AppendFileHeader(kMagic, kFormatVersion, start_seq, &h);
   return h;
-}
-
-std::string JournalSegmentName(uint64_t start_seq) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "journal-%016llx.bfj",
-                static_cast<unsigned long long>(start_seq));
-  return buf;
-}
-
-// ------------------------------------------------------------ POSIX IO
-
-namespace {
-
-class PosixJournalFile : public JournalFile {
- public:
-  PosixJournalFile(int fd, std::string path)
-      : fd_(fd), path_(std::move(path)) {}
-  ~PosixJournalFile() override {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  Result<size_t> Append(const void* data, size_t n) override {
-    const ssize_t w = ::write(fd_, data, n);
-    if (w < 0) {
-      if (errno == EINTR) return static_cast<size_t>(0);  // retryable
-      return Status::IOError(ErrnoMessage("write", path_));
-    }
-    return static_cast<size_t>(w);
-  }
-
-  Status Sync() override {
-    if (::fsync(fd_) != 0) {
-      return Status::IOError(ErrnoMessage("fsync", path_));
-    }
-    return Status::OK();
-  }
-
-  Status Truncate(uint64_t size) override {
-    if (::ftruncate(fd_, static_cast<off_t>(size)) != 0) {
-      return Status::IOError(ErrnoMessage("ftruncate", path_));
-    }
-    return Status::OK();
-  }
-
-  Status Close() override {
-    if (fd_ < 0) return Status::OK();
-    const int fd = fd_;
-    fd_ = -1;
-    if (::close(fd) != 0) {
-      return Status::IOError(ErrnoMessage("close", path_));
-    }
-    return Status::OK();
-  }
-
- private:
-  int fd_;
-  std::string path_;
-};
-
-class PosixIo : public JournalIo {
- public:
-  Result<std::unique_ptr<JournalFile>> OpenAppend(
-      const std::string& path) override {
-    // Owner-only: segments carry tenant ids and their spend history.
-    const int fd = ::open(path.c_str(), O_CREAT | O_WRONLY | O_APPEND, 0600);
-    if (fd < 0) return Status::IOError(ErrnoMessage("open", path));
-    return std::unique_ptr<JournalFile>(new PosixJournalFile(fd, path));
-  }
-
-  Result<std::string> ReadAll(const std::string& path) override {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) return Status::IOError(ErrnoMessage("open", path));
-    std::string out;
-    char buf[1 << 16];
-    for (;;) {
-      const ssize_t r = ::read(fd, buf, sizeof(buf));
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        const Status st = Status::IOError(ErrnoMessage("read", path));
-        ::close(fd);
-        return st;
-      }
-      if (r == 0) break;
-      out.append(buf, static_cast<size_t>(r));
-    }
-    ::close(fd);
-    return out;
-  }
-
-  Result<std::vector<std::string>> ListDir(const std::string& dir) override {
-    DIR* d = ::opendir(dir.c_str());
-    if (d == nullptr) return Status::IOError(ErrnoMessage("opendir", dir));
-    std::vector<std::string> names;
-    while (struct dirent* e = ::readdir(d)) {
-      if (e->d_type != DT_REG && e->d_type != DT_UNKNOWN) continue;
-      const std::string name = e->d_name;
-      if (name == "." || name == "..") continue;
-      names.push_back(name);
-    }
-    ::closedir(d);
-    return names;
-  }
-
-  Status CreateDir(const std::string& dir) override {
-    if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
-      return Status::IOError(ErrnoMessage("mkdir", dir));
-    }
-    return Status::OK();
-  }
-
-  Status Remove(const std::string& path) override {
-    if (::unlink(path.c_str()) != 0) {
-      return Status::IOError(ErrnoMessage("unlink", path));
-    }
-    return Status::OK();
-  }
-
-  Status TruncateFile(const std::string& path, uint64_t size) override {
-    const int fd = ::open(path.c_str(), O_WRONLY);
-    if (fd < 0) return Status::IOError(ErrnoMessage("open", path));
-    Status st = Status::OK();
-    if (::ftruncate(fd, static_cast<off_t>(size)) != 0) {
-      st = Status::IOError(ErrnoMessage("ftruncate", path));
-    } else if (::fsync(fd) != 0) {
-      st = Status::IOError(ErrnoMessage("fsync", path));
-    }
-    ::close(fd);
-    return st;
-  }
-
-  Status SyncDir(const std::string& dir) override {
-    const int fd = ::open(dir.c_str(), O_RDONLY);
-    if (fd < 0) return Status::IOError(ErrnoMessage("open", dir));
-    Status st = Status::OK();
-    if (::fsync(fd) != 0 && errno != EINVAL) {
-      // EINVAL: the filesystem cannot fsync directories — nothing more
-      // durable is available, so treat it as best-effort success.
-      st = Status::IOError(ErrnoMessage("fsync", dir));
-    }
-    ::close(fd);
-    return st;
-  }
-};
-
-}  // namespace
-
-JournalIo* PosixJournalIo() {
-  static PosixIo* io = new PosixIo();  // leaked: process-lifetime
-  return io;
-}
-
-// ------------------------------------------------------ fault injection
-
-namespace {
-
-class FaultInjectingFile : public JournalFile {
- public:
-  FaultInjectingFile(std::unique_ptr<JournalFile> base, JournalFaultPlan* plan)
-      : base_(std::move(base)), plan_(plan) {}
-
-  Result<size_t> Append(const void* data, size_t n) override {
-    const uint64_t call =
-        plan_->append_calls.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (plan_->fail_append_at != 0 && call >= plan_->fail_append_at &&
-        call < plan_->fail_append_at +
-                   static_cast<uint64_t>(plan_->fail_append_count)) {
-      if (plan_->torn_bytes_on_failure > 0) {
-        // A torn write: some bytes reach the disk even though the call
-        // reports failure — the caller must not assume the file tail
-        // is where it left it.
-        const size_t torn = std::min(plan_->torn_bytes_on_failure, n);
-        (void)base_->Append(data, torn);
-      }
-      return Status(plan_->append_error,
-                    "injected append fault (call #" + std::to_string(call) +
-                        ")");
-    }
-    if (plan_->short_append_at == call && n > 1) {
-      return base_->Append(data, n / 2);  // short write, reported as success
-    }
-    return base_->Append(data, n);
-  }
-
-  Status Sync() override {
-    const uint64_t call =
-        plan_->sync_calls.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (plan_->fail_sync_at != 0 && call >= plan_->fail_sync_at &&
-        call < plan_->fail_sync_at +
-                   static_cast<uint64_t>(plan_->fail_sync_count)) {
-      return Status::IOError("injected fsync fault (call #" +
-                             std::to_string(call) + ")");
-    }
-    return base_->Sync();
-  }
-
-  Status Truncate(uint64_t size) override {
-    if (plan_->fail_truncate) {
-      return Status::IOError("injected truncate fault");
-    }
-    return base_->Truncate(size);
-  }
-
-  Status Close() override { return base_->Close(); }
-
- private:
-  std::unique_ptr<JournalFile> base_;
-  JournalFaultPlan* plan_;
-};
-
-}  // namespace
-
-Result<std::unique_ptr<JournalFile>> FaultInjectingJournalIo::OpenAppend(
-    const std::string& path) {
-  Result<std::unique_ptr<JournalFile>> base = base_->OpenAppend(path);
-  if (!base.ok()) return base.status();
-  return std::unique_ptr<JournalFile>(
-      new FaultInjectingFile(std::move(base).ValueOrDie(), plan_));
 }
 
 // ------------------------------------------------------------- scanning
 
-Status LedgerJournal::Scan(const std::string& dir, JournalIo* io,
+Status LedgerJournal::Scan(const std::string& dir, FileIo* io,
                            JournalScanReport* report) {
-  if (io == nullptr) io = PosixJournalIo();
-  Result<std::vector<std::string>> listing = io->ListDir(dir);
+  if (io == nullptr) io = PosixFileIo();
+  Result<std::vector<std::string>> listing =
+      ListNumbered(io, dir, kJournalSegmentName);
   if (!listing.ok()) return listing.status();
-  std::vector<std::string> names;
-  for (const std::string& name : *listing) {
-    if (IsSegmentName(name)) names.push_back(name);
-  }
-  std::sort(names.begin(), names.end());
+  const std::vector<std::string>& names = *listing;
 
   // The next record seq the chain demands; 0 = unknown (start of scan,
   // or continuity lost to a corrupt segment — later segments are still
@@ -494,14 +129,14 @@ Status LedgerJournal::Scan(const std::string& dir, JournalIo* io,
     seg.file_bytes = data.size();
 
     // Segment header.
-    bool header_ok = data.size() >= kHeaderBytes &&
-                     std::memcmp(data.data(), kMagic, sizeof(kMagic)) == 0 &&
-                     GetU32(data.data() + 8) == kFormatVersion &&
-                     GetU32(data.data() + 20) == Crc32c(data.data(), 20);
-    uint64_t start_seq = header_ok ? GetU64(data.data() + 12) : 0;
-    if (header_ok && start_seq == 0) header_ok = false;  // seqs start at 1
+    uint64_t start_seq = 0;
+    const bool header_ok =
+        CheckFileHeader(data.data(), data.size(), kMagic, kFormatVersion,
+                        &start_seq)
+            .empty() &&
+        start_seq != 0;  // seqs start at 1
     if (!header_ok) {
-      if (last_segment && data.size() <= kHeaderBytes) {
+      if (last_segment && data.size() <= kFileHeaderBytes) {
         // A crash during rotation leaves a fresh segment with a
         // partial header and nothing after it: a torn tail whose
         // repair is deleting the file. The header is written and
@@ -521,7 +156,7 @@ Status LedgerJournal::Scan(const std::string& dir, JournalIo* io,
       continue;
     }
     seg.start_seq = start_seq;
-    seg.good_bytes = kHeaderBytes;
+    seg.good_bytes = kFileHeaderBytes;
     if (expected_seq != 0 && start_seq != expected_seq) {
       report->errors.push_back(
           "segment " + name + ": starts at seq " + std::to_string(start_seq) +
@@ -532,65 +167,48 @@ Status LedgerJournal::Scan(const std::string& dir, JournalIo* io,
     if (expected_seq == 0) expected_seq = start_seq;
 
     // Frames.
-    size_t off = kHeaderBytes;
+    size_t off = kFileHeaderBytes;
     bool segment_failed = false;
     while (off < data.size()) {
-      const size_t avail = data.size() - off;
-      uint32_t len = 0;
-      bool incomplete = avail < kFrameOverhead;
-      if (!incomplete) {
-        len = GetU32(data.data() + off);
-        if (len > kMaxRecordBytes) {
-          report->errors.push_back("segment " + name + ": frame at byte " +
-                                   std::to_string(off) +
-                                   " claims absurd length " +
-                                   std::to_string(len));
-          segment_failed = true;
-          break;
-        }
-        incomplete = avail - kFrameOverhead < len;
-      }
-      if (incomplete) {
-        // The frame runs past EOF — the classic crash-mid-append tear
-        // when it is the journal's final bytes, corruption anywhere
-        // else.
-        if (last_segment) {
-          report->torn_tail = true;
-          report->torn_segment = name;
-          report->torn_good_bytes = off;
-        } else {
-          report->errors.push_back("segment " + name +
-                                   ": truncated frame at byte " +
-                                   std::to_string(off) +
-                                   " with segments after it");
-          segment_failed = true;
-        }
+      std::string_view payload;
+      const FrameCheck frame = ReadFrame(data.data(), data.size(), off,
+                                         kMaxRecordBytes, &payload);
+      if (frame == FrameCheck::kOversized) {
+        report->errors.push_back("segment " + name + ": frame at byte " +
+                                 std::to_string(off) +
+                                 " claims absurd length " +
+                                 std::to_string(GetU32(data.data() + off)));
+        segment_failed = true;
         break;
       }
-      const char* payload = data.data() + off + kFrameOverhead;
-      const uint32_t want_crc = Crc32cUnmask(GetU32(data.data() + off + 4));
-      if (Crc32c(payload, len) != want_crc) {
-        const bool at_eof = off + kFrameOverhead + len == data.size();
+      if (frame != FrameCheck::kOk) {
+        // A frame that runs past EOF is the classic crash-mid-append
+        // tear when it is the journal's final bytes. A crash can also
+        // persist the final frame's pages partially (full length, wrong
+        // bytes), so a CRC-bad *last* frame is a tear too. Anywhere
+        // else either is corruption: truncating there would discard
+        // acknowledged spends.
+        const bool at_eof =
+            frame == FrameCheck::kIncomplete ||
+            off + kFrameOverhead + GetU32(data.data() + off) == data.size();
         if (last_segment && at_eof) {
-          // Final frame of the final segment: a crash can persist the
-          // frame's pages partially (full length, wrong bytes), so a
-          // CRC-bad *last* frame is a tear. The same mismatch with
-          // valid data after it cannot be — truncating there would
-          // discard acknowledged spends.
           report->torn_tail = true;
           report->torn_segment = name;
           report->torn_good_bytes = off;
         } else {
-          report->errors.push_back("segment " + name +
-                                   ": CRC mismatch at byte " +
-                                   std::to_string(off) +
-                                   " (mid-journal corruption)");
+          report->errors.push_back(
+              "segment " + name +
+              (frame == FrameCheck::kIncomplete
+                   ? ": truncated frame at byte " + std::to_string(off) +
+                         " with segments after it"
+                   : ": CRC mismatch at byte " + std::to_string(off) +
+                         " (mid-journal corruption)"));
           segment_failed = true;
         }
         break;
       }
       JournalRecord rec;
-      if (!DecodeRecord(payload, len, &rec)) {
+      if (!DecodeRecord(payload.data(), payload.size(), &rec)) {
         report->errors.push_back("segment " + name +
                                  ": undecodable record at byte " +
                                  std::to_string(off) + " (CRC valid)");
@@ -659,7 +277,7 @@ Status LedgerJournal::Scan(const std::string& dir, JournalIo* io,
       ++report->records;
       ++seg.records;
       ++expected_seq;
-      off += kFrameOverhead + len;
+      off += kFrameOverhead + payload.size();
       seg.good_bytes = off;
     }
     if (segment_failed) expected_seq = 0;
@@ -670,7 +288,7 @@ Status LedgerJournal::Scan(const std::string& dir, JournalIo* io,
 
 // ---------------------------------------------------------------- open
 
-LedgerJournal::LedgerJournal(JournalOptions options, JournalIo* io)
+LedgerJournal::LedgerJournal(JournalOptions options, FileIo* io)
     : options_(std::move(options)), io_(io) {
   m_appends_ = &local_sink_[0];
   m_append_failures_ = &local_sink_[1];
@@ -691,7 +309,7 @@ Result<std::unique_ptr<LedgerJournal>> LedgerJournal::Open(
   if (options.dir.empty()) {
     return Status::InvalidArgument("journal_path must not be empty");
   }
-  JournalIo* io = options.io != nullptr ? options.io : PosixJournalIo();
+  FileIo* io = options.io != nullptr ? options.io : PosixFileIo();
   BF_RETURN_NOT_OK(io->CreateDir(options.dir));
 
   JournalScanReport report;
@@ -721,7 +339,7 @@ Result<std::unique_ptr<LedgerJournal>> LedgerJournal::Open(
   if (report.torn_tail) {
     BF_DCHECK(allow_torn);
     const std::string path = journal->SegmentPath(report.torn_segment);
-    if (report.torn_good_bytes < kHeaderBytes) {
+    if (report.torn_good_bytes < kFileHeaderBytes) {
       // Not even a full header survived — the segment holds nothing.
       BF_RETURN_NOT_OK(io->Remove(path));
       removed_torn_segment = true;
@@ -776,10 +394,10 @@ Result<std::unique_ptr<LedgerJournal>> LedgerJournal::Open(
   journal->m_recovered_records_->Add(report.records);
 
   if (journal->segment_names_.empty()) {
-    BF_RETURN_NOT_OK(journal->RotateLocked(journal->next_seq_, false));
+    BF_RETURN_NOT_OK(journal->RotateLocked(journal->next_seq_));
   } else {
     const std::string& name = journal->segment_names_.back();
-    Result<std::unique_ptr<JournalFile>> file =
+    Result<std::unique_ptr<DurableFile>> file =
         io->OpenAppend(journal->SegmentPath(name));
     if (!file.ok()) return file.status();
     journal->active_ = std::move(file).ValueOrDie();
@@ -819,7 +437,7 @@ void LedgerJournal::Backoff(uint64_t seq, int attempt) const {
   std::this_thread::sleep_for(std::chrono::microseconds(micros));
 }
 
-Status LedgerJournal::WriteWithRetry(JournalFile* file, const char* data,
+Status LedgerJournal::WriteWithRetry(DurableFile* file, const char* data,
                                      size_t n, uint64_t base_offset,
                                      uint64_t seq, size_t* landed) {
   int attempts = 0;
@@ -855,15 +473,15 @@ Status LedgerJournal::WriteWithRetry(JournalFile* file, const char* data,
   return Status::OK();
 }
 
-Status LedgerJournal::RotateLocked(uint64_t start_seq, bool compact) {
-  const std::string name = JournalSegmentName(start_seq);
+Status LedgerJournal::RotateLocked(uint64_t start_seq) {
+  const std::string name = kJournalSegmentName.Format(start_seq);
   const std::string path = SegmentPath(name);
   // A previous failed rotation may have left a stale file under this
   // name; O_APPEND would write the header after its garbage.
   (void)io_->TruncateFile(path, 0);
-  Result<std::unique_ptr<JournalFile>> opened = io_->OpenAppend(path);
+  Result<std::unique_ptr<DurableFile>> opened = io_->OpenAppend(path);
   if (!opened.ok()) return opened.status();
-  std::unique_ptr<JournalFile> file = std::move(opened).ValueOrDie();
+  std::unique_ptr<DurableFile> file = std::move(opened).ValueOrDie();
 
   const std::string header = JournalSegmentHeader(start_seq);
   size_t landed = 0;
@@ -884,13 +502,6 @@ Status LedgerJournal::RotateLocked(uint64_t start_seq, bool compact) {
   active_ = std::move(file);
   active_name_ = name;
   active_bytes_ = header.size();
-  if (compact) {
-    for (const std::string& old : segment_names_) {
-      if (old != name) (void)io_->Remove(SegmentPath(old));
-    }
-    (void)io_->SyncDir(options_.dir);
-    segment_names_.clear();
-  }
   segment_names_.push_back(name);
   return Status::OK();
 }
@@ -899,13 +510,13 @@ Status LedgerJournal::AppendFramedLocked(const JournalRecord& record) {
   if (active_bytes_ >= options_.segment_bytes) {
     // Rotation failure is not fatal to the charge: the old segment
     // still appends fine, and the next append retries the rotation.
-    if (RotateLocked(record.seq, false).ok()) m_rotations_->Add(1);
+    if (RotateLocked(record.seq).ok()) m_rotations_->Add(1);
   }
 
   JournalEncodeRecord(record, &scratch_);
   std::string frame;
   frame.reserve(scratch_.size() + kFrameOverhead);
-  JournalFrameRecord(scratch_, &frame);
+  AppendFrame(scratch_, &frame);
 
   const uint64_t base = active_bytes_;
   size_t landed = 0;
@@ -1017,7 +628,7 @@ Status LedgerJournal::Checkpoint(
   // The checkpoint opens a fresh segment; if anything past this point
   // fails, the old segments are still intact and recovery still works
   // (a header-only trailing segment is legal).
-  BF_RETURN_NOT_OK(RotateLocked(rec.seq, false));
+  BF_RETURN_NOT_OK(RotateLocked(rec.seq));
   BF_RETURN_NOT_OK(AppendFramedLocked(rec));
   ++next_seq_;
 

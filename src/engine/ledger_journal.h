@@ -17,18 +17,14 @@
 //   never open.
 //
 // On-disk format. A journal is a directory of segment files named
-// `journal-<start_seq:016x>.bfj`. Each segment is a 24-byte header
-// (magic "BFLJRNL1", format version, the seq of its first record, a
-// CRC32C over the preceding fields) followed by length-prefixed
-// frames:
-//
-//   [u32 payload_len][u32 masked_crc32c(payload)][payload]
-//
-// A payload is one record — spend, refusal, or checkpoint — carrying
-// the same fields as the EpsilonAuditLog event (ε, parallel count,
-// workload tag, shared plan context, per-ledger post-charge balances)
-// plus a dense monotonic seq. All integers are little-endian; doubles
-// are IEEE bit patterns, so replay is bit-exact.
+// `journal-<start_seq:016x>.bfj` in the durable-file layout the
+// snapshot store shares (engine/durable_file.h): a header with magic
+// "BFLJRNL1" and the seq of the segment's first record, then one frame
+// per record — spend, refusal, or checkpoint — carrying the same
+// fields as the EpsilonAuditLog event (ε, parallel count, workload
+// tag, shared plan context, per-ledger post-charge balances) plus a
+// dense monotonic seq. Doubles are IEEE bit patterns, so replay is
+// bit-exact.
 //
 // Rotation & compaction. Append() starts a new segment when the
 // active one exceeds `segment_bytes`, and flags `checkpoint_due()`;
@@ -52,9 +48,10 @@
 // and always refuses: truncating there would discard acknowledged
 // spends — the one direction that is never safe.
 //
-// I/O is pluggable (JournalFile / JournalIo) so tests inject faults —
-// fail-at-Nth-write, short writes, torn writes, fsync errors, ENOSPC
-// — against the exact production code paths. Transient errors are
+// I/O runs through the FileIo interface the snapshot store shares,
+// so tests inject faults — fail-at-Nth-write, short writes, torn
+// writes, fsync errors, ENOSPC — against the exact production code
+// paths. Transient errors are
 // retried up to `io_retries` with exponential backoff and
 // deterministic jitter; a give-up truncates the partial record back
 // out of the file (keeping the journal usable) or, if even that
@@ -80,107 +77,10 @@
 
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "engine/durable_file.h"
 #include "engine/telemetry.h"
 
 namespace blowfish {
-
-// ------------------------------------------------------------- wire IO
-
-/// \brief One writable segment file. Append may write fewer bytes than
-/// asked (a short write) — the journal retries the remainder.
-class JournalFile {
- public:
-  virtual ~JournalFile() = default;
-  /// Appends up to `n` bytes at the end of the file; returns the
-  /// number of bytes that landed (possibly < n).
-  virtual Result<size_t> Append(const void* data, size_t n) = 0;
-  /// Durably flushes everything appended so far (fsync).
-  virtual Status Sync() = 0;
-  /// Cuts the file back to `size` bytes (partial-record repair).
-  virtual Status Truncate(uint64_t size) = 0;
-  virtual Status Close() = 0;
-};
-
-/// \brief Filesystem surface the journal runs on. The default talks
-/// POSIX; tests wrap it with FaultInjectingJournalIo.
-class JournalIo {
- public:
-  virtual ~JournalIo() = default;
-  virtual Result<std::unique_ptr<JournalFile>> OpenAppend(
-      const std::string& path) = 0;
-  virtual Result<std::string> ReadAll(const std::string& path) = 0;
-  /// Regular-file names directly inside `dir` (not paths), unsorted.
-  virtual Result<std::vector<std::string>> ListDir(const std::string& dir) = 0;
-  virtual Status CreateDir(const std::string& dir) = 0;  ///< ok if exists
-  virtual Status Remove(const std::string& path) = 0;
-  /// Durable out-of-band truncate (recovery repairs torn tails before
-  /// the segment is reopened for append).
-  virtual Status TruncateFile(const std::string& path, uint64_t size) = 0;
-  /// Durably persists directory metadata (segment create/remove).
-  virtual Status SyncDir(const std::string& dir) = 0;
-};
-
-/// The process-wide POSIX implementation (stateless, never destroyed).
-JournalIo* PosixJournalIo();
-
-/// \brief Deterministic fault plan shared by every file a
-/// FaultInjectingJournalIo hands out. Call indices are 1-based and
-/// global across files (the Nth Append call anywhere fails). A
-/// `*_count` bounds how many consecutive calls fail from that index
-/// on — a small count models a transient error that a bounded retry
-/// should ride out; the default (unbounded) models a dead disk.
-struct JournalFaultPlan {
-  uint64_t fail_append_at = 0;   ///< 0 = never
-  int fail_append_count = 1 << 30;
-  /// Status the failing Append reports (kIOError, or kUnavailable to
-  /// model ENOSPC-then-freed).
-  StatusCode append_error = StatusCode::kIOError;
-  /// On failure, first land this many bytes of the attempted write —
-  /// a torn write: bytes on disk, call reported failed.
-  size_t torn_bytes_on_failure = 0;
-
-  uint64_t short_append_at = 0;  ///< Nth append lands only half, "succeeds"
-  uint64_t fail_sync_at = 0;
-  int fail_sync_count = 1 << 30;
-  bool fail_truncate = false;    ///< every in-file Truncate fails
-
-  std::atomic<uint64_t> append_calls{0};
-  std::atomic<uint64_t> sync_calls{0};
-};
-
-/// \brief Wraps a base JournalIo, applying `plan` to every file it
-/// opens. The plan is caller-owned and may be inspected/reset between
-/// test phases.
-class FaultInjectingJournalIo : public JournalIo {
- public:
-  FaultInjectingJournalIo(JournalIo* base, JournalFaultPlan* plan)
-      : base_(base), plan_(plan) {}
-
-  Result<std::unique_ptr<JournalFile>> OpenAppend(
-      const std::string& path) override;
-  Result<std::string> ReadAll(const std::string& path) override {
-    return base_->ReadAll(path);
-  }
-  Result<std::vector<std::string>> ListDir(const std::string& dir) override {
-    return base_->ListDir(dir);
-  }
-  Status CreateDir(const std::string& dir) override {
-    return base_->CreateDir(dir);
-  }
-  Status Remove(const std::string& path) override {
-    return base_->Remove(path);
-  }
-  Status TruncateFile(const std::string& path, uint64_t size) override {
-    return base_->TruncateFile(path, size);
-  }
-  Status SyncDir(const std::string& dir) override {
-    return base_->SyncDir(dir);
-  }
-
- private:
-  JournalIo* base_;
-  JournalFaultPlan* plan_;
-};
 
 // ------------------------------------------------------------- records
 
@@ -212,15 +112,14 @@ struct JournalRecord {
   std::vector<CheckpointLine> checkpoint;  // checkpoint
 };
 
-/// Wire helpers, exposed for ledger_fsck and the recovery tests that
-/// hand-craft duplicate-seq / gap segments.
+/// Segment file names: `journal-<start_seq:016x>.bfj`.
+inline constexpr NumberedName kJournalSegmentName{"journal", "bfj"};
+
+/// Wire helpers, exposed for the recovery tests that hand-craft
+/// duplicate-seq / gap segments (frames come from AppendFrame).
 void JournalEncodeRecord(const JournalRecord& record, std::string* out);
-/// Wraps an encoded payload in the [len][crc] frame.
-void JournalFrameRecord(const std::string& payload, std::string* out);
 /// The 24-byte segment header for a segment starting at `start_seq`.
 std::string JournalSegmentHeader(uint64_t start_seq);
-/// Segment filename for a start seq (`journal-<seq:016x>.bfj`).
-std::string JournalSegmentName(uint64_t start_seq);
 
 // ---------------------------------------------------------- scan model
 
@@ -278,8 +177,8 @@ struct JournalOptions {
   /// Recovery: truncate a torn tail and continue instead of refusing
   /// startup. Gaps and mid-file corruption refuse regardless.
   bool allow_torn_tail = false;
-  /// Pluggable I/O (tests inject faults); null = PosixJournalIo().
-  JournalIo* io = nullptr;
+  /// Pluggable I/O (tests inject faults); null = PosixFileIo().
+  FileIo* io = nullptr;
   /// When set, the journal registers engine_journal_* counters here.
   MetricsRegistry* metrics = nullptr;
 };
@@ -304,7 +203,7 @@ class LedgerJournal {
   /// anything. Populates `report` (including ledger balances replayed
   /// from whatever verifies) and returns non-OK only when the
   /// directory itself is unreadable.
-  static Status Scan(const std::string& dir, JournalIo* io,
+  static Status Scan(const std::string& dir, FileIo* io,
                      JournalScanReport* report);
 
   /// Opens (creating the directory and first segment if needed) and
@@ -373,7 +272,7 @@ class LedgerJournal {
   const std::string& dir() const { return options_.dir; }
 
  private:
-  explicit LedgerJournal(JournalOptions options, JournalIo* io);
+  explicit LedgerJournal(JournalOptions options, FileIo* io);
 
   std::string SegmentPath(const std::string& name) const;
   /// Writes `data` fully with bounded retry/backoff. A failed write
@@ -386,24 +285,23 @@ class LedgerJournal {
   /// can claim durability that never happened; sync failures go
   /// straight to the truncate-repair (fresh bytes, meaningful fsync)
   /// and the charge is refused.
-  Status WriteWithRetry(JournalFile* file, const char* data, size_t n,
+  Status WriteWithRetry(DurableFile* file, const char* data, size_t n,
                         uint64_t base_offset, uint64_t seq, size_t* landed)
       REQUIRES(mu_);
   /// Creates segment `start_seq` (header written + synced); on success
-  /// replaces the active segment. `compact` additionally deletes every
-  /// prior segment after the swap.
-  Status RotateLocked(uint64_t start_seq, bool compact) REQUIRES(mu_);
+  /// replaces the active segment.
+  Status RotateLocked(uint64_t start_seq) REQUIRES(mu_);
   /// Frames and durably appends one encoded record; on failure
   /// restores the tail invariant (truncate) or poisons.
   Status AppendFramedLocked(const JournalRecord& record) REQUIRES(mu_);
   void Backoff(uint64_t seq, int attempt) const;
 
   const JournalOptions options_;
-  JournalIo* const io_;
+  FileIo* const io_;
 
   mutable std::mutex mu_;
   Status health_ GUARDED_BY(mu_);
-  std::unique_ptr<JournalFile> active_ GUARDED_BY(mu_);
+  std::unique_ptr<DurableFile> active_ GUARDED_BY(mu_);
   std::string active_name_ GUARDED_BY(mu_);
   uint64_t active_bytes_ GUARDED_BY(mu_) = 0;
   uint64_t next_seq_ GUARDED_BY(mu_) = 1;

@@ -149,7 +149,7 @@ QueryEngine::QueryEngine(EngineOptions options)
     jopts.io_retries = options_.journal_io_retries;
     jopts.retry_backoff_micros = options_.journal_retry_backoff_micros;
     jopts.allow_torn_tail = options_.journal_allow_torn_tail;
-    jopts.io = options_.journal_io;
+    jopts.io = options_.file_io;
     jopts.metrics = &telemetry_.metrics();
     Result<std::unique_ptr<LedgerJournal>> journal =
         LedgerJournal::Open(std::move(jopts));
@@ -710,7 +710,8 @@ Status QueryEngine::WriteSnapshot() {
   }
 
   return snapshot::Write(options_.snapshot_path, image,
-                         options_.snapshot_keep_generations);
+                         options_.snapshot_keep_generations,
+                         options_.file_io);
 }
 
 // Spreads precompute keys (consecutive versions) across shards.

@@ -223,9 +223,10 @@ struct EngineOptions {
   /// itself due (runs after each request, under all accountant shard
   /// locks). Off: the caller drives CheckpointJournal() itself.
   bool journal_auto_checkpoint = true;
-  /// Test seam: pluggable journal I/O (fault injection; not owned).
-  /// Null uses POSIX.
-  JournalIo* journal_io = nullptr;
+  /// Test seam: the file I/O both durable stores run on — the
+  /// journal here and the snapshot store below (fault injection; not
+  /// owned; see engine/durable_file.h). Null uses POSIX.
+  FileIo* file_io = nullptr;
 
   // ---- snapshot-store knobs (see engine/snapshot_store.h) ----
 

@@ -1,20 +1,15 @@
 #include "engine/snapshot_store.h"
 
-#include <dirent.h>
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
-#include <sys/types.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
+#include <memory>
 #include <utility>
 
 #include "common/check.h"
-#include "common/crc32c.h"
 
 namespace blowfish {
 
@@ -22,8 +17,6 @@ namespace {
 
 constexpr char kMagic[8] = {'B', 'F', 'S', 'N', 'A', 'P', 'S', '1'};
 constexpr uint32_t kFormatVersion = 1;
-constexpr size_t kHeaderBytes = 24;
-constexpr size_t kFrameOverhead = 8;  // u32 len + u32 masked crc
 // A section is one policy (graph + data) or one transform; even a
 // millions-of-edges graph stays far under this. A larger claimed
 // length is garbage, not data.
@@ -32,130 +25,6 @@ constexpr uint32_t kMaxSectionBytes = 1u << 30;
 constexpr uint8_t kSectionPolicy = 1;
 constexpr uint8_t kSectionTransform = 2;
 constexpr uint8_t kSectionFooter = 3;
-
-// ------------------------------------------ little-endian wire encode
-
-void PutU16(std::string* out, uint16_t v) {
-  out->push_back(static_cast<char>(v & 0xFF));
-  out->push_back(static_cast<char>((v >> 8) & 0xFF));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void PutF64(std::string* out, double v) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v), "IEEE double expected");
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-void PutLenPrefixed(std::string* out, std::string_view s) {
-  // Policy names and family tags are short by construction.
-  const size_t n = std::min<size_t>(s.size(), 0xFFFF);
-  PutU16(out, static_cast<uint16_t>(n));
-  out->append(s.data(), n);
-}
-
-uint32_t GetU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<uint8_t>(p[i]);
-  }
-  return v;
-}
-
-uint64_t GetU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<uint8_t>(p[i]);
-  }
-  return v;
-}
-
-/// Bounds-checked section parser (same contract as the journal's):
-/// any read past the payload flips `ok` and yields zeros, so decode
-/// failure is one flag check, never UB.
-struct ByteReader {
-  const char* p;
-  const char* end;
-  bool ok = true;
-
-  bool Take(size_t n) {
-    if (!ok || static_cast<size_t>(end - p) < n) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-  uint8_t U8() {
-    if (!Take(1)) return 0;
-    return static_cast<uint8_t>(*p++);
-  }
-  uint16_t U16() {
-    if (!Take(2)) return 0;
-    uint16_t v = static_cast<uint16_t>(static_cast<uint8_t>(p[0]) |
-                                       (static_cast<uint8_t>(p[1]) << 8));
-    p += 2;
-    return v;
-  }
-  uint32_t U32() {
-    if (!Take(4)) return 0;
-    uint32_t v = GetU32(p);
-    p += 4;
-    return v;
-  }
-  uint64_t U64() {
-    if (!Take(8)) return 0;
-    uint64_t v = GetU64(p);
-    p += 8;
-    return v;
-  }
-  double F64() {
-    uint64_t bits = U64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  bool Str(std::string* out) {
-    uint16_t n = U16();
-    if (!Take(n)) return false;
-    out->assign(p, n);
-    p += n;
-    return true;
-  }
-  bool done() const { return ok && p == end; }
-};
-
-std::string ErrnoMessage(const std::string& op, const std::string& path) {
-  return op + "(" + path + "): " + std::strerror(errno);
-}
-
-bool IsSnapshotName(const std::string& name) {
-  // snapshot-<16 hex>.bfs — fixed width, so lexicographic order is
-  // generation order.
-  if (name.size() != 9 + 16 + 4) return false;
-  if (name.compare(0, 9, "snapshot-") != 0) return false;
-  if (name.compare(25, 4, ".bfs") != 0) return false;
-  for (size_t i = 9; i < 25; ++i) {
-    const char c = name[i];
-    if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))) return false;
-  }
-  return true;
-}
-
-uint64_t GenerationOf(const std::string& name) {
-  return std::strtoull(name.substr(9, 16).c_str(), nullptr, 16);
-}
 
 // ------------------------------------------------------- section codec
 
@@ -253,20 +122,9 @@ bool DecodeTransformSection(ByteReader* r, SnapshotTransform* t) {
   return r->done();
 }
 
-void AppendFrame(const std::string& payload, std::string* out) {
-  PutU32(out, static_cast<uint32_t>(payload.size()));
-  PutU32(out, Crc32cMask(Crc32c(payload.data(), payload.size())));
-  out->append(payload);
-}
-
 std::string SerializeImage(const SnapshotImage& image, uint64_t generation) {
   std::string out;
-  out.reserve(kHeaderBytes);
-  out.append(kMagic, sizeof(kMagic));
-  PutU32(&out, kFormatVersion);
-  PutU64(&out, generation);
-  PutU32(&out, Crc32c(out.data(), out.size()));
-  BF_DCHECK_EQ(out.size(), kHeaderBytes);
+  AppendFileHeader(kMagic, kFormatVersion, generation, &out);
 
   std::string payload;
   size_t sections = 0;
@@ -341,50 +199,31 @@ class MappedFile {
 bool ParseMapped(const char* data, size_t size, SnapshotImage* image,
                  snapshot::VerifyReport* report) {
   report->valid_prefix_bytes = 0;
-  if (size < kHeaderBytes) {
-    report->errors.push_back("file shorter than the 24-byte header");
-    return false;
-  }
-  if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0) {
-    report->errors.push_back("bad magic (not a snapshot file)");
-    return false;
-  }
-  const uint32_t format = GetU32(data + 8);
-  const uint64_t generation = GetU64(data + 12);
-  const uint32_t header_crc = GetU32(data + 20);
-  if (Crc32c(data, 20) != header_crc) {
-    report->errors.push_back("header CRC mismatch (torn header)");
-    return false;
-  }
-  if (format != kFormatVersion) {
-    report->errors.push_back("unsupported format version " +
-                             std::to_string(format));
+  uint64_t generation = 0;
+  std::string bad = CheckFileHeader(data, size, kMagic, kFormatVersion,
+                                    &generation);
+  if (!bad.empty()) {
+    report->errors.push_back(std::move(bad));
     return false;
   }
   report->generation = generation;
   image->generation = generation;
-  report->valid_prefix_bytes = kHeaderBytes;
+  report->valid_prefix_bytes = kFileHeaderBytes;
 
-  size_t offset = kHeaderBytes;
+  size_t offset = kFileHeaderBytes;
   uint32_t footer_sections = 0;
   while (offset < size) {
-    if (size - offset < kFrameOverhead) {
-      report->errors.push_back("truncated frame header at byte " +
-                               std::to_string(offset));
-      return false;
-    }
-    const uint32_t len = GetU32(data + offset);
-    const uint32_t masked_crc = GetU32(data + offset + 4);
-    if (len == 0 || len > kMaxSectionBytes ||
-        len > size - offset - kFrameOverhead) {
-      report->errors.push_back("truncated or oversized section at byte " +
-                               std::to_string(offset));
-      return false;
-    }
-    const char* payload = data + offset + kFrameOverhead;
-    if (Crc32c(payload, len) != Crc32cUnmask(masked_crc)) {
-      report->errors.push_back("section CRC mismatch at byte " +
-                               std::to_string(offset));
+    std::string_view payload;
+    const FrameCheck frame =
+        ReadFrame(data, size, offset, kMaxSectionBytes, &payload);
+    if (frame != FrameCheck::kOk) {
+      // Unlike a journal tail, a damaged frame fails the whole file:
+      // the caller falls back to the previous generation.
+      report->errors.push_back(
+          (frame == FrameCheck::kBadCrc ? "section CRC mismatch at byte "
+                                        : "truncated or oversized section "
+                                          "at byte ") +
+          std::to_string(offset));
       return false;
     }
     if (report->footer_ok) {
@@ -392,7 +231,7 @@ bool ParseMapped(const char* data, size_t size, SnapshotImage* image,
                                std::to_string(offset));
       return false;
     }
-    ByteReader r{payload, payload + len};
+    ByteReader r{payload.data(), payload.data() + payload.size()};
     const uint8_t type = r.U8();
     bool decoded = false;
     switch (type) {
@@ -431,7 +270,7 @@ bool ParseMapped(const char* data, size_t size, SnapshotImage* image,
       return false;
     }
     ++report->sections;
-    offset += kFrameOverhead + len;
+    offset += kFrameOverhead + payload.size();
     report->valid_prefix_bytes = offset;
   }
   if (!report->footer_ok) {
@@ -448,113 +287,78 @@ bool ParseMapped(const char* data, size_t size, SnapshotImage* image,
   return true;
 }
 
-Status ListSnapshotNames(const std::string& dir,
-                         std::vector<std::string>* names) {
-  names->clear();
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) {
-    if (errno == ENOENT) return Status::OK();
-    return Status::IOError(ErrnoMessage("opendir", dir));
-  }
-  for (struct dirent* e = ::readdir(d); e != nullptr; e = ::readdir(d)) {
-    const std::string name = e->d_name;
-    if (IsSnapshotName(name)) names->push_back(name);
-  }
-  ::closedir(d);
-  std::sort(names->begin(), names->end());
-  return Status::OK();
-}
-
-Status SyncDir(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return Status::IOError(ErrnoMessage("open", dir));
-  const int rc = ::fsync(fd);
-  const int saved = errno;
-  ::close(fd);
-  if (rc != 0) {
-    errno = saved;
-    return Status::IOError(ErrnoMessage("fsync", dir));
-  }
-  return Status::OK();
-}
-
-Status WriteFileDurably(const std::string& path, const std::string& bytes) {
-  // Owner-only: snapshots carry the private histograms.
-  const int fd = ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0600);
-  if (fd < 0) return Status::IOError(ErrnoMessage("open", path));
-  size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t w = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      const Status s = Status::IOError(ErrnoMessage("write", path));
-      ::close(fd);
-      return s;
+/// Writes `bytes` to `path` through `io` and fsyncs it.
+Status WriteTmpFile(FileIo* io, const std::string& path,
+                    const std::string& bytes) {
+  Result<std::unique_ptr<DurableFile>> opened = io->OpenAppend(path);
+  if (!opened.ok()) return opened.status();
+  std::unique_ptr<DurableFile> file = std::move(opened).ValueOrDie();
+  // A crash mid-write can leave a stale tmp under this name; appending
+  // after its bytes would prefix the new generation with garbage.
+  Status st = file->Truncate(0);
+  for (size_t off = 0; st.ok() && off < bytes.size();) {
+    Result<size_t> w = file->Append(bytes.data() + off, bytes.size() - off);
+    if (w.ok()) {
+      off += *w;  // a short write is progress; 0 is an interrupted call
+    } else {
+      st = w.status();
     }
-    off += static_cast<size_t>(w);
   }
-  if (::fsync(fd) != 0) {
-    const Status s = Status::IOError(ErrnoMessage("fsync", path));
-    ::close(fd);
-    return s;
-  }
-  if (::close(fd) != 0) {
-    return Status::IOError(ErrnoMessage("close", path));
-  }
-  return Status::OK();
+  if (st.ok()) st = file->Sync();
+  const Status closed = file->Close();
+  return st.ok() ? closed : st;
 }
 
 }  // namespace
 
 namespace snapshot {
 
-std::string FileName(uint64_t generation) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "snapshot-%016llx.bfs",
-                static_cast<unsigned long long>(generation));
-  return buf;
-}
-
-Result<std::vector<std::string>> ListFiles(const std::string& dir) {
-  std::vector<std::string> names;
-  BF_RETURN_NOT_OK(ListSnapshotNames(dir, &names));
+Result<std::vector<std::string>> ListFiles(const std::string& dir,
+                                           FileIo* io) {
+  Result<std::vector<std::string>> names =
+      ListNumbered(io != nullptr ? io : PosixFileIo(), dir, kFileName);
+  if (!names.ok() && names.status().code() == StatusCode::kNotFound) {
+    return std::vector<std::string>();  // nothing written yet
+  }
   return names;
 }
 
 Status Write(const std::string& dir, const SnapshotImage& image,
-             size_t keep_generations, uint64_t* generation_out) {
+             size_t keep_generations, FileIo* io) {
   if (dir.empty()) {
     return Status::InvalidArgument("snapshot directory not configured");
   }
-  if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    return Status::IOError(ErrnoMessage("mkdir", dir));
-  }
-  std::vector<std::string> names;
-  BF_RETURN_NOT_OK(ListSnapshotNames(dir, &names));
-  const uint64_t generation =
-      names.empty() ? 1 : GenerationOf(names.back()) + 1;
+  if (io == nullptr) io = PosixFileIo();
+  BF_RETURN_NOT_OK(io->CreateDir(dir));
+  Result<std::vector<std::string>> listed = ListFiles(dir, io);
+  if (!listed.ok()) return listed.status();
+  std::vector<std::string> names = *listed;
+  uint64_t newest = 0;
+  if (!names.empty()) kFileName.Parse(names.back(), &newest);
+  const uint64_t generation = newest + 1;
 
   const std::string bytes = SerializeImage(image, generation);
-  const std::string final_path = dir + "/" + FileName(generation);
+  names.push_back(kFileName.Format(generation));
+  const std::string final_path = dir + "/" + names.back();
   const std::string tmp_path = final_path + ".tmp";
-  BF_RETURN_NOT_OK(WriteFileDurably(tmp_path, bytes));
-  if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    return Status::IOError(ErrnoMessage("rename", final_path));
+  Status st = WriteTmpFile(io, tmp_path, bytes);
+  if (st.ok()) st = io->Rename(tmp_path, final_path);
+  if (!st.ok()) {
+    // Best effort; a SIGKILL mid-write can still leave the tmp, which
+    // the next write of this generation empties before use.
+    (void)io->Remove(tmp_path);
+    return st;
   }
-  BF_RETURN_NOT_OK(SyncDir(dir));
+  BF_RETURN_NOT_OK(io->SyncDir(dir));
 
   // Prune: the new generation is durable, so older files beyond the
   // keep window are dead weight. Keep >= 1 older generation when
   // asked to, as the fallback for a future torn write.
   const size_t keep = std::max<size_t>(keep_generations, 1);
-  names.push_back(FileName(generation));
-  if (names.size() > keep) {
-    for (size_t i = 0; i + keep < names.size(); ++i) {
-      // Best effort: a surviving stale file is re-pruned next write.
-      ::unlink((dir + "/" + names[i]).c_str());
-    }
+  for (size_t i = 0; i + keep < names.size(); ++i) {
+    // Best effort: a surviving stale file is re-pruned next write.
+    (void)io->Remove(dir + "/" + names[i]);
   }
-  if (generation_out != nullptr) *generation_out = generation;
   return Status::OK();
 }
 
@@ -566,13 +370,13 @@ Status OpenLatest(const std::string& dir, SnapshotImage* image,
   if (dir.empty()) {
     return Status::InvalidArgument("snapshot directory not configured");
   }
-  std::vector<std::string> names;
-  const Status list = ListSnapshotNames(dir, &names);
-  if (!list.ok()) {
+  Result<std::vector<std::string>> listed = ListFiles(dir);
+  if (!listed.ok()) {
     // Unreadable directory is a cold start, not a refusal.
-    report->skipped.push_back(dir + ": " + list.message());
+    report->skipped.push_back(dir + ": " + listed.status().message());
     return Status::OK();
   }
+  const std::vector<std::string>& names = *listed;
   // Newest first: a valid newer generation always wins; corrupt files
   // fall back to the previous generation.
   for (auto it = names.rbegin(); it != names.rend(); ++it) {

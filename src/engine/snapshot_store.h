@@ -6,14 +6,10 @@
 // readmits warm traffic without recomputing them. Plans are rebuilt
 // from kind hints, re-certifying any spanner stretch.
 //
-// File format (`snapshot-<generation:016x>.bfs`, little-endian):
-//
-//   header (24 bytes):
-//     magic "BFSNAPS1" | u32 format version | u64 generation |
-//     u32 CRC32C over the preceding 20 bytes
-//   then a sequence of frames, each:
-//     u32 payload_len | u32 masked CRC32C(payload) | payload
-//   payload[0] is the section type:
+// File format: `snapshot-<generation:016x>.bfs` in the durable-file
+// layout the ε-spend journal shares (engine/durable_file.h): a header
+// with magic "BFSNAPS1" and the generation, then frames whose
+// payload[0] is the section type:
 //     kPolicy    1: one registered policy (graph, domain, data,
 //                   epsilon cap, version, plan-slot hints)
 //     kTransform 2: one cached precompute, keyed
@@ -28,9 +24,11 @@
 // is fail-open by contract: it can only ever make restart cheaper,
 // never turn a valid request into a refusal.
 //
-// Writers serialize to a buffer, write `<name>.tmp`, fsync, rename,
-// and fsync the directory, so a crash mid-write leaves at worst a
-// stale tmp file and never touches the previous generation.
+// Writers serialize to a buffer and publish through the shared FileIo
+// interface: write `<name>.tmp` (emptied first, in case a crash left
+// one), fsync, rename, and fsync the directory. A crash mid-write
+// leaves at worst a stale tmp file and never touches the previous
+// generation; a write that fails with an error removes its tmp.
 
 #ifndef BLOWFISH_ENGINE_SNAPSHOT_STORE_H_
 #define BLOWFISH_ENGINE_SNAPSHOT_STORE_H_
@@ -42,6 +40,7 @@
 #include "common/status.h"
 #include "core/blowfish_mechanism.h"
 #include "core/policy.h"
+#include "engine/durable_file.h"
 
 namespace blowfish {
 
@@ -119,15 +118,16 @@ struct VerifyReport {
   std::vector<std::string> errors;
 };
 
+/// `snapshot-<generation:016x>.bfs`.
+inline constexpr NumberedName kFileName{"snapshot", "bfs"};
+
 /// Serializes `image` as the next generation under `dir` (created if
 /// missing): generation = newest existing + 1, written atomically
-/// (tmp + fsync + rename + dir fsync). Afterwards prunes all but the
-/// newest `keep_generations` files (always keeps >= 1). On success
-/// `image.generation` is ignored; the chosen generation is returned
-/// through `*generation_out` when non-null.
+/// (tmp + fsync + rename + dir fsync) through `io` (null = POSIX).
+/// Afterwards prunes all but the newest `keep_generations` files
+/// (always keeps >= 1). `image.generation` is ignored.
 [[nodiscard]] Status Write(const std::string& dir, const SnapshotImage& image,
-                           size_t keep_generations,
-                           uint64_t* generation_out = nullptr);
+                           size_t keep_generations, FileIo* io = nullptr);
 
 /// Maps the newest valid generation under `dir` into `*image`.
 /// Fail-open: corrupt or torn files are skipped (recorded in
@@ -147,10 +147,7 @@ struct VerifyReport {
 /// generation order by construction). Missing directory is an empty
 /// list, not an error.
 [[nodiscard]] Result<std::vector<std::string>> ListFiles(
-    const std::string& dir);
-
-/// `snapshot-<generation:016x>.bfs`.
-std::string FileName(uint64_t generation);
+    const std::string& dir, FileIo* io = nullptr);
 
 }  // namespace snapshot
 

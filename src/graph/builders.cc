@@ -1,6 +1,9 @@
 #include "graph/builders.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 
@@ -128,6 +131,29 @@ Graph DistanceThresholdGraph(const DomainShape& domain, size_t theta) {
     }
   }
   return g;
+}
+
+size_t DistanceThresholdEdgeCount(const DomainShape& domain, size_t theta) {
+  size_t diameter = 0;  // no offset reaches farther than this
+  for (size_t i = 0; i < domain.num_dims(); ++i) diameter += domain.dim(i) - 1;
+  theta = std::min(theta, diameter);
+  // pairs[b]: Σ over offsets of the dims seen so far with ‖δ‖₁ = b of
+  // the in-grid pair counts Π (n_i − |δ_i|).
+  std::vector<size_t> pairs(theta + 1, 0);
+  pairs[0] = 1;
+  for (size_t i = 0; i < domain.num_dims(); ++i) {
+    const size_t n = domain.dim(i);
+    std::vector<size_t> next(theta + 1, 0);
+    for (size_t b = 0; b <= theta; ++b) {
+      for (size_t t = 0; t <= b && t < n; ++t) {
+        next[b] += pairs[b - t] * (t == 0 ? n : 2 * (n - t));  // ±t
+      }
+    }
+    pairs = std::move(next);
+  }
+  size_t ordered = 0;
+  for (size_t b = 1; b <= theta; ++b) ordered += pairs[b];
+  return ordered / 2;
 }
 
 Graph SensitiveAttributeGraph(const DomainShape& domain,

@@ -56,6 +56,11 @@ Graph StarBottomGraph(size_t k);
 /// domain is the grid graph of Section 5.2.2.
 Graph DistanceThresholdGraph(const DomainShape& domain, size_t theta);
 
+/// DistanceThresholdGraph(domain, theta).num_edges(), counted without
+/// building the graph: every offset δ with 0 < ‖δ‖₁ <= θ joins
+/// Π_i (n_i − |δ_i|) vertex pairs, and δ and −δ name the same edges.
+size_t DistanceThresholdEdgeCount(const DomainShape& domain, size_t theta);
+
 /// "Sensitive attribute" policy of Appendix E: domain = product of
 /// attribute domains; u ~ v iff they differ in exactly one attribute
 /// and that attribute is in `sensitive_dims`. Generally disconnected.

@@ -162,9 +162,9 @@ TEST(JournalCrashTest, RecoveredSpendBracketsAckedSpendAcrossCrashes) {
 
   // Cleanup.
   JournalScanReport report;
-  if (LedgerJournal::Scan(dir, PosixJournalIo(), &report).ok()) {
+  if (LedgerJournal::Scan(dir, PosixFileIo(), &report).ok()) {
     for (const auto& segment : report.segments) {
-      (void)PosixJournalIo()->Remove(dir + "/" + segment.name);
+      (void)PosixFileIo()->Remove(dir + "/" + segment.name);
     }
   }
   ::rmdir(dir.c_str());

@@ -39,9 +39,9 @@ class JournalTest : public ::testing::Test {
   void TearDown() override {
     // Best-effort cleanup; stray files are in /tmp anyway.
     JournalScanReport report;
-    if (LedgerJournal::Scan(dir_, PosixJournalIo(), &report).ok()) {
+    if (LedgerJournal::Scan(dir_, PosixFileIo(), &report).ok()) {
       for (const auto& segment : report.segments) {
-        (void)PosixJournalIo()->Remove(dir_ + "/" + segment.name);
+        (void)PosixFileIo()->Remove(dir_ + "/" + segment.name);
       }
     }
     ::rmdir(dir_.c_str());
@@ -71,7 +71,7 @@ JournalRecord Spend(uint64_t seq, const std::string& id, double epsilon,
 // Writes a raw segment file from already-framed body bytes.
 void WriteSegment(const std::string& dir, uint64_t start_seq,
                   const std::string& body) {
-  const std::string path = dir + "/" + JournalSegmentName(start_seq);
+  const std::string path = dir + "/" + kJournalSegmentName.Format(start_seq);
   std::string bytes = JournalSegmentHeader(start_seq) + body;
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
@@ -83,7 +83,7 @@ std::string Frame(const JournalRecord& rec) {
   std::string payload;
   JournalEncodeRecord(rec, &payload);
   std::string framed;
-  JournalFrameRecord(payload, &framed);
+  AppendFrame(payload, &framed);
   return framed;
 }
 
@@ -152,7 +152,7 @@ TEST_F(JournalTest, RefusalsReplayToZeroSpend) {
                     .ok());
   }
   JournalScanReport report;
-  ASSERT_TRUE(LedgerJournal::Scan(dir_, PosixJournalIo(), &report).ok());
+  ASSERT_TRUE(LedgerJournal::Scan(dir_, PosixFileIo(), &report).ok());
   EXPECT_EQ(report.refusals, 1u);
   EXPECT_EQ(report.spends, 0u);
 
@@ -180,7 +180,7 @@ TEST_F(JournalTest, TornTailRefusedWithoutFlagRepairedWithIt) {
                good1 + good2 + torn.substr(0, torn.size() - 5));
 
   JournalScanReport report;
-  ASSERT_TRUE(LedgerJournal::Scan(dir_, PosixJournalIo(), &report).ok());
+  ASSERT_TRUE(LedgerJournal::Scan(dir_, PosixFileIo(), &report).ok());
   EXPECT_TRUE(report.torn_tail);
   EXPECT_TRUE(report.errors.empty());
   EXPECT_EQ(report.records, 2u);
@@ -201,7 +201,9 @@ TEST_F(JournalTest, TornTailRefusedWithoutFlagRepairedWithIt) {
   EXPECT_EQ(led.spent, 0.25 + 0.25);
   // The tear was truncated out of the file on disk.
   const std::string bytes =
-      PosixJournalIo()->ReadAll(dir_ + "/" + JournalSegmentName(1)).ValueOrDie();
+      PosixFileIo()
+          ->ReadAll(dir_ + "/" + kJournalSegmentName.Format(1))
+          .ValueOrDie();
   EXPECT_EQ(bytes.size(), report.torn_good_bytes);
   // And the journal keeps appending where the verified tail ended.
   EXPECT_EQ(journal->stats().next_seq, 3u);
@@ -215,7 +217,7 @@ TEST_F(JournalTest, BadHeaderFinalSegmentIsTearOnlyWhenHeaderSized) {
   // rotation tear — recovery must refuse rather than delete what could
   // be acknowledged spends.
   WriteSegment(dir_, 1, Frame(Spend(1, "session/a", 0.25, 0.75)));
-  const std::string late = dir_ + "/" + JournalSegmentName(2);
+  const std::string late = dir_ + "/" + kJournalSegmentName.Format(2);
   std::string garbage(64, '\xee');
   std::FILE* f = std::fopen(late.c_str(), "wb");
   ASSERT_NE(f, nullptr);
@@ -224,7 +226,7 @@ TEST_F(JournalTest, BadHeaderFinalSegmentIsTearOnlyWhenHeaderSized) {
   std::fclose(f);
 
   JournalScanReport report;
-  ASSERT_TRUE(LedgerJournal::Scan(dir_, PosixJournalIo(), &report).ok());
+  ASSERT_TRUE(LedgerJournal::Scan(dir_, PosixFileIo(), &report).ok());
   EXPECT_FALSE(report.torn_tail);
   EXPECT_FALSE(report.errors.empty());
   JournalOptions options = Options();
@@ -234,9 +236,9 @@ TEST_F(JournalTest, BadHeaderFinalSegmentIsTearOnlyWhenHeaderSized) {
   // A partial header (<= 24 bytes) with nothing after it IS the
   // crash-during-rotation signature: deletable, and the acknowledged
   // spend in segment 1 survives recovery.
-  ASSERT_TRUE(PosixJournalIo()->TruncateFile(late, 10).ok());
+  ASSERT_TRUE(PosixFileIo()->TruncateFile(late, 10).ok());
   JournalScanReport torn_report;
-  ASSERT_TRUE(LedgerJournal::Scan(dir_, PosixJournalIo(), &torn_report).ok());
+  ASSERT_TRUE(LedgerJournal::Scan(dir_, PosixFileIo(), &torn_report).ok());
   EXPECT_TRUE(torn_report.torn_tail);
   EXPECT_TRUE(torn_report.errors.empty());
   EXPECT_EQ(torn_report.torn_good_bytes, 0u);
@@ -255,7 +257,7 @@ TEST_F(JournalTest, MidFileCorruptionAlwaysRefuses) {
   WriteSegment(dir_, 1, good1 + bad + good3);
 
   JournalScanReport report;
-  ASSERT_TRUE(LedgerJournal::Scan(dir_, PosixJournalIo(), &report).ok());
+  ASSERT_TRUE(LedgerJournal::Scan(dir_, PosixFileIo(), &report).ok());
   EXPECT_FALSE(report.errors.empty());
   EXPECT_FALSE(report.torn_tail);  // data follows the damage: not a tear
 
@@ -271,16 +273,16 @@ TEST_F(JournalTest, SeqGapAndDuplicateRefuse) {
     WriteSegment(dir_, 1, Frame(Spend(1, "session/a", 0.1, 0.9)) +
                               Frame(Spend(3, "session/a", 0.1, 0.8)));
     JournalScanReport report;
-    ASSERT_TRUE(LedgerJournal::Scan(dir_, PosixJournalIo(), &report).ok());
+    ASSERT_TRUE(LedgerJournal::Scan(dir_, PosixFileIo(), &report).ok());
     EXPECT_FALSE(report.errors.empty());
     EXPECT_FALSE(LedgerJournal::Open(Options()).ok());
     ASSERT_TRUE(
-        PosixJournalIo()->Remove(dir_ + "/" + JournalSegmentName(1)).ok());
+        PosixFileIo()->Remove(dir_ + "/" + kJournalSegmentName.Format(1)).ok());
   }
   WriteSegment(dir_, 1, Frame(Spend(1, "session/a", 0.1, 0.9)) +
                             Frame(Spend(1, "session/a", 0.1, 0.8)));
   JournalScanReport report;
-  ASSERT_TRUE(LedgerJournal::Scan(dir_, PosixJournalIo(), &report).ok());
+  ASSERT_TRUE(LedgerJournal::Scan(dir_, PosixFileIo(), &report).ok());
   EXPECT_FALSE(report.errors.empty());
   EXPECT_FALSE(LedgerJournal::Open(Options()).ok());
 }
@@ -417,8 +419,8 @@ TEST_F(JournalTest, FailedRestoreHandsRecoveredBalanceBack) {
 // ------------------------------------------------------ injected faults
 
 TEST_F(JournalTest, TransientAppendFailureIsRiddenOut) {
-  JournalFaultPlan plan;
-  FaultInjectingJournalIo io(PosixJournalIo(), &plan);
+  FileFaultPlan plan;
+  FaultInjectingFileIo io(PosixFileIo(), &plan);
   JournalOptions options = Options();
   options.io = &io;
   auto journal = LedgerJournal::Open(options).ValueOrDie();
@@ -442,8 +444,8 @@ TEST_F(JournalTest, TransientAppendFailureIsRiddenOut) {
 }
 
 TEST_F(JournalTest, ShortWritesAreProgressNotFaults) {
-  JournalFaultPlan plan;
-  FaultInjectingJournalIo io(PosixJournalIo(), &plan);
+  FileFaultPlan plan;
+  FaultInjectingFileIo io(PosixFileIo(), &plan);
   JournalOptions options = Options();
   options.io = &io;
   auto journal = LedgerJournal::Open(options).ValueOrDie();
@@ -460,8 +462,8 @@ TEST_F(JournalTest, ShortWritesAreProgressNotFaults) {
 }
 
 TEST_F(JournalTest, DeadDiskFailsClosedAndStaysUsable) {
-  JournalFaultPlan plan;
-  FaultInjectingJournalIo io(PosixJournalIo(), &plan);
+  FileFaultPlan plan;
+  FaultInjectingFileIo io(PosixFileIo(), &plan);
   JournalOptions options = Options();
   options.io = &io;
   options.io_retries = 2;
@@ -488,8 +490,8 @@ TEST_F(JournalTest, DeadDiskFailsClosedAndStaysUsable) {
 }
 
 TEST_F(JournalTest, FsyncFailureRefusesWithoutRetryingSync) {
-  JournalFaultPlan plan;
-  FaultInjectingJournalIo io(PosixJournalIo(), &plan);
+  FileFaultPlan plan;
+  FaultInjectingFileIo io(PosixFileIo(), &plan);
   JournalOptions options = Options();
   options.io = &io;
   auto journal = LedgerJournal::Open(options).ValueOrDie();
@@ -509,8 +511,8 @@ TEST_F(JournalTest, FsyncFailureRefusesWithoutRetryingSync) {
 }
 
 TEST_F(JournalTest, UnrepairableFailurePoisonsEveryLaterCharge) {
-  JournalFaultPlan plan;
-  FaultInjectingJournalIo io(PosixJournalIo(), &plan);
+  FileFaultPlan plan;
+  FaultInjectingFileIo io(PosixFileIo(), &plan);
   JournalOptions options = Options();
   options.io = &io;
   auto journal = LedgerJournal::Open(options).ValueOrDie();
@@ -597,7 +599,7 @@ TEST_F(JournalTest, SegmentsAreOwnerOnly) {
   ASSERT_TRUE(engine->Submit(request).ok());
 
   JournalScanReport report;
-  ASSERT_TRUE(LedgerJournal::Scan(dir_, PosixJournalIo(), &report).ok());
+  ASSERT_TRUE(LedgerJournal::Scan(dir_, PosixFileIo(), &report).ok());
   ASSERT_FALSE(report.segments.empty());
   for (const auto& segment : report.segments) {
     struct stat st;
@@ -610,15 +612,15 @@ TEST_F(JournalTest, EngineJournalFailureRefusesChargeAndDrawsNoNoise) {
   // Twin engines, same seed. A skips the doomed submit entirely; B
   // attempts it against a dead journal and must be refused. If the
   // refusal drew any noise, B's later answers would diverge from A's.
-  JournalFaultPlan plan;
-  FaultInjectingJournalIo faulty(PosixJournalIo(), &plan);
+  FileFaultPlan plan;
+  FaultInjectingFileIo faulty(PosixFileIo(), &plan);
   auto run = [&](bool inject_failure, const std::string& journal_dir,
-                 JournalIo* io, Vector* final_answers,
+                 FileIo* io, Vector* final_answers,
                  double* remaining) -> Status {
     EngineOptions options;
     options.seed = 20150831;
     options.journal_path = journal_dir;
-    options.journal_io = io;
+    options.file_io = io;
     options.journal_io_retries = 1;
     options.journal_retry_backoff_micros = 0;
     auto opened = QueryEngine::Open(options);
@@ -669,7 +671,7 @@ TEST_F(JournalTest, EngineJournalFailureRefusesChargeAndDrawsNoNoise) {
   Vector answers_a, answers_b;
   double remaining_a = 0.0, remaining_b = 0.0;
   ASSERT_TRUE(
-      run(false, dir_, PosixJournalIo(), &answers_a, &remaining_a).ok());
+      run(false, dir_, PosixFileIo(), &answers_a, &remaining_a).ok());
   ASSERT_TRUE(run(true, twin_dir, &faulty, &answers_b, &remaining_b).ok());
 
   ASSERT_EQ(answers_a.size(), answers_b.size());
@@ -680,9 +682,9 @@ TEST_F(JournalTest, EngineJournalFailureRefusesChargeAndDrawsNoNoise) {
   EXPECT_TRUE(BitEqual(remaining_a, remaining_b));
 
   JournalScanReport report;
-  ASSERT_TRUE(LedgerJournal::Scan(twin_dir, PosixJournalIo(), &report).ok());
+  ASSERT_TRUE(LedgerJournal::Scan(twin_dir, PosixFileIo(), &report).ok());
   for (const auto& segment : report.segments) {
-    (void)PosixJournalIo()->Remove(twin_dir + "/" + segment.name);
+    (void)PosixFileIo()->Remove(twin_dir + "/" + segment.name);
   }
   ::rmdir(twin_dir.c_str());
 }
@@ -691,7 +693,7 @@ TEST_F(JournalTest, CorruptJournalPoisonsEngineFailClosed) {
   // A journal Open() refuses must poison a plainly-constructed engine:
   // every Admit refuses, and the Open factory surfaces the error.
   std::string garbage(64, '\xee');
-  const std::string path = dir_ + "/" + JournalSegmentName(1);
+  const std::string path = dir_ + "/" + kJournalSegmentName.Format(1);
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   std::fwrite(garbage.data(), 1, garbage.size(), f);
@@ -724,8 +726,8 @@ TEST_F(JournalTest, CorruptJournalPoisonsEngineFailClosed) {
   }
   EXPECT_EQ(*engine.SessionRemaining("alice"), 3.0);
 
-  (void)PosixJournalIo()->Remove(path);
-  (void)PosixJournalIo()->Remove(dir_ + "/" + JournalSegmentName(2));
+  (void)PosixFileIo()->Remove(path);
+  (void)PosixFileIo()->Remove(dir_ + "/" + kJournalSegmentName.Format(2));
 }
 
 TEST_F(JournalTest, BatchOnlyTrafficCheckpointsAndStaysCompact) {

@@ -238,13 +238,13 @@ TEST(ObsServer, ServesMetricsVarzHealthzFlightz) {
 
 TEST(ObsServer, HealthzFlipsTo503WhenDurabilityPoisons) {
   const std::string dir = MakeTempDir();
-  JournalFaultPlan plan;
-  FaultInjectingJournalIo io(PosixJournalIo(), &plan);
+  FileFaultPlan plan;
+  FaultInjectingFileIo io(PosixFileIo(), &plan);
   EngineOptions options;
   options.seed = 7;
   options.obs_port = 0;
   options.journal_path = dir;
-  options.journal_io = &io;
+  options.file_io = &io;
   auto engine = QueryEngine::Open(options).ValueOrDie();
   ASSERT_NE(engine->obs_server(), nullptr);
   const int port = engine->obs_server()->port();

@@ -18,6 +18,14 @@
 namespace blowfish {
 namespace {
 
+/// Default options with a fixed seed; plans are built on first use.
+EngineOptions SeededOptions(uint64_t seed) {
+  EngineOptions options;
+  options.seed = seed;
+  options.warm_plan_cache = false;
+  return options;
+}
+
 Vector Ramp(size_t n) {
   Vector x(n);
   for (size_t i = 0; i < n; ++i) x[i] = static_cast<double>(i % 5);
@@ -151,7 +159,7 @@ TEST(TransformCache, DropTransformedEvictsAcrossShardsOnLifecycleOps) {
   // different precompute shards. Each warm submit populates the
   // sharded transform cache; Replace/Unregister must evict exactly
   // the superseded snapshot's entries wherever they hashed to.
-  QueryEngine engine(EngineOptions{/*seed=*/1, false});
+  QueryEngine engine(SeededOptions(1));
   const size_t kPolicies = 6;
   for (size_t i = 0; i < kPolicies; ++i) {
     ASSERT_TRUE(engine
@@ -294,7 +302,7 @@ TEST(PlanCacheBudget, WarmSlotHitsKeepTheLookupInvariant) {
 }
 
 TEST(TransformCache, DensePrecomputesEvictWithTheirSnapshot) {
-  QueryEngine engine(EngineOptions{/*seed=*/1, false});
+  QueryEngine engine(SeededOptions(1));
   ASSERT_TRUE(
       engine.RegisterPolicy("line", LinePolicy(16), Ramp(16), 100.0).ok());
   ASSERT_TRUE(engine.OpenSession("s", 1e6).ok());

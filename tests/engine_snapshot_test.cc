@@ -261,8 +261,8 @@ TEST(SnapshotStoreTest, WritePrunesToKeepGenerations) {
   Result<std::vector<std::string>> files = snapshot::ListFiles(dir);
   ASSERT_TRUE(files.ok());
   ASSERT_EQ(files.ValueOrDie().size(), 2u);
-  EXPECT_EQ(files.ValueOrDie().back(), snapshot::FileName(4));
-  EXPECT_EQ(files.ValueOrDie().front(), snapshot::FileName(3));
+  EXPECT_EQ(files.ValueOrDie().back(), snapshot::kFileName.Format(4));
+  EXPECT_EQ(files.ValueOrDie().front(), snapshot::kFileName.Format(3));
 
   RemoveTree(dir);
 }
@@ -294,7 +294,7 @@ TEST(SnapshotStoreTest, SnapshotFilesAreOwnerOnly) {
 void ExpectFallbackToPreviousGeneration(
     void (*mutate)(const std::string& newest_path)) {
   const std::string dir = BuildTwoGenerationStore();
-  mutate(dir + "/" + snapshot::FileName(2));
+  mutate(dir + "/" + snapshot::kFileName.Format(2));
 
   QueryEngine engine(SnapOptions(dir));
   const QueryEngine::SnapshotRestoreStats& stats =
@@ -302,7 +302,7 @@ void ExpectFallbackToPreviousGeneration(
   EXPECT_TRUE(stats.loaded);
   EXPECT_EQ(stats.generation, 1u);  // the stale-but-valid generation
   ASSERT_EQ(stats.skipped_files.size(), 1u);
-  EXPECT_NE(stats.skipped_files[0].find(snapshot::FileName(2)),
+  EXPECT_NE(stats.skipped_files[0].find(snapshot::kFileName.Format(2)),
             std::string::npos)
       << stats.skipped_files[0];
   EXPECT_EQ(stats.policies_restored, 5u);
@@ -347,7 +347,7 @@ TEST(SnapshotStoreTest, MidFileCrcMismatchFallsBackToPreviousGeneration) {
 TEST(SnapshotStoreTest, AllGenerationsCorruptIsColdStartNotRefusal) {
   const std::string dir = BuildTwoGenerationStore();
   for (uint64_t gen = 1; gen <= 2; ++gen) {
-    const std::string path = dir + "/" + snapshot::FileName(gen);
+    const std::string path = dir + "/" + snapshot::kFileName.Format(gen);
     std::vector<uint8_t> bytes = ReadFileBytes(path);
     ASSERT_GT(bytes.size(), 24u);
     bytes[3] ^= 0xff;  // break the magic
@@ -368,7 +368,7 @@ TEST(SnapshotStoreTest, AllGenerationsCorruptIsColdStartNotRefusal) {
 
 TEST(SnapshotStoreTest, VerifyDistinguishesTornTailFromMidFileDamage) {
   const std::string dir = BuildTwoGenerationStore();
-  const std::string newest = dir + "/" + snapshot::FileName(2);
+  const std::string newest = dir + "/" + snapshot::kFileName.Format(2);
   const std::vector<uint8_t> pristine = ReadFileBytes(newest);
 
   // Torn tail: valid prefix, footer gone.

@@ -23,6 +23,14 @@
 namespace blowfish {
 namespace {
 
+/// Default options with a fixed seed; plans are built on first use.
+EngineOptions SeededOptions(uint64_t seed) {
+  EngineOptions options;
+  options.seed = seed;
+  options.warm_plan_cache = false;
+  return options;
+}
+
 Vector Ramp(size_t n) {
   Vector x(n);
   for (size_t i = 0; i < n; ++i) x[i] = static_cast<double>(i % 7);
@@ -79,7 +87,7 @@ RangeWorkload SomeRanges(size_t k, size_t count) {
 TEST(StreamDeterminism, GridFastPathChunksMatchSubmit) {
   const size_t k = 16;
   const auto make_engine = [&] {
-    auto engine = std::make_unique<QueryEngine>(EngineOptions{/*seed=*/41, false});
+    auto engine = std::make_unique<QueryEngine>(SeededOptions(41));
     engine
         ->RegisterPolicy("slab", GridPolicy(DomainShape({k, k}), 4),
                          Ramp(k * k), 100.0)
@@ -123,7 +131,7 @@ TEST(StreamDeterminism, GridFastPathChunksMatchSubmit) {
 TEST(StreamDeterminism, DenseRowBlocksMatchSubmit) {
   const size_t domain = 48;
   const auto make_engine = [&] {
-    auto engine = std::make_unique<QueryEngine>(EngineOptions{/*seed=*/42, false});
+    auto engine = std::make_unique<QueryEngine>(SeededOptions(42));
     engine->RegisterPolicy("line", LinePolicy(domain), Ramp(domain), 100.0)
         .Check();
     engine->OpenSession("s", 100.0).Check();
@@ -156,7 +164,7 @@ TEST(StreamDeterminism, SummedAreaRangePathMatchesSubmit) {
   // table; the stream shares that table across chunks.
   const size_t domain = 64;
   const auto make_engine = [&] {
-    auto engine = std::make_unique<QueryEngine>(EngineOptions{/*seed=*/43, false});
+    auto engine = std::make_unique<QueryEngine>(SeededOptions(43));
     engine->RegisterPolicy("line", LinePolicy(domain), Ramp(domain), 100.0)
         .Check();
     engine->OpenSession("s", 100.0).Check();
@@ -193,7 +201,7 @@ TEST(StreamDeterminism, AsyncSingleWorkerMatchesSequentialSubmit) {
   request.ranges = SomeRanges(k, 25);
   request.epsilon = 0.5;
 
-  QueryEngine reference(EngineOptions{/*seed=*/44, false});
+  QueryEngine reference(SeededOptions(44));
   reference
       .RegisterPolicy("slab", GridPolicy(DomainShape({k, k}), 4), Ramp(k * k),
                       100.0)
@@ -234,7 +242,7 @@ TEST(StreamDeterminism, AsyncSingleWorkerMatchesSequentialSubmit) {
 // Lifecycle: cancellation, charges, terminal exactly-once.
 
 TEST(StreamLifecycle, CancelKeepsChargeAndIsSticky) {
-  QueryEngine engine(EngineOptions{/*seed=*/45, false});
+  QueryEngine engine(SeededOptions(45));
   engine.RegisterPolicy("line", LinePolicy(32), Ramp(32), 10.0).Check();
   engine.OpenSession("s", 10.0).Check();
   QueryRequest request;
@@ -268,7 +276,7 @@ TEST(StreamLifecycle, CancelKeepsChargeAndIsSticky) {
 }
 
 TEST(StreamLifecycle, AdmissionFailureArrivesAsTerminalStatus) {
-  QueryEngine engine(EngineOptions{/*seed=*/46, false});
+  QueryEngine engine(SeededOptions(46));
   engine.RegisterPolicy("line", LinePolicy(16), Ramp(16), 0.5).Check();
   engine.OpenSession("s", 10.0).Check();
   QueryRequest request;
@@ -428,7 +436,7 @@ TEST(StreamFlowControl, SlowConsumerParksProducerAndLosesNothing) {
   request.workload = IdentityWorkload(96);
   request.epsilon = 0.1;
 
-  QueryEngine reference(EngineOptions{/*seed=*/51, false});
+  QueryEngine reference(SeededOptions(51));
   reference.RegisterPolicy("line", LinePolicy(96), Ramp(96), 1e6).Check();
   reference.OpenSession("s", 1e6).Check();
   const QueryResult full = reference.Submit(request).ValueOrDie();

@@ -260,7 +260,10 @@ TEST_F(QueryEngineTest, ReplaceInvalidatesCachedPlansAndRestartsCap) {
 }
 
 TEST_F(QueryEngineTest, WarmCacheOptionPlansAtRegistration) {
-  QueryEngine warm(EngineOptions{/*seed=*/1, /*warm_plan_cache=*/true});
+  EngineOptions options;
+  options.seed = 1;
+  options.warm_plan_cache = true;
+  QueryEngine warm(options);
   ASSERT_TRUE(
       warm.RegisterPolicy("p", LinePolicy(16), Ramp(16), 10.0).ok());
   ASSERT_TRUE(warm.OpenSession("s", 10.0).ok());

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "graph/algorithms.h"
 #include "graph/builders.h"
 #include "graph/graph.h"
@@ -94,6 +96,21 @@ TEST(Builders, DistanceThreshold2DMatchesDefinition) {
     for (size_t b = a + 1; b < 16; ++b) {
       const bool expected = domain.L1Distance(a, b) <= 2;
       EXPECT_EQ(g.HasEdge(a, b), expected) << a << "," << b;
+    }
+  }
+}
+
+TEST(Builders, DistanceThresholdEdgeCountMatchesBuiltGraph) {
+  const std::vector<std::vector<size_t>> shapes = {
+      {1},    {5},    {17},      {4, 4},   {8, 8},   {12, 12},
+      {3, 7}, {7, 3}, {1, 9},    {5, 12},  {16, 2},  {3, 4, 5}};
+  for (const std::vector<size_t>& dims : shapes) {
+    const DomainShape domain(dims);
+    for (size_t theta : {1, 2, 3, 4, 5, 8, 20}) {
+      EXPECT_EQ(DistanceThresholdEdgeCount(domain, theta),
+                DistanceThresholdGraph(domain, theta).num_edges())
+          << "dims " << dims.size() << " first " << dims[0] << " theta "
+          << theta;
     }
   }
 }

@@ -48,6 +48,27 @@ TEST(Planner, GridThetaRoutedToRangeMechanism) {
   EXPECT_EQ(plan.mechanism->Run(x, 1.0, &rng).size(), 64u);
 }
 
+TEST(Planner, GridThetaMissingOneEdgeIsNotRoutedAsGridTheta) {
+  // Same θ (the dropped edge is a unit step), one edge short of Gθ:
+  // the grid-θ mechanism's guarantee would not hold for this policy.
+  const DomainShape domain({8, 8});
+  const Graph full = DistanceThresholdGraph(domain, 3);
+  Graph g(full.num_vertices());
+  bool dropped = false;
+  for (const Graph::Edge& e : full.edges()) {
+    if (!dropped && domain.L1Distance(e.u, e.v) == 1) {
+      dropped = true;
+      continue;
+    }
+    g.AddEdge(e.u, e.v);
+  }
+  ASSERT_TRUE(dropped);
+  PlanRequest req{Policy{"almost-grid", domain, std::move(g)}, false};
+  const Plan plan = PlanMechanism(std::move(req)).ValueOrDie();
+  EXPECT_NE(plan.kind, "grid-theta-range");
+  ASSERT_NE(plan.mechanism, nullptr);
+}
+
 TEST(Planner, CycleFallsBackToSpanningTree) {
   PlanRequest req{Policy{"cycle", DomainShape({10}), CycleGraph(10)}, false};
   const Plan plan = PlanMechanism(std::move(req)).ValueOrDie();

@@ -18,6 +18,10 @@
 //   exit 3  torn tail only — the crash-mid-append signature; Open()
 //           recovers with journal_allow_torn_tail, refuses without
 //
+// Segments with group or other permission bits are reported as
+// warnings (the journal creates them owner-only; older files may not
+// be); warnings never change the exit code.
+//
 // --json prints the full report as one JSON object (balances with
 // %.17g doubles) for scripted smoke checks; --quiet suppresses the
 // human summary and keeps only the exit code.
@@ -26,8 +30,10 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "engine/durable_file.h"
 #include "engine/ledger_journal.h"
 
 namespace {
@@ -152,10 +158,16 @@ int main(int argc, char** argv) {
   if (dir.empty()) Usage("journal directory missing");
 
   JournalScanReport report;
-  Status scanned = LedgerJournal::Scan(dir, PosixJournalIo(), &report);
+  Status scanned = LedgerJournal::Scan(dir, PosixFileIo(), &report);
   if (!scanned.ok()) {
     std::fprintf(stderr, "ledger_fsck: %s\n", scanned.ToString().c_str());
     return 2;
+  }
+  // Data at rest: segments written before the 0600 create mode keep
+  // 0644. Advisory, like the balance cross-checks: the exit code holds.
+  for (const auto& segment : report.segments) {
+    std::string warning = OwnerOnlyWarning(dir + "/" + segment.name);
+    if (!warning.empty()) report.warnings.push_back(std::move(warning));
   }
 
   const bool corrupt = !report.errors.empty();

@@ -20,6 +20,10 @@
 //           prefix followed by a truncated final frame and no footer;
 //           OpenLatest falls back to the previous generation
 //
+// Files with group or other permission bits are reported as warnings
+// (the store creates them owner-only; older files may not be);
+// warnings never change the exit code.
+//
 // --json prints the full report as one JSON object for scripted smoke
 // checks; --quiet suppresses the human summary, keeping the exit code.
 
@@ -32,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/durable_file.h"
 #include "engine/snapshot_store.h"
 
 namespace {
@@ -72,6 +77,7 @@ struct FileVerdict {
   snapshot::VerifyReport report;
   bool io_error = false;
   std::string io_message;
+  std::string mode_warning;  ///< group/other permission bits (advisory)
   // A torn tail is damage confined to the unfinished end of the file:
   // some prefix verified, the footer never made it. Anything else —
   // bad header (no valid prefix at all) or damage *before* the end —
@@ -111,6 +117,10 @@ std::string ReportJson(const std::string& target,
     out += ",\"valid_prefix_bytes\":" + std::to_string(r.valid_prefix_bytes);
     out += ",\"torn_tail\":";
     out += file.TornTailOnly() ? "true" : "false";
+    if (!file.mode_warning.empty()) {
+      out += ",\"warning\":";
+      AppendJsonString(file.mode_warning, &out);
+    }
     out += ",\"errors\":[";
     for (size_t j = 0; j < r.errors.size(); ++j) {
       if (j > 0) out += ",";
@@ -172,6 +182,7 @@ int main(int argc, char** argv) {
   for (const std::string& path : paths) {
     FileVerdict file;
     file.path = path;
+    file.mode_warning = OwnerOnlyWarning(path);
     Status verified = snapshot::Verify(path, &file.report);
     if (!verified.ok()) {
       file.io_error = true;
@@ -215,6 +226,9 @@ int main(int argc, char** argv) {
                     " verified bytes precede the tear; OpenLatest falls "
                     "back to the previous generation\n",
                     r.valid_prefix_bytes);
+      }
+      if (!file.mode_warning.empty()) {
+        std::printf("    warning: %s\n", file.mode_warning.c_str());
       }
       for (const std::string& error : r.errors) {
         std::printf("    ERROR: %s\n", error.c_str());
