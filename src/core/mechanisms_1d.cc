@@ -22,20 +22,25 @@ TreeTransformMechanism::TreeTransformMechanism(PolicyTransform transform,
 }
 
 Result<std::unique_ptr<TreeTransformMechanism>> TreeTransformMechanism::Create(
-    Policy policy, HistogramMechanismPtr inner, Options options) {
+    PolicyTransform transform, HistogramMechanismPtr inner, Options options) {
   if (inner == nullptr) {
     return Status::InvalidArgument("tree transform: inner mechanism required");
   }
-  Result<PolicyTransform> transform = PolicyTransform::Create(std::move(policy));
-  if (!transform.ok()) return transform.status();
-  if (!transform.ValueOrDie().is_tree()) {
+  if (!transform.is_tree()) {
     return Status::InvalidArgument(
         "tree transform requires a tree-reducible policy (Theorem 4.3); "
         "use the matrix-mechanism strategies or a spanner instead");
   }
   return std::unique_ptr<TreeTransformMechanism>(new TreeTransformMechanism(
-      std::move(transform).ValueOrDie(), std::move(inner),
-      std::move(options)));
+      std::move(transform), std::move(inner), std::move(options)));
+}
+
+Result<std::unique_ptr<TreeTransformMechanism>> TreeTransformMechanism::Create(
+    Policy policy, HistogramMechanismPtr inner, Options options) {
+  Result<PolicyTransform> transform = PolicyTransform::Create(std::move(policy));
+  if (!transform.ok()) return transform.status();
+  return Create(std::move(transform).ValueOrDie(), std::move(inner),
+                std::move(options));
 }
 
 Result<std::unique_ptr<TreeTransformMechanism>> TreeTransformMechanism::Create(

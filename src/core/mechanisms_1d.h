@@ -43,7 +43,12 @@ class TreeTransformMechanism : public BlowfishMechanism {
   };
 
   /// Fails unless the reduced policy graph is a tree (Theorem 4.3's
-  /// hypothesis).
+  /// hypothesis). The transform-taking form adopts a transform the
+  /// caller already built; the policy-taking forms build it and
+  /// delegate.
+  static Result<std::unique_ptr<TreeTransformMechanism>> Create(
+      PolicyTransform transform, HistogramMechanismPtr inner,
+      Options options);
   static Result<std::unique_ptr<TreeTransformMechanism>> Create(
       Policy policy, HistogramMechanismPtr inner, Options options);
   static Result<std::unique_ptr<TreeTransformMechanism>> Create(

@@ -112,16 +112,20 @@ Result<Plan> PlanMechanismImpl(PlanRequest request) {
     return Status::InvalidArgument("policy graph has no edges");
   }
 
-  // 1) Tree-reducible: the strongest regime (Theorem 4.3).
-  {
+  // 1) Tree-reducible: the strongest regime (Theorem 4.3). Reduction
+  // keeps every policy edge and leaves at most k+1 vertices counting
+  // ⊥, so a graph with more than k edges cannot reduce to a tree and
+  // skips building the transform.
+  const Graph& graph = request.policy.graph;
+  if (graph.num_edges() <= graph.num_vertices()) {
     Result<PolicyTransform> probe = PolicyTransform::Create(request.policy);
     if (!probe.ok()) return probe.status();
     if (probe.ValueOrDie().is_tree()) {
       TreeTransformMechanism::Options options;
-      options.enforce_monotone = IsConsecutiveLineGraph(request.policy.graph);
+      options.enforce_monotone = IsConsecutiveLineGraph(graph);
       Result<std::unique_ptr<TreeTransformMechanism>> mech =
-          TreeTransformMechanism::Create(request.policy, InnerFor(request),
-                                         options);
+          TreeTransformMechanism::Create(std::move(probe).ValueOrDie(),
+                                         InnerFor(request), options);
       if (!mech.ok()) return mech.status();
       Plan plan;
       plan.kind = "tree-transform";

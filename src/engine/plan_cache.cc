@@ -76,8 +76,7 @@ Result<std::shared_ptr<const Plan>> PlanCache::GetOrCompute(
     const std::string& key, const std::function<Result<Plan>()>& factory,
     bool* cache_hit) {
   // Counters are bumped exactly once per call, only after the call's
-  // role is known — never "miss now, correct later", which would race
-  // a concurrent Clear() into underflow.
+  // role is known.
   if (byte_budget_ == 0) {
     // Unbounded: recency is meaningless, so the probe stays a shared
     // (concurrent) read.
@@ -160,19 +159,6 @@ Result<std::shared_ptr<const Plan>> PlanCache::GetOrCompute(
   flight->cv.notify_all();
   if (!planned.ok()) return planned.status();
   return plan;
-}
-
-void PlanCache::Clear() {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  entries_.clear();
-  bytes_ = 0;
-  // Reset accounting with the entries: post-Clear stats must describe
-  // the repopulated cache, not hit/eviction rates against dropped
-  // plans.
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  evictions_.store(0, std::memory_order_relaxed);
-  invalidations_.store(0, std::memory_order_relaxed);
 }
 
 PlanCache::Stats PlanCache::stats() const {

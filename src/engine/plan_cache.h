@@ -52,9 +52,7 @@ class PlanCache {
     uint64_t misses = 0;
     /// LRU removals forced by the byte budget (0 when unbounded).
     uint64_t evictions = 0;
-    /// Lifecycle removals via Invalidate() sweeps. Clear() does not
-    /// count here — it resets every counter, this one included, so
-    /// post-Clear stats describe only the repopulated cache.
+    /// Lifecycle removals via Invalidate() sweeps.
     uint64_t invalidations = 0;
     size_t entries = 0;
     /// Modeled resident bytes of the cached plans (never exceeds a
@@ -88,11 +86,6 @@ class PlanCache {
   /// touching the cache, but the hit/miss accounting must still see
   /// one event per lookup (hits + misses == lookups).
   void RecordHit() { hits_.fetch_add(1, std::memory_order_relaxed); }
-
-  /// Drops everything, including the hit/miss counters — stats after a
-  /// Clear() describe only the repopulated cache, never rates against
-  /// entries that no longer exist.
-  void Clear();
 
   Stats stats() const;
 

@@ -602,12 +602,6 @@ void EpsilonAuditLog::Append(AuditEvent event) {
   } else {
     ring_.push_back(std::move(event));
   }
-  if (sink_) sink_(ring_[slot]);
-}
-
-void EpsilonAuditLog::SetSink(std::function<void(const AuditEvent&)> sink) {
-  std::lock_guard<std::mutex> lock(mu_);
-  sink_ = std::move(sink);
 }
 
 std::vector<AuditEvent> EpsilonAuditLog::Snapshot() const {

@@ -37,7 +37,6 @@
 //                      reconciliation engine_telemetry_test pins, and
 //                      the property a durable-state ledger replay
 //                      needs). Events carry the post-charge balances,
-//                      a pluggable sink sees each event as it lands,
 //                      and ExportJsonl() emits crash-portable JSONL
 //                      (doubles printed with %.17g so they round-trip
 //                      exactly).
@@ -527,12 +526,11 @@ struct JsonlReplayReport {
   bool clean() const { return seq_gaps == 0 && errors.empty(); }
 };
 
-/// \brief Bounded ring of audit events with a pluggable sink and a
-/// JSONL exporter. Appends are serialized by one mutex; the
-/// accountant calls Append while holding the charge's shard locks,
-/// which is what makes per-ledger event order identical to spend
-/// order (shard locks order strictly before this mutex; the sink runs
-/// under it and must be fast and never re-enter the engine).
+/// \brief Bounded ring of audit events with a JSONL exporter. Appends
+/// are serialized by one mutex; the accountant calls Append while
+/// holding the charge's shard locks, which is what makes per-ledger
+/// event order identical to spend order (shard locks order strictly
+/// before this mutex).
 class EpsilonAuditLog {
  public:
   /// capacity = 0 disables capture entirely (Append is one branch).
@@ -542,10 +540,6 @@ class EpsilonAuditLog {
   size_t capacity() const { return capacity_; }
 
   void Append(AuditEvent event);
-
-  /// Observes every appended event (even once the ring wraps). Replace
-  /// with nullptr to detach.
-  void SetSink(std::function<void(const AuditEvent&)> sink);
 
   /// Retained events, oldest first (seq order).
   std::vector<AuditEvent> Snapshot() const;
@@ -575,7 +569,6 @@ class EpsilonAuditLog {
   /// Clamp for non-decreasing wall_micros across ring events (the
   /// system clock itself may step backwards).
   int64_t last_wall_micros_ GUARDED_BY(mu_) = 0;
-  std::function<void(const AuditEvent&)> sink_ GUARDED_BY(mu_);
 };
 
 // ---------------------------------------------------- flight recorder

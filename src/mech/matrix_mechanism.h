@@ -5,9 +5,10 @@
 // answers workload W through strategy A. All matrix-mechanism
 // algorithms are data independent, which is exactly why Theorem 4.1
 // shows transformational equivalence holds for them under *every*
-// policy graph. This dense implementation is the reference object for
-// those theorems (and their tests); large-scale strategies use the
-// structured implementations (hierarchical.h, privelet.h).
+// policy graph. This dense implementation is test support: it is the
+// Theorem 4.1 oracle of theorem41_test and mech_basic_test, and nothing
+// in the library or the benches calls it. Served releases use the
+// structured strategies (privelet.h, core/mechanisms_*.h).
 
 #ifndef BLOWFISH_MECH_MATRIX_MECHANISM_H_
 #define BLOWFISH_MECH_MATRIX_MECHANISM_H_

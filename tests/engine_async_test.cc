@@ -193,12 +193,14 @@ TEST(EngineAsync, FloodConservesLedgersExactly) {
 }
 
 TEST(EngineAsync, ColdPlanDoesNotBlockWarmLane) {
-  // A ~100ms spanner certification runs in the cold lane while a warm
-  // flood flows: every warm future must resolve while every cold
-  // future is still pending, the queued same-key cold requests must
-  // coalesce behind the one in-flight plan (PlanCache sees exactly
-  // one miss for the policy), and parked followers must resolve too.
-  constexpr size_t kColdDomain = 4096;  // Theta1D th=4: ~100ms plan
+  // A ~100ms spanner plan runs in the cold lane while a warm flood
+  // flows: every warm future must resolve while every cold future is
+  // still pending, the queued same-key cold requests must coalesce
+  // behind the one in-flight plan (PlanCache sees exactly one miss
+  // for the policy), and parked followers must resolve too.
+  // Theta1D th=4 plans in ~1.5 µs per bin (Release), so k=65536 keeps
+  // the cold window ~100ms wide; the warm flood drains in a few ms.
+  constexpr size_t kColdDomain = 65536;
   constexpr size_t kWarmDomain = 64;
   constexpr size_t kWarmFlood = 100;
 

@@ -84,6 +84,7 @@ TEST(EngineConcurrency, ParallelSubmitsAcrossPoliciesAndSessions) {
   // Each (policy, options) pair planned exactly once; repeats hit.
   const PlanCache::Stats stats = engine.plan_cache_stats();
   EXPECT_EQ(stats.entries, 3u);
+  EXPECT_EQ(stats.misses, 3u);
   EXPECT_GT(stats.hits, 0u);
   EXPECT_EQ(stats.hits + stats.misses, kThreads * kSubmitsPerThread);
 }

@@ -239,8 +239,6 @@ TEST(EngineTelemetry, RefusalsAreAuditedWithUntouchedBalances) {
 
 TEST(EpsilonAuditLog, RingWrapKeepsNewestAndCountsDrops) {
   EpsilonAuditLog log(4);
-  std::vector<uint64_t> sink_seqs;
-  log.SetSink([&](const AuditEvent& event) { sink_seqs.push_back(event.seq); });
   for (int i = 0; i < 10; ++i) {
     AuditEvent event;
     event.epsilon = 0.1 * (i + 1);
@@ -252,10 +250,6 @@ TEST(EpsilonAuditLog, RingWrapKeepsNewestAndCountsDrops) {
   ASSERT_EQ(4u, kept.size());
   EXPECT_EQ(7u, kept.front().seq);
   EXPECT_EQ(10u, kept.back().seq);
-  // The sink saw every event, including the ones the ring dropped.
-  ASSERT_EQ(10u, sink_seqs.size());
-  EXPECT_EQ(1u, sink_seqs.front());
-  EXPECT_EQ(10u, sink_seqs.back());
 }
 
 TEST(EpsilonAuditLog, ZeroCapacityDisablesCapture) {

@@ -124,39 +124,6 @@ TEST(BudgetAccountant, AtomicMultiLedgerCharge) {
   EXPECT_NEAR(*accountant.Remaining("a"), 0.0, 1e-9);
 }
 
-TEST(PlanCacheStats, ClearResetsCountersWithEntries) {
-  PlanCache cache;
-  auto factory = [] {
-    Plan plan;
-    plan.kind = "test";
-    return Result<Plan>(std::move(plan));
-  };
-  bool hit = false;
-  ASSERT_TRUE(cache.GetOrCompute("k", factory, &hit).ok());
-  EXPECT_FALSE(hit);
-  ASSERT_TRUE(cache.GetOrCompute("k", factory, &hit).ok());
-  EXPECT_TRUE(hit);
-  PlanCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.entries, 1u);
-
-  // Clear drops the counters with the entries: stats must never
-  // report hit rates against plans that no longer exist.
-  cache.Clear();
-  stats = cache.stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.entries, 0u);
-
-  ASSERT_TRUE(cache.GetOrCompute("k", factory, &hit).ok());
-  EXPECT_FALSE(hit);
-  stats = cache.stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.entries, 1u);
-}
-
 class QueryEngineTest : public ::testing::Test {
  protected:
   // Three distinct policy families: line (tree transform), θ=1 grid

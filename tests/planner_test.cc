@@ -85,6 +85,23 @@ TEST(Planner, UnboundedDpPolicyIsATree) {
   EXPECT_EQ(plan.kind, "tree-transform");
 }
 
+TEST(Planner, GroundedPathWithKEdgesIsATree) {
+  // A path 0-1-..-7 hung from ⊥ at vertex 0: k edges over k+1 vertices
+  // counting ⊥, the most edges a tree can have, so the planner must
+  // still build the transform and find the tree.
+  Graph g = LineGraph(8);
+  g.AddEdge(0, Graph::kBottom);
+  ASSERT_EQ(g.num_edges(), g.num_vertices());
+  PlanRequest req{Policy{"grounded-path", DomainShape({8}), std::move(g)},
+                  false};
+  const Plan plan = PlanMechanism(std::move(req)).ValueOrDie();
+  EXPECT_EQ(plan.kind, "tree-transform");
+  ASSERT_NE(plan.mechanism, nullptr);
+  Vector x(8, 1.0);
+  Rng rng(5);
+  EXPECT_EQ(plan.mechanism->Run(x, 1.0, &rng).size(), 8u);
+}
+
 TEST(Planner, DataDependentPreferenceSelectsDawa) {
   PlanRequest req{LinePolicy(32), /*prefer_data_dependent=*/true};
   const Plan plan = PlanMechanism(std::move(req)).ValueOrDie();
