@@ -49,7 +49,7 @@ AsyncQueryEngine::AsyncQueryEngine(EngineOptions options) : engine_(options) {
     std::lock_guard<std::mutex> lock(mu_);
     return static_cast<double>(parked_streams_.size());
   });
-  metrics.gauge_callback("engine_async_cold_plans_coalesced", [this] {
+  metrics.counter_callback("engine_async_cold_plans_coalesced", [this] {
     std::lock_guard<std::mutex> lock(mu_);
     return static_cast<double>(cold_coalesced_);
   });

@@ -192,7 +192,7 @@ class PosixIo : public FileIo {
   }
 
   Status CreateDir(const std::string& dir) override {
-    const int rc = ::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST ? -1 : 0;
+    const int rc = ::mkdir(dir.c_str(), 0700) != 0 && errno != EEXIST ? -1 : 0;
     return OkOrErrno(rc, "mkdir", dir);
   }
 
@@ -326,7 +326,8 @@ std::string OwnerOnlyWarning(const std::string& path) {
   std::snprintf(mode, sizeof(mode), "%04o",
                 static_cast<unsigned>(st.st_mode & 07777));
   return path + ": mode " + mode +
-         " grants group/other access; expected owner-only (chmod 600)";
+         " grants group/other access; expected owner-only (chmod " +
+         (S_ISDIR(st.st_mode) ? "700)" : "600)");
 }
 
 }  // namespace blowfish

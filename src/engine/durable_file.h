@@ -159,7 +159,8 @@ class FileIo {
   /// Regular-file names directly inside `dir`, unsorted. A missing
   /// directory is kNotFound.
   virtual Result<std::vector<std::string>> ListDir(const std::string& dir) = 0;
-  virtual Status CreateDir(const std::string& dir) = 0;  ///< ok if exists
+  /// Owner-only (0700); ok if it exists.
+  virtual Status CreateDir(const std::string& dir) = 0;
   virtual Status Remove(const std::string& path) = 0;
   virtual Status Rename(const std::string& from, const std::string& to) = 0;
   /// Durable out-of-band truncate (torn-tail repair at recovery).
@@ -239,8 +240,9 @@ class FaultInjectingFileIo : public FileIo {
 };
 
 /// Data at rest: empty when `path` grants no group or other permission
-/// bits (or cannot be stat'ed), else a warning naming its mode. Files
-/// written before the stores created them 0600 keep 0644.
+/// bits (or cannot be stat'ed), else a warning naming its mode and the
+/// chmod that fixes it. Files written before the stores created them
+/// 0600 keep 0644, directories made before 0700 keep 0755.
 std::string OwnerOnlyWarning(const std::string& path);
 
 }  // namespace blowfish

@@ -121,7 +121,6 @@ QueryEngine::QueryEngine(EngineOptions options)
     : options_(std::move(options)),
       seed_(options_.seed.has_value() ? *options_.seed : Rng::EntropySeed()),
       telemetry_(options_.trace_sample_rate, options_.audit_log_capacity,
-                 /*trace_ring_capacity=*/256,
                  options_.flight_recorder_capacity,
                  options_.burn_alert_capacity),
       plan_cache_(options_.plan_cache_bytes) {
@@ -223,15 +222,15 @@ QueryEngine::QueryEngine(EngineOptions options)
   obs_enabled_ =
       f_tenant_requests_ != nullptr || telemetry_.flight().enabled();
 
-  // Component levels, read at snapshot time from the stats the
-  // components already maintain (no second bookkeeping).
-  metrics.gauge_callback("engine_plan_cache_hits", [this] {
+  // Component levels and monotone counts, read at snapshot time from
+  // the stats the components already maintain (no second bookkeeping).
+  metrics.counter_callback("engine_plan_cache_hits", [this] {
     return static_cast<double>(plan_cache_.stats().hits);
   });
-  metrics.gauge_callback("engine_plan_cache_misses", [this] {
+  metrics.counter_callback("engine_plan_cache_misses", [this] {
     return static_cast<double>(plan_cache_.stats().misses);
   });
-  metrics.gauge_callback("engine_plan_cache_evictions", [this] {
+  metrics.counter_callback("engine_plan_cache_evictions", [this] {
     return static_cast<double>(plan_cache_.stats().evictions);
   });
   metrics.gauge_callback("engine_plan_cache_entries", [this] {
@@ -246,7 +245,7 @@ QueryEngine::QueryEngine(EngineOptions options)
   metrics.gauge_callback("engine_transform_cache_bytes", [this] {
     return static_cast<double>(transform_cache_stats().bytes);
   });
-  metrics.gauge_callback("engine_transform_cache_evictions", [this] {
+  metrics.counter_callback("engine_transform_cache_evictions", [this] {
     return static_cast<double>(transform_cache_stats().evictions);
   });
   metrics.gauge_callback("engine_policies", [this] {
@@ -260,24 +259,24 @@ QueryEngine::QueryEngine(EngineOptions options)
   metrics.gauge_callback(
       "engine_process_resident_bytes", [] { return ProcessResidentBytes(); },
       "Resident set size of the engine process (from /proc/self/statm)");
-  metrics.gauge_callback("engine_audit_events_total", [this] {
+  metrics.counter_callback("engine_audit_events_total", [this] {
     return static_cast<double>(telemetry_.audit().total_events());
   });
   // Events lost to ring wrap-around are exactly the spends a JSONL
   // export can no longer replay, so dashboards alert on this name
-  // (nonzero = widen the ring or attach a sink; the crash journal is
-  // unaffected — it never drops).
-  metrics.gauge_callback("engine_audit_dropped", [this] {
+  // (nonzero = widen the ring or export more often; the crash journal
+  // is unaffected — it never drops).
+  metrics.counter_callback("engine_audit_dropped", [this] {
     return static_cast<double>(telemetry_.audit().dropped());
   });
   // The trace ring's drop counter, mirroring engine_audit_dropped:
   // nonzero means sampled traces were overwritten before an exporter
-  // read them (widen the ring or export more often).
-  metrics.gauge_callback(
+  // read them (sample less or export more often).
+  metrics.counter_callback(
       "engine_trace_dropped",
       [this] { return static_cast<double>(telemetry_.trace_dropped()); },
       "Sampled traces lost to trace-ring wrap-around");
-  metrics.gauge_callback(
+  metrics.counter_callback(
       "engine_burn_alerts_fired_total",
       [this] {
         return static_cast<double>(telemetry_.burn_alerts().fired_total());
@@ -288,7 +287,7 @@ QueryEngine::QueryEngine(EngineOptions options)
       "engine_burn_alerts_active",
       [this] { return static_cast<double>(accountant_.burn_alerts_active()); },
       "Ledgers currently in the burn-alerting state");
-  metrics.gauge_callback(
+  metrics.counter_callback(
       "engine_flight_records_total",
       [this] { return static_cast<double>(telemetry_.flight().total()); },
       "Requests captured by the always-on flight recorder");
@@ -297,7 +296,7 @@ QueryEngine::QueryEngine(EngineOptions options)
       [this] { return telemetry_.flight().incident_fired() ? 1.0 : 0.0; },
       "1 once the flight recorder's incident detector has fired "
       "(first durability refusal or refusal burst)");
-  metrics.gauge_callback(
+  metrics.counter_callback(
       "engine_obs_requests_total",
       [this] {
         return obs_server_ == nullptr

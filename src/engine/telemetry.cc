@@ -20,15 +20,6 @@ int64_t WallMicros() {
       .count();
 }
 
-/// %.17g: the shortest printf format guaranteed to round-trip an IEEE
-/// double exactly — the audit log's balances must reconcile bit-level
-/// after a JSONL round trip.
-void AppendDouble(double v, std::string* out) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out->append(buf);
-}
-
 void AppendU64(uint64_t v, std::string* out) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
@@ -39,31 +30,6 @@ void AppendI64(int64_t v, std::string* out) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%" PRId64, v);
   out->append(buf);
-}
-
-/// Minimal JSON string escape (quotes, backslash, control characters —
-/// policy ledger ids embed '\x1f').
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out->append("\\\""); break;
-      case '\\': out->append("\\\\"); break;
-      case '\n': out->append("\\n"); break;
-      case '\r': out->append("\\r"); break;
-      case '\t': out->append("\\t"); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 /// Prometheus label-value escape (exposition format): backslash,
@@ -106,6 +72,35 @@ void AppendPromHeader(const std::string& name, const std::string& help,
 }
 
 }  // namespace
+
+void AppendJsonString(std::string_view s, std::string* out) {
+  out->push_back('"');
+  for (const char c : s) {
+    switch (c) {
+      case '"': out->append("\\\""); break;
+      case '\\': out->append("\\\\"); break;
+      case '\n': out->append("\\n"); break;
+      case '\r': out->append("\\r"); break;
+      case '\t': out->append("\\t"); break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out->append(buf);
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+  out->push_back('"');
+}
+
+void AppendDouble(double v, std::string* out) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  out->append(buf);
+}
 
 // ---------------------------------------------------------- histogram
 
@@ -172,7 +167,7 @@ uint64_t LatencyHistogram::CumulativeBuckets(uint64_t out[kBuckets]) const {
 
 // ----------------------------------------------------------- registry
 
-bool MetricsRegistry::EntryIsEmpty(const Entry& entry) const {
+bool MetricsRegistry::EntryIsEmpty(const Entry& entry) {
   return entry.counter == nullptr && entry.double_counter == nullptr &&
          entry.gauge == nullptr && entry.histogram == nullptr &&
          entry.callback == nullptr && entry.counter_family == nullptr &&
@@ -180,115 +175,92 @@ bool MetricsRegistry::EntryIsEmpty(const Entry& entry) const {
          entry.histogram_family == nullptr;
 }
 
-Counter* MetricsRegistry::counter(const std::string& name,
-                                  std::string_view help) {
+bool MetricsRegistry::IsCounter(const Entry& entry) {
+  return entry.counter != nullptr || entry.double_counter != nullptr ||
+         (entry.callback != nullptr && entry.callback_is_counter);
+}
+
+void MetricsRegistry::AppendScalarValue(const Entry& entry, std::string* out) {
+  if (entry.counter != nullptr) {
+    AppendU64(entry.counter->value(), out);
+  } else if (entry.double_counter != nullptr) {
+    AppendDouble(entry.double_counter->value(), out);
+  } else if (entry.gauge != nullptr) {
+    AppendI64(entry.gauge->value(), out);
+  } else {
+    AppendDouble(entry.callback(), out);
+  }
+}
+
+template <typename M, typename... Args>
+M* MetricsRegistry::GetOrCreate(const std::string& name, std::string_view help,
+                                std::unique_ptr<M> Entry::*member,
+                                Args&&... args) {
   std::lock_guard<std::mutex> lock(mu_);
   Entry& entry = entries_[name];
-  if (entry.counter == nullptr) {
+  std::unique_ptr<M>& metric = entry.*member;
+  if (metric == nullptr) {
     BF_CHECK_MSG(EntryIsEmpty(entry),
                  "metric '" << name << "' registered with another type");
-    entry.counter = std::make_unique<Counter>();
+    metric = std::make_unique<M>(std::forward<Args>(args)...);
   }
   if (entry.help.empty()) entry.help.assign(help.data(), help.size());
-  return entry.counter.get();
+  return metric.get();
+}
+
+Counter* MetricsRegistry::counter(const std::string& name,
+                                  std::string_view help) {
+  return GetOrCreate(name, help, &Entry::counter);
 }
 
 DoubleCounter* MetricsRegistry::double_counter(const std::string& name,
                                                std::string_view help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Entry& entry = entries_[name];
-  if (entry.double_counter == nullptr) {
-    BF_CHECK_MSG(EntryIsEmpty(entry),
-                 "metric '" << name << "' registered with another type");
-    entry.double_counter = std::make_unique<DoubleCounter>();
-  }
-  if (entry.help.empty()) entry.help.assign(help.data(), help.size());
-  return entry.double_counter.get();
+  return GetOrCreate(name, help, &Entry::double_counter);
 }
 
 Gauge* MetricsRegistry::gauge(const std::string& name, std::string_view help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Entry& entry = entries_[name];
-  if (entry.gauge == nullptr) {
-    BF_CHECK_MSG(EntryIsEmpty(entry),
-                 "metric '" << name << "' registered with another type");
-    entry.gauge = std::make_unique<Gauge>();
-  }
-  if (entry.help.empty()) entry.help.assign(help.data(), help.size());
-  return entry.gauge.get();
+  return GetOrCreate(name, help, &Entry::gauge);
 }
 
 LatencyHistogram* MetricsRegistry::histogram(const std::string& name,
                                              std::string_view help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Entry& entry = entries_[name];
-  if (entry.histogram == nullptr) {
-    BF_CHECK_MSG(EntryIsEmpty(entry),
-                 "metric '" << name << "' registered with another type");
-    entry.histogram = std::make_unique<LatencyHistogram>();
-  }
-  if (entry.help.empty()) entry.help.assign(help.data(), help.size());
-  return entry.histogram.get();
-}
-
-void MetricsRegistry::gauge_callback(const std::string& name,
-                                     std::function<double()> fn,
-                                     std::string_view help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Entry& entry = entries_[name];
-  BF_CHECK_MSG(entry.counter == nullptr && entry.double_counter == nullptr &&
-                   entry.gauge == nullptr && entry.histogram == nullptr &&
-                   entry.counter_family == nullptr &&
-                   entry.double_counter_family == nullptr &&
-                   entry.histogram_family == nullptr,
-               "metric '" << name << "' registered with another type");
-  entry.callback = std::move(fn);
-  if (entry.help.empty()) entry.help.assign(help.data(), help.size());
+  return GetOrCreate(name, help, &Entry::histogram);
 }
 
 CounterFamily* MetricsRegistry::counter_family(
     const std::string& name, std::vector<std::string> label_names,
     size_t max_series, std::string_view help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Entry& entry = entries_[name];
-  if (entry.counter_family == nullptr) {
-    BF_CHECK_MSG(EntryIsEmpty(entry),
-                 "metric '" << name << "' registered with another type");
-    entry.counter_family =
-        std::make_unique<CounterFamily>(std::move(label_names), max_series);
-  }
-  if (entry.help.empty()) entry.help.assign(help.data(), help.size());
-  return entry.counter_family.get();
+  return GetOrCreate(name, help, &Entry::counter_family,
+                     std::move(label_names), max_series);
 }
 
 DoubleCounterFamily* MetricsRegistry::double_counter_family(
     const std::string& name, std::vector<std::string> label_names,
     size_t max_series, std::string_view help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Entry& entry = entries_[name];
-  if (entry.double_counter_family == nullptr) {
-    BF_CHECK_MSG(EntryIsEmpty(entry),
-                 "metric '" << name << "' registered with another type");
-    entry.double_counter_family = std::make_unique<DoubleCounterFamily>(
-        std::move(label_names), max_series);
-  }
-  if (entry.help.empty()) entry.help.assign(help.data(), help.size());
-  return entry.double_counter_family.get();
+  return GetOrCreate(name, help, &Entry::double_counter_family,
+                     std::move(label_names), max_series);
 }
 
 HistogramFamily* MetricsRegistry::histogram_family(
     const std::string& name, std::vector<std::string> label_names,
     size_t max_series, std::string_view help) {
+  return GetOrCreate(name, help, &Entry::histogram_family,
+                     std::move(label_names), max_series);
+}
+
+void MetricsRegistry::RegisterCallback(const std::string& name,
+                                       std::function<double()> fn,
+                                       std::string_view help,
+                                       bool is_counter) {
   std::lock_guard<std::mutex> lock(mu_);
   Entry& entry = entries_[name];
-  if (entry.histogram_family == nullptr) {
-    BF_CHECK_MSG(EntryIsEmpty(entry),
-                 "metric '" << name << "' registered with another type");
-    entry.histogram_family =
-        std::make_unique<HistogramFamily>(std::move(label_names), max_series);
-  }
+  // Re-registering a callback of the same kind replaces it.
+  BF_CHECK_MSG(EntryIsEmpty(entry) || (entry.callback != nullptr &&
+                                       entry.callback_is_counter == is_counter),
+               "metric '" << name << "' registered with another type");
+  entry.callback = std::move(fn);
+  entry.callback_is_counter = is_counter;
   if (entry.help.empty()) entry.help.assign(help.data(), help.size());
-  return entry.histogram_family.get();
 }
 
 bool MetricsRegistry::TryReadValue(const std::string& name,
@@ -301,24 +273,19 @@ bool MetricsRegistry::TryReadValue(const std::string& name,
     const Entry& entry = it->second;
     if (entry.counter != nullptr) {
       *out = static_cast<double>(entry.counter->value());
-      return true;
-    }
-    if (entry.double_counter != nullptr) {
+    } else if (entry.double_counter != nullptr) {
       *out = entry.double_counter->value();
-      return true;
-    }
-    if (entry.gauge != nullptr) {
+    } else if (entry.gauge != nullptr) {
       *out = static_cast<double>(entry.gauge->value());
-      return true;
+    } else if (entry.callback != nullptr) {
+      callback = entry.callback;
+    } else {
+      return false;
     }
-    if (entry.callback == nullptr) return false;
-    callback = entry.callback;
   }
-  // The callback may take its component's locks; run it outside the
-  // registry mutex like the snapshotting paths do not — those hold
-  // mu_, which is fine because callbacks never re-enter the registry;
-  // copying out here keeps this reader just as safe with less nesting.
-  *out = callback();
+  // The callback may take its component's locks, so it runs outside
+  // the registry mutex.
+  if (callback != nullptr) *out = callback();
   return true;
 }
 
@@ -338,6 +305,32 @@ void AppendJsonLabels(const std::vector<std::string>& label_names,
   out->append("}");
 }
 
+/// One family series' fields after its labels: `"value":…` for the
+/// counters, the five summary fields for a histogram.
+void AppendJsonFields(const Counter& counter, std::string* out) {
+  out->append("\"value\":");
+  AppendU64(counter.value(), out);
+}
+
+void AppendJsonFields(const DoubleCounter& counter, std::string* out) {
+  out->append("\"value\":");
+  AppendDouble(counter.value(), out);
+}
+
+void AppendJsonFields(const LatencyHistogram& histogram, std::string* out) {
+  const HistogramSnapshot snap = histogram.Snapshot();
+  out->append("\"count\":");
+  AppendU64(snap.count, out);
+  out->append(",\"sum_ms\":");
+  AppendDouble(snap.sum_ms, out);
+  out->append(",\"p50_ms\":");
+  AppendDouble(snap.p50_ms, out);
+  out->append(",\"p99_ms\":");
+  AppendDouble(snap.p99_ms, out);
+  out->append(",\"max_ms\":");
+  AppendDouble(snap.max_ms, out);
+}
+
 }  // namespace
 
 std::string MetricsRegistry::SnapshotJson() const {
@@ -346,90 +339,46 @@ std::string MetricsRegistry::SnapshotJson() const {
   std::string gauges;
   std::string histograms;
   std::string families;
+  // Opens `"name":` in a comma-separated section.
+  const auto open_key = [](const std::string& name, std::string* section) {
+    if (!section->empty()) section->append(",");
+    AppendJsonString(name, section);
+    section->append(":");
+  };
+  const auto append_family = [&families](const auto& family) {
+    families.append("[");
+    bool first = true;
+    for (const auto& series : family.Snapshot()) {
+      if (!first) families.append(",");
+      first = false;
+      families.append("{\"labels\":");
+      AppendJsonLabels(family.label_names(), series.values, &families);
+      families.append(",");
+      AppendJsonFields(*series.metric, &families);
+      families.append("}");
+    }
+    families.append("]");
+  };
   // entries_ is an ordered map, so the exposition is deterministic.
   for (const auto& [name, entry] : entries_) {
-    if (entry.counter_family != nullptr ||
-        entry.double_counter_family != nullptr ||
-        entry.histogram_family != nullptr) {
-      if (!families.empty()) families.append(",");
-      AppendJsonString(name, &families);
-      families.append(":[");
-      bool first = true;
-      const auto append_series_open = [&](const auto& label_names,
-                                          const auto& series) {
-        if (!first) families.append(",");
-        first = false;
-        families.append("{\"labels\":");
-        AppendJsonLabels(label_names, series.values, &families);
-      };
-      if (entry.counter_family != nullptr) {
-        for (const auto& series : entry.counter_family->Snapshot()) {
-          append_series_open(entry.counter_family->label_names(), series);
-          families.append(",\"value\":");
-          AppendU64(series.metric->value(), &families);
-          families.append("}");
-        }
-      } else if (entry.double_counter_family != nullptr) {
-        for (const auto& series : entry.double_counter_family->Snapshot()) {
-          append_series_open(entry.double_counter_family->label_names(),
-                             series);
-          families.append(",\"value\":");
-          AppendDouble(series.metric->value(), &families);
-          families.append("}");
-        }
-      } else {
-        for (const auto& series : entry.histogram_family->Snapshot()) {
-          append_series_open(entry.histogram_family->label_names(), series);
-          const HistogramSnapshot snap = series.metric->Snapshot();
-          families.append(",\"count\":");
-          AppendU64(snap.count, &families);
-          families.append(",\"sum_ms\":");
-          AppendDouble(snap.sum_ms, &families);
-          families.append(",\"p50_ms\":");
-          AppendDouble(snap.p50_ms, &families);
-          families.append(",\"p99_ms\":");
-          AppendDouble(snap.p99_ms, &families);
-          families.append(",\"max_ms\":");
-          AppendDouble(snap.max_ms, &families);
-          families.append("}");
-        }
-      }
-      families.append("]");
-      continue;
-    }
-    if (entry.counter != nullptr || entry.double_counter != nullptr) {
-      if (!counters.empty()) counters.append(",");
-      AppendJsonString(name, &counters);
-      counters.append(":");
-      if (entry.counter != nullptr) {
-        AppendU64(entry.counter->value(), &counters);
-      } else {
-        AppendDouble(entry.double_counter->value(), &counters);
-      }
-    } else if (entry.gauge != nullptr || entry.callback != nullptr) {
-      if (!gauges.empty()) gauges.append(",");
-      AppendJsonString(name, &gauges);
-      gauges.append(":");
-      if (entry.gauge != nullptr) {
-        AppendI64(entry.gauge->value(), &gauges);
-      } else {
-        AppendDouble(entry.callback(), &gauges);
-      }
+    if (entry.counter_family != nullptr) {
+      open_key(name, &families);
+      append_family(*entry.counter_family);
+    } else if (entry.double_counter_family != nullptr) {
+      open_key(name, &families);
+      append_family(*entry.double_counter_family);
+    } else if (entry.histogram_family != nullptr) {
+      open_key(name, &families);
+      append_family(*entry.histogram_family);
     } else if (entry.histogram != nullptr) {
-      const HistogramSnapshot snap = entry.histogram->Snapshot();
-      if (!histograms.empty()) histograms.append(",");
-      AppendJsonString(name, &histograms);
-      histograms.append(":{\"count\":");
-      AppendU64(snap.count, &histograms);
-      histograms.append(",\"sum_ms\":");
-      AppendDouble(snap.sum_ms, &histograms);
-      histograms.append(",\"p50_ms\":");
-      AppendDouble(snap.p50_ms, &histograms);
-      histograms.append(",\"p99_ms\":");
-      AppendDouble(snap.p99_ms, &histograms);
-      histograms.append(",\"max_ms\":");
-      AppendDouble(snap.max_ms, &histograms);
+      open_key(name, &histograms);
+      histograms.append("{");
+      AppendJsonFields(*entry.histogram, &histograms);
       histograms.append("}");
+    } else {
+      std::string* section = IsCounter(entry) ? &counters : &gauges;
+      open_key(name, section);
+      AppendScalarValue(entry, section);
     }
   }
   std::string out = "{\"counters\":{";
@@ -446,12 +395,26 @@ std::string MetricsRegistry::SnapshotJson() const {
 
 namespace {
 
-/// One histogram's cumulative bucket / sum / count block. `selector`
-/// is the already-escaped `label="value",...` prefix (may be empty)
-/// the bucket lines merge le into.
-void AppendPromHistogram(const std::string& name, const std::string& selector,
-                         const LatencyHistogram& histogram,
-                         std::string* out) {
+/// One family series' sample line(s). `selector` is the
+/// already-escaped `label="value",...` list (may be empty).
+void AppendPromSeries(const std::string& name, const std::string& selector,
+                      const Counter& counter, std::string* out) {
+  out->append(name).append("{").append(selector).append("} ");
+  AppendU64(counter.value(), out);
+  out->append("\n");
+}
+
+void AppendPromSeries(const std::string& name, const std::string& selector,
+                      const DoubleCounter& counter, std::string* out) {
+  out->append(name).append("{").append(selector).append("} ");
+  AppendDouble(counter.value(), out);
+  out->append("\n");
+}
+
+/// A histogram's cumulative bucket / sum / count block; the bucket
+/// lines merge le into `selector`.
+void AppendPromSeries(const std::string& name, const std::string& selector,
+                      const LatencyHistogram& histogram, std::string* out) {
   uint64_t cumulative[LatencyHistogram::kBuckets];
   const uint64_t total = histogram.CumulativeBuckets(cumulative);
   const HistogramSnapshot snap = histogram.Snapshot();
@@ -510,53 +473,30 @@ std::string MetricsRegistry::PrometheusText() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;
   std::string selector;
+  const auto append_family = [&](const std::string& name, const Entry& entry,
+                                 const char* type, const auto& family) {
+    AppendPromHeader(name, entry.help, type, &out);
+    for (const auto& series : family.Snapshot()) {
+      BuildPromSelector(family.label_names(), series.values, &selector);
+      AppendPromSeries(name, selector, *series.metric, &out);
+    }
+  };
   for (const auto& [name, entry] : entries_) {
-    if (entry.counter != nullptr || entry.double_counter != nullptr) {
-      AppendPromHeader(name, entry.help, "counter", &out);
-      out.append(name).append(" ");
-      if (entry.counter != nullptr) {
-        AppendU64(entry.counter->value(), &out);
-      } else {
-        AppendDouble(entry.double_counter->value(), &out);
-      }
-      out.append("\n");
-    } else if (entry.gauge != nullptr || entry.callback != nullptr) {
-      AppendPromHeader(name, entry.help, "gauge", &out);
-      out.append(name).append(" ");
-      if (entry.gauge != nullptr) {
-        AppendI64(entry.gauge->value(), &out);
-      } else {
-        AppendDouble(entry.callback(), &out);
-      }
-      out.append("\n");
+    if (entry.counter_family != nullptr) {
+      append_family(name, entry, "counter", *entry.counter_family);
+    } else if (entry.double_counter_family != nullptr) {
+      append_family(name, entry, "counter", *entry.double_counter_family);
+    } else if (entry.histogram_family != nullptr) {
+      append_family(name, entry, "histogram", *entry.histogram_family);
     } else if (entry.histogram != nullptr) {
       AppendPromHeader(name, entry.help, "histogram", &out);
-      AppendPromHistogram(name, /*selector=*/"", *entry.histogram, &out);
-    } else if (entry.counter_family != nullptr) {
-      AppendPromHeader(name, entry.help, "counter", &out);
-      for (const auto& series : entry.counter_family->Snapshot()) {
-        BuildPromSelector(entry.counter_family->label_names(), series.values,
-                          &selector);
-        out.append(name).append("{").append(selector).append("} ");
-        AppendU64(series.metric->value(), &out);
-        out.append("\n");
-      }
-    } else if (entry.double_counter_family != nullptr) {
-      AppendPromHeader(name, entry.help, "counter", &out);
-      for (const auto& series : entry.double_counter_family->Snapshot()) {
-        BuildPromSelector(entry.double_counter_family->label_names(),
-                          series.values, &selector);
-        out.append(name).append("{").append(selector).append("} ");
-        AppendDouble(series.metric->value(), &out);
-        out.append("\n");
-      }
-    } else if (entry.histogram_family != nullptr) {
-      AppendPromHeader(name, entry.help, "histogram", &out);
-      for (const auto& series : entry.histogram_family->Snapshot()) {
-        BuildPromSelector(entry.histogram_family->label_names(),
-                          series.values, &selector);
-        AppendPromHistogram(name, selector, *series.metric, &out);
-      }
+      AppendPromSeries(name, /*selector=*/"", *entry.histogram, &out);
+    } else {
+      AppendPromHeader(name, entry.help, IsCounter(entry) ? "counter" : "gauge",
+                       &out);
+      out.append(name).append(" ");
+      AppendScalarValue(entry, &out);
+      out.append("\n");
     }
   }
   return out;
@@ -581,53 +521,10 @@ const char* TraceStageName(TraceStage stage) {
 
 // ------------------------------------------------------------ ε audit
 
-EpsilonAuditLog::EpsilonAuditLog(size_t capacity) : capacity_(capacity) {
-  // Pre-size the ring so steady-state appends reuse slots (their
-  // strings keep capacity) instead of growing the vector mid-charge.
-  ring_.reserve(capacity_);
-}
-
 void EpsilonAuditLog::Append(AuditEvent event) {
-  if (capacity_ == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  event.seq = ++total_;
-  // system_clock can step backwards (NTP slew, VM migration); audit
-  // consumers replay by (seq, t_us), so clamp against the previous
-  // event to keep the ring's timestamps non-decreasing.
-  event.wall_micros = std::max(WallMicros(), last_wall_micros_);
-  last_wall_micros_ = event.wall_micros;
-  const size_t slot = static_cast<size_t>((event.seq - 1) % capacity_);
-  if (slot < ring_.size()) {
-    ring_[slot] = std::move(event);
-  } else {
-    ring_.push_back(std::move(event));
-  }
-}
-
-std::vector<AuditEvent> EpsilonAuditLog::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<AuditEvent> out;
-  out.reserve(ring_.size());
-  if (total_ <= capacity_) {
-    out.assign(ring_.begin(), ring_.end());
-    return out;
-  }
-  // Wrapped: the oldest retained event sits right after the newest.
-  const size_t start = static_cast<size_t>(total_ % capacity_);
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
-  }
-  return out;
-}
-
-uint64_t EpsilonAuditLog::total_events() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_;
-}
-
-uint64_t EpsilonAuditLog::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_ > capacity_ ? total_ - capacity_ : 0;
+  if (!enabled()) return;
+  event.wall_micros = WallMicros();
+  log_.Append(std::move(event));
 }
 
 void EpsilonAuditLog::AppendJsonl(const AuditEvent& event, std::string* out) {
@@ -675,14 +572,6 @@ void EpsilonAuditLog::AppendJsonl(const AuditEvent& event, std::string* out) {
     out->append("}");
   }
   out->append("]}\n");
-}
-
-std::string EpsilonAuditLog::ExportJsonl() const {
-  std::string out;
-  for (const AuditEvent& event : Snapshot()) {
-    AppendJsonl(event, &out);
-  }
-  return out;
 }
 
 JsonlReplayReport EpsilonAuditLog::ReplayJsonl(std::string_view jsonl) {
@@ -897,10 +786,6 @@ std::string FlightRecorder::DumpJsonl() const {
 
 // ------------------------------------------------- ε burn-rate alerts
 
-BurnAlertLog::BurnAlertLog(size_t capacity) : capacity_(capacity) {
-  ring_.reserve(capacity_);
-}
-
 void BurnAlertLog::Append(BurnAlert alert) {
   if (alert.fired) {
     fired_.fetch_add(1, std::memory_order_relaxed);
@@ -908,37 +793,7 @@ void BurnAlertLog::Append(BurnAlert alert) {
   } else {
     active_.fetch_sub(1, std::memory_order_relaxed);
   }
-  if (capacity_ == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  alert.seq = ++total_;
-  alert.wall_micros = std::max(alert.wall_micros, last_wall_micros_);
-  last_wall_micros_ = alert.wall_micros;
-  const size_t slot = static_cast<size_t>((alert.seq - 1) % capacity_);
-  if (slot < ring_.size()) {
-    ring_[slot] = std::move(alert);
-  } else {
-    ring_.push_back(std::move(alert));
-  }
-}
-
-std::vector<BurnAlert> BurnAlertLog::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<BurnAlert> out;
-  out.reserve(ring_.size());
-  if (total_ <= capacity_) {
-    out.assign(ring_.begin(), ring_.end());
-    return out;
-  }
-  const size_t start = static_cast<size_t>(total_ % capacity_);
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
-  }
-  return out;
-}
-
-uint64_t BurnAlertLog::total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_;
+  log_.Append(std::move(alert));
 }
 
 void BurnAlertLog::AppendJsonl(const BurnAlert& alert, std::string* out) {
@@ -961,19 +816,10 @@ void BurnAlertLog::AppendJsonl(const BurnAlert& alert, std::string* out) {
   out->append("}\n");
 }
 
-std::string BurnAlertLog::ExportJsonl() const {
-  std::string out;
-  for (const BurnAlert& alert : Snapshot()) {
-    AppendJsonl(alert, &out);
-  }
-  return out;
-}
-
 // ------------------------------------------------------------- facade
 
 EngineTelemetry::EngineTelemetry(double trace_sample_rate,
                                  size_t audit_capacity,
-                                 size_t trace_ring_capacity,
                                  size_t flight_capacity,
                                  size_t burn_alert_capacity)
     : audit_(audit_capacity),
@@ -985,14 +831,12 @@ EngineTelemetry::EngineTelemetry(double trace_sample_rate,
                               1, static_cast<uint64_t>(
                                      std::llround(1.0 / std::min(
                                                             1.0,
-                                                            trace_sample_rate))))),
-      trace_capacity_(trace_ring_capacity) {
+                                                            trace_sample_rate))))) {
   for (size_t i = 0; i < kTraceStageCount; ++i) {
     stage_hist_[i] = metrics_.histogram(
         std::string("engine_stage_") +
         TraceStageName(static_cast<TraceStage>(i)) + "_ms");
   }
-  trace_ring_.reserve(trace_capacity_);
 }
 
 RequestTrace EngineTelemetry::MaybeStartTrace() {
@@ -1017,68 +861,30 @@ void EngineTelemetry::FinishTrace(RequestTrace* trace, bool ok) {
     }
   }
   trace->Reset();
-  if (trace_capacity_ == 0) return;
-  std::lock_guard<std::mutex> lock(trace_mu_);
-  // Stamped under the ring lock (not at function entry) so concurrent
-  // finishes get wall times in ring order, clamped non-decreasing
-  // against the previous record for the same reason as the audit log.
-  record.wall_micros = std::max(WallMicros(), last_trace_wall_micros_);
-  last_trace_wall_micros_ = record.wall_micros;
-  const size_t slot = static_cast<size_t>(trace_total_++ % trace_capacity_);
-  if (slot < trace_ring_.size()) {
-    trace_ring_[slot] = record;
-  } else {
-    trace_ring_.push_back(record);
-  }
-}
-
-std::vector<TraceRecord> EngineTelemetry::SnapshotTraces() const {
-  std::lock_guard<std::mutex> lock(trace_mu_);
-  std::vector<TraceRecord> out;
-  out.reserve(trace_ring_.size());
-  if (trace_total_ <= trace_capacity_) {
-    out.assign(trace_ring_.begin(), trace_ring_.end());
-    return out;
-  }
-  const size_t start = static_cast<size_t>(trace_total_ % trace_capacity_);
-  for (size_t i = 0; i < trace_ring_.size(); ++i) {
-    out.push_back(trace_ring_[(start + i) % trace_ring_.size()]);
-  }
-  return out;
-}
-
-uint64_t EngineTelemetry::trace_total() const {
-  std::lock_guard<std::mutex> lock(trace_mu_);
-  return trace_total_;
-}
-
-uint64_t EngineTelemetry::trace_dropped() const {
-  std::lock_guard<std::mutex> lock(trace_mu_);
-  return trace_total_ > trace_capacity_ ? trace_total_ - trace_capacity_ : 0;
+  record.wall_micros = WallMicros();
+  traces_.Append(std::move(record));
 }
 
 std::string EngineTelemetry::TracesJsonl() const {
-  std::string out;
-  for (const TraceRecord& record : SnapshotTraces()) {
-    out.append("{\"trace_id\":");
-    AppendU64(record.trace_id, &out);
-    out.append(",\"t_us\":");
-    AppendI64(record.wall_micros, &out);
-    out.append(",\"ok\":");
-    out.append(record.ok ? "true" : "false");
-    out.append(",\"stages\":{");
+  return traces_.Jsonl([](const TraceRecord& record, std::string* out) {
+    out->append("{\"trace_id\":");
+    AppendU64(record.trace_id, out);
+    out->append(",\"t_us\":");
+    AppendI64(record.wall_micros, out);
+    out->append(",\"ok\":");
+    out->append(record.ok ? "true" : "false");
+    out->append(",\"stages\":{");
     bool first = true;
     for (size_t i = 0; i < kTraceStageCount; ++i) {
       if (record.stage_ms[i] < 0.0) continue;
-      if (!first) out.append(",");
+      if (!first) out->append(",");
       first = false;
-      AppendJsonString(TraceStageName(static_cast<TraceStage>(i)), &out);
-      out.append(":");
-      AppendDouble(record.stage_ms[i], &out);
+      AppendJsonString(TraceStageName(static_cast<TraceStage>(i)), out);
+      out->append(":");
+      AppendDouble(record.stage_ms[i], out);
     }
-    out.append("}}\n");
-  }
-  return out;
+    out->append("}}\n");
+  });
 }
 
 }  // namespace blowfish

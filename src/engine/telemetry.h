@@ -41,10 +41,10 @@
 //                      (doubles printed with %.17g so they round-trip
 //                      exactly).
 //
-// Thread safety: metric updates are lock-free; the audit ring and the
-// trace ring take their own short mutexes (never while holding any
-// engine lock other than the accountant's shard locks, which order
-// strictly before the audit mutex).
+// Thread safety: metric updates are lock-free. The audit, burn-alert
+// and trace rings are one BoundedLog each, whose short mutex is never
+// taken while holding any engine lock other than the accountant's
+// shard locks, which order strictly before it.
 
 #ifndef BLOWFISH_ENGINE_TELEMETRY_H_
 #define BLOWFISH_ENGINE_TELEMETRY_H_
@@ -52,6 +52,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -65,6 +66,14 @@
 #include "common/thread_annotations.h"
 
 namespace blowfish {
+
+/// Appends `s` as a JSON string literal, escaping quotes, backslash
+/// and control characters (policy ledger ids embed '\x1f').
+void AppendJsonString(std::string_view s, std::string* out);
+/// Appends `v` printed with %.17g, the shortest printf format that
+/// round-trips an IEEE double exactly: audit balances must reconcile
+/// bit-level after a JSONL round trip.
+void AppendDouble(double v, std::string* out);
 
 // ------------------------------------------------------------ metrics
 
@@ -319,7 +328,15 @@ class MetricsRegistry {
   /// its own lock). `fn` runs on the snapshotting thread and may take
   /// that component's locks; it must not call back into the registry.
   void gauge_callback(const std::string& name, std::function<double()> fn,
-                      std::string_view help = {});
+                      std::string_view help = {}) {
+    RegisterCallback(name, std::move(fn), help, /*is_counter=*/false);
+  }
+  /// gauge_callback for a monotone count a component already keeps
+  /// (plan-cache hits, ring totals): exposed as a counter.
+  void counter_callback(const std::string& name, std::function<double()> fn,
+                        std::string_view help = {}) {
+    RegisterCallback(name, std::move(fn), help, /*is_counter=*/true);
+  }
 
   /// Labeled family registration (see MetricFamily). Re-registration
   /// under the same name returns the existing family; `label_names`
@@ -359,16 +376,105 @@ class MetricsRegistry {
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<LatencyHistogram> histogram;
     std::function<double()> callback;
+    bool callback_is_counter = false;
     std::unique_ptr<CounterFamily> counter_family;
     std::unique_ptr<DoubleCounterFamily> double_counter_family;
     std::unique_ptr<HistogramFamily> histogram_family;
     std::string help;
   };
 
-  bool EntryIsEmpty(const Entry& entry) const;
+  static bool EntryIsEmpty(const Entry& entry);
+  static bool IsCounter(const Entry& entry);
+  /// Writes a counter, gauge or callback entry's current value.
+  static void AppendScalarValue(const Entry& entry, std::string* out);
+
+  /// The metric in `entry.*member` for `name`, created from `args` on
+  /// first registration; `help` sticks from the first call that has one.
+  template <typename M, typename... Args>
+  M* GetOrCreate(const std::string& name, std::string_view help,
+                 std::unique_ptr<M> Entry::*member, Args&&... args);
+  void RegisterCallback(const std::string& name, std::function<double()> fn,
+                        std::string_view help, bool is_counter);
 
   mutable std::mutex mu_;
   std::map<std::string, Entry> entries_ GUARDED_BY(mu_);
+};
+
+// -------------------------------------------------------- bounded log
+
+/// \brief The one ring under the telemetry logs (ε audit, burn alerts,
+/// sampled traces): keeps the newest `capacity` records, oldest
+/// overwritten first. Append stamps each record's `seq` (dense,
+/// starting at 1) and clamps its `wall_micros` non-decreasing against
+/// the previous record — the system clock can step backwards (NTP
+/// slew, VM migration), and consumers replay by (seq, t_us). One short
+/// mutex serializes appends; the ring is reserved up front, so
+/// steady-state appends reuse slots (their strings keep capacity)
+/// instead of growing the vector under the lock. Capacity 0 keeps and
+/// counts nothing.
+template <typename T>
+class BoundedLog {
+ public:
+  explicit BoundedLog(size_t capacity) : capacity_(capacity) {
+    ring_.reserve(capacity_);
+  }
+
+  size_t capacity() const { return capacity_; }
+
+  void Append(T&& record) {
+    if (capacity_ == 0) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    record.seq = ++total_;
+    record.wall_micros = std::max(record.wall_micros, last_wall_micros_);
+    last_wall_micros_ = record.wall_micros;
+    const size_t slot = static_cast<size_t>((record.seq - 1) % capacity_);
+    if (slot < ring_.size()) {
+      ring_[slot] = std::move(record);
+    } else {
+      ring_.push_back(std::move(record));
+    }
+  }
+
+  /// Retained records, oldest first (seq order).
+  std::vector<T> Snapshot() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    // The oldest retained record sits right after the newest: slot
+    // total % size (slot 0 until the ring has wrapped).
+    const auto oldest =
+        ring_.begin() +
+        static_cast<std::ptrdiff_t>(ring_.empty() ? 0 : total_ % ring_.size());
+    std::vector<T> out;
+    out.reserve(ring_.size());
+    out.insert(out.end(), oldest, ring_.end());
+    out.insert(out.end(), ring_.begin(), oldest);
+    return out;
+  }
+
+  /// One line per retained record, oldest first.
+  std::string Jsonl(void (*append_line)(const T&, std::string*)) const {
+    std::string out;
+    for (const T& record : Snapshot()) append_line(record, &out);
+    return out;
+  }
+
+  /// Records ever appended; the ring keeps the last min(total, capacity).
+  uint64_t total() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return total_;
+  }
+  /// Records overwritten by ring wrap-around.
+  uint64_t dropped() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return total_ > capacity_ ? total_ - capacity_ : 0;
+  }
+
+ private:
+  const size_t capacity_;
+  mutable std::mutex mu_;
+  /// index = (seq - 1) % capacity
+  std::vector<T> ring_ GUARDED_BY(mu_);
+  uint64_t total_ GUARDED_BY(mu_) = 0;
+  int64_t last_wall_micros_ GUARDED_BY(mu_) = 0;
 };
 
 // ------------------------------------------------------------ tracing
@@ -393,6 +499,7 @@ const char* TraceStageName(TraceStage stage);
 
 /// \brief One completed sampled trace, as kept in the bounded ring.
 struct TraceRecord {
+  uint64_t seq = 0;         ///< ring position; dense, starts at 1
   uint64_t trace_id = 0;
   int64_t wall_micros = 0;  ///< completion wall time
   bool ok = false;          ///< the traced request succeeded
@@ -526,30 +633,31 @@ struct JsonlReplayReport {
   bool clean() const { return seq_gaps == 0 && errors.empty(); }
 };
 
-/// \brief Bounded ring of audit events with a JSONL exporter. Appends
-/// are serialized by one mutex; the accountant calls Append while
-/// holding the charge's shard locks, which is what makes per-ledger
-/// event order identical to spend order (shard locks order strictly
-/// before this mutex).
+/// \brief Bounded log of audit events with a JSONL exporter. Appends
+/// are serialized by the log's mutex; the accountant calls Append
+/// while holding the charge's shard locks, which is what makes
+/// per-ledger event order identical to spend order (shard locks order
+/// strictly before this mutex).
 class EpsilonAuditLog {
  public:
   /// capacity = 0 disables capture entirely (Append is one branch).
-  explicit EpsilonAuditLog(size_t capacity);
+  explicit EpsilonAuditLog(size_t capacity) : log_(capacity) {}
 
-  bool enabled() const { return capacity_ > 0; }
-  size_t capacity() const { return capacity_; }
+  bool enabled() const { return log_.capacity() > 0; }
+  size_t capacity() const { return log_.capacity(); }
 
+  /// Stamps the event's seq and the system clock, then keeps it.
   void Append(AuditEvent event);
 
   /// Retained events, oldest first (seq order).
-  std::vector<AuditEvent> Snapshot() const;
+  std::vector<AuditEvent> Snapshot() const { return log_.Snapshot(); }
   /// Events ever appended; ring keeps the last min(total, capacity).
-  uint64_t total_events() const;
+  uint64_t total_events() const { return log_.total(); }
   /// Events overwritten by ring wrap-around.
-  uint64_t dropped() const;
+  uint64_t dropped() const { return log_.dropped(); }
 
   /// One JSON object per line, seq order, doubles exact (%.17g).
-  std::string ExportJsonl() const;
+  std::string ExportJsonl() const { return log_.Jsonl(&AppendJsonl); }
   static void AppendJsonl(const AuditEvent& event, std::string* out);
 
   /// Walks a JSONL export and verifies the seq chain. Audit seqs are
@@ -561,14 +669,7 @@ class EpsilonAuditLog {
   static JsonlReplayReport ReplayJsonl(std::string_view jsonl);
 
  private:
-  const size_t capacity_;
-  mutable std::mutex mu_;
-  /// index = (seq - 1) % capacity
-  std::vector<AuditEvent> ring_ GUARDED_BY(mu_);
-  uint64_t total_ GUARDED_BY(mu_) = 0;
-  /// Clamp for non-decreasing wall_micros across ring events (the
-  /// system clock itself may step backwards).
-  int64_t last_wall_micros_ GUARDED_BY(mu_) = 0;
+  BoundedLog<AuditEvent> log_;
 };
 
 // ---------------------------------------------------- flight recorder
@@ -709,23 +810,25 @@ struct BurnAlert {
   double projected_s = 0.0; ///< seconds to exhaustion at the fast rate
 };
 
-/// \brief Bounded ring of burn alerts with JSONL export — the audit
+/// \brief Bounded log of burn alerts with JSONL export — the audit
 /// log's shape, for rate alerts. Appends come from the accountant
 /// while it holds the charge's shard locks (shard locks order before
-/// this mutex, like the audit log's).
+/// the log's mutex, like the audit log's).
 class BurnAlertLog {
  public:
   /// capacity = 0 disables capture (Append still counts fired/active).
-  explicit BurnAlertLog(size_t capacity);
+  explicit BurnAlertLog(size_t capacity) : log_(capacity) {}
 
-  bool enabled() const { return capacity_ > 0; }
-  size_t capacity() const { return capacity_; }
+  bool enabled() const { return log_.capacity() > 0; }
+  size_t capacity() const { return log_.capacity(); }
 
+  /// Counts the transition, then keeps the alert with its seq stamped
+  /// and its wall_micros (the trigger's clock) clamped non-decreasing.
   void Append(BurnAlert alert);
 
   /// Retained alerts, oldest first (seq order).
-  std::vector<BurnAlert> Snapshot() const;
-  uint64_t total() const;
+  std::vector<BurnAlert> Snapshot() const { return log_.Snapshot(); }
+  uint64_t total() const { return log_.total(); }
   /// Alerts that fired (lifetime count — the alert counter metric).
   uint64_t fired_total() const {
     return fired_.load(std::memory_order_relaxed);
@@ -734,16 +837,11 @@ class BurnAlertLog {
   int64_t active() const { return active_.load(std::memory_order_relaxed); }
 
   /// One JSON object per line, seq order, doubles exact (%.17g).
-  std::string ExportJsonl() const;
+  std::string ExportJsonl() const { return log_.Jsonl(&AppendJsonl); }
   static void AppendJsonl(const BurnAlert& alert, std::string* out);
 
  private:
-  const size_t capacity_;
-  mutable std::mutex mu_;
-  std::vector<BurnAlert> ring_ GUARDED_BY(mu_);
-  uint64_t total_ GUARDED_BY(mu_) = 0;
-  /// Clamp for non-decreasing wall_micros across ring events.
-  int64_t last_wall_micros_ GUARDED_BY(mu_) = 0;
+  BoundedLog<BurnAlert> log_;
   std::atomic<uint64_t> fired_{0};
   std::atomic<int64_t> active_{0};
 };
@@ -756,8 +854,10 @@ class BurnAlertLog {
 /// same registry so one snapshot covers the whole pipeline.
 class EngineTelemetry {
  public:
+  /// Completed sampled traces kept for TracesJsonl().
+  static constexpr size_t kTraceRingCapacity = 256;
+
   EngineTelemetry(double trace_sample_rate, size_t audit_capacity,
-                  size_t trace_ring_capacity = 256,
                   size_t flight_capacity = 0,
                   size_t burn_alert_capacity = 0);
 
@@ -789,15 +889,17 @@ class EngineTelemetry {
   }
 
   /// Completed sampled traces, oldest first.
-  std::vector<TraceRecord> SnapshotTraces() const;
+  std::vector<TraceRecord> SnapshotTraces() const {
+    return traces_.Snapshot();
+  }
   /// JSONL: one {"trace_id", "t_us", "ok", "stages": {...}} per line.
   std::string TracesJsonl() const;
 
   /// Sampled traces ever finished into the ring.
-  uint64_t trace_total() const;
+  uint64_t trace_total() const { return traces_.total(); }
   /// Traces overwritten by ring wrap-around (the data loss the
   /// `engine_trace_dropped` metric exposes to scrapers).
-  uint64_t trace_dropped() const;
+  uint64_t trace_dropped() const { return traces_.dropped(); }
 
  private:
   MetricsRegistry metrics_;
@@ -809,13 +911,7 @@ class EngineTelemetry {
   std::atomic<uint64_t> sample_clock_{0};
   std::atomic<uint64_t> next_trace_id_{0};
   LatencyHistogram* stage_hist_[kTraceStageCount];
-
-  const size_t trace_capacity_;
-  mutable std::mutex trace_mu_;
-  std::vector<TraceRecord> trace_ring_ GUARDED_BY(trace_mu_);
-  uint64_t trace_total_ GUARDED_BY(trace_mu_) = 0;
-  /// Clamp for non-decreasing wall_micros across ring records.
-  int64_t last_trace_wall_micros_ GUARDED_BY(trace_mu_) = 0;
+  BoundedLog<TraceRecord> traces_{kTraceRingCapacity};
 };
 
 }  // namespace blowfish

@@ -144,6 +144,27 @@ TEST(DurableFileTest, RenameFaultLeavesBothNamesAsTheyWere) {
   ::rmdir(dir.c_str());
 }
 
+// Journal and snapshot directories hold the stores' files; a listable
+// directory leaks which tenants and generations exist, so it is
+// created owner-only like the files, and fsck names a looser one.
+TEST(DurableFileTest, CreateDirIsOwnerOnly) {
+  const std::string dir = MakeTempDir();
+  const std::string sub = dir + "/store";
+  ASSERT_TRUE(PosixFileIo()->CreateDir(sub).ok());
+  struct stat st;
+  ASSERT_EQ(::stat(sub.c_str(), &st), 0);
+  EXPECT_EQ(st.st_mode & 0777, 0700u);
+  EXPECT_EQ(OwnerOnlyWarning(sub), "");
+
+  ASSERT_EQ(::chmod(sub.c_str(), 0755), 0);
+  const std::string warning = OwnerOnlyWarning(sub);
+  EXPECT_NE(warning.find("0755"), std::string::npos) << warning;
+  EXPECT_NE(warning.find("chmod 700"), std::string::npos) << warning;
+
+  ::rmdir(sub.c_str());
+  ::rmdir(dir.c_str());
+}
+
 TEST(DurableFileTest, OwnerOnlyWarningFlagsGroupAndOtherBits) {
   const std::string dir = MakeTempDir();
   const std::string path = dir + "/f";

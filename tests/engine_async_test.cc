@@ -291,6 +291,9 @@ TEST(EngineAsync, DestructionLetsInFlightTaskFinishAndCancelsRest) {
   // A slow cold plan is mid-flight when the engine dies: the in-flight
   // task completes normally (its charge is real — the answer must be
   // delivered), the queued tasks behind it are cancelled.
+  // Theta1D th=4 plans in ~1.5 µs per bin (Release), so k=65536 keeps
+  // the worker busy ~100ms; the five enqueues below take microseconds.
+  constexpr size_t kColdDomain = 65536;
   AsyncStats stats;
   FutureResult inflight;
   std::vector<FutureResult> queued;
@@ -298,19 +301,18 @@ TEST(EngineAsync, DestructionLetsInFlightTaskFinishAndCancelsRest) {
     AsyncQueryEngine async(AsyncOptions(5, /*workers=*/1));
     QueryEngine& engine = async.engine();
     ASSERT_TRUE(engine
-                    .RegisterPolicy("slow", Theta1DPolicy(4096, 4),
-                                    Ramp(4096), 1e6)
+                    .RegisterPolicy("slow", Theta1DPolicy(kColdDomain, 4),
+                                    Ramp(kColdDomain), 1e6)
                     .ok());
     ASSERT_TRUE(engine.OpenSession("s", 1e6).ok());
-    inflight = async.SubmitAsync(MakeRequest("s", "slow", 4096, 0.01));
+    const QueryRequest cold = MakeRequest("s", "slow", kColdDomain, 0.01);
+    inflight = async.SubmitAsync(cold);
     // Give the single worker time to pop the cold task; the queue
-    // behind it then cannot start (cold plan ~100ms).
+    // behind it then cannot start until the ~100ms plan finishes.
     while (async.stats().cold_in_flight == 0 && Pending(inflight)) {
       std::this_thread::yield();
     }
-    for (int i = 0; i < 5; ++i) {
-      queued.push_back(async.SubmitAsync(MakeRequest("s", "slow", 4096, 0.01)));
-    }
+    for (int i = 0; i < 5; ++i) queued.push_back(async.SubmitAsync(cold));
     stats = async.stats();
   }  // destructor while the plan runs
   ASSERT_TRUE(inflight.valid());

@@ -158,6 +158,41 @@ TEST(BurnRate, ClosingAnAlertingLedgerClearsIt) {
   EXPECT_FALSE(all[1].fired);
 }
 
+TEST(BurnAlertLog, RingWrapKeepsNewestAndCountsEveryFiring) {
+  BurnAlertLog log(4);
+  for (int i = 0; i < 10; ++i) {
+    BurnAlert alert;
+    alert.ledger_id = "session/" + std::to_string(i);
+    alert.wall_micros = 1'000 + i;
+    log.Append(std::move(alert));
+  }
+  EXPECT_EQ(log.total(), 10u);
+  EXPECT_EQ(log.fired_total(), 10u);  // lifetime count, not ring size
+  EXPECT_EQ(log.active(), 10);
+  const std::vector<BurnAlert> kept = log.Snapshot();
+  ASSERT_EQ(kept.size(), 4u);
+  for (size_t i = 0; i < kept.size(); ++i) {
+    EXPECT_EQ(kept[i].seq, 7u + i);
+    EXPECT_EQ(kept[i].ledger_id, "session/" + std::to_string(6 + i));
+  }
+}
+
+// The alert clock may step backwards; the ring's timestamps may not.
+TEST(BurnAlertLog, WallMicrosAreClampedNonDecreasing) {
+  BurnAlertLog log(8);
+  for (int64_t t : {5'000, 4'000, 6'000, 1'000}) {
+    BurnAlert alert;
+    alert.wall_micros = t;
+    log.Append(std::move(alert));
+  }
+  const std::vector<BurnAlert> kept = log.Snapshot();
+  ASSERT_EQ(kept.size(), 4u);
+  EXPECT_EQ(kept[0].wall_micros, 5'000);
+  EXPECT_EQ(kept[1].wall_micros, 5'000);
+  EXPECT_EQ(kept[2].wall_micros, 6'000);
+  EXPECT_EQ(kept[3].wall_micros, 6'000);
+}
+
 // The engine plumbs the burn knobs through EngineOptions and exposes
 // the state as gauges a scraper can read.
 TEST(BurnRate, EngineExposesBurnGauges) {

@@ -78,6 +78,7 @@ TEST(MetricsRegistry, SnapshotJsonAndPrometheusText) {
   registry.double_counter("c_eps")->Add(0.5);
   registry.histogram("d_ms")->Record(3.0);
   registry.gauge_callback("e_cb", [] { return 42.0; });
+  registry.counter_callback("f_cb_total", [] { return 9.0; });
 
   const std::string json = registry.SnapshotJson();
   EXPECT_NE(std::string::npos, json.find("\"a_total\":2"));
@@ -85,6 +86,8 @@ TEST(MetricsRegistry, SnapshotJsonAndPrometheusText) {
   EXPECT_NE(std::string::npos, json.find("\"c_eps\":0.5"));
   EXPECT_NE(std::string::npos, json.find("\"e_cb\":42"));
   EXPECT_NE(std::string::npos, json.find("\"d_ms\":{\"count\":1"));
+  // A counter callback is listed with the counters, not the gauges.
+  EXPECT_LT(json.find("\"f_cb_total\":9"), json.find("\"gauges\""));
 
   const std::string prom = registry.PrometheusText();
   EXPECT_NE(std::string::npos, prom.find("# TYPE a_total counter"));
@@ -94,6 +97,9 @@ TEST(MetricsRegistry, SnapshotJsonAndPrometheusText) {
   EXPECT_NE(std::string::npos, prom.find("d_ms_bucket{le=\"+Inf\"} 1"));
   EXPECT_NE(std::string::npos, prom.find("d_ms_count 1"));
   EXPECT_NE(std::string::npos, prom.find("e_cb 42"));
+  EXPECT_NE(std::string::npos, prom.find("# TYPE e_cb gauge"));
+  EXPECT_NE(std::string::npos, prom.find("# TYPE f_cb_total counter"));
+  EXPECT_NE(std::string::npos, prom.find("f_cb_total 9"));
 }
 
 // ---- engine counting invariants ------------------------------------
@@ -330,6 +336,28 @@ TEST(EngineTelemetry, RateOneTracesEverySubmitThroughAllStages) {
   const std::string jsonl = telemetry.TracesJsonl();
   EXPECT_NE(std::string::npos, jsonl.find("\"validate\""));
   EXPECT_NE(std::string::npos, jsonl.find("\"ok\":true"));
+}
+
+TEST(EngineTelemetry, TraceRingWrapKeepsNewestAndCountsDrops) {
+  EngineTelemetry telemetry(/*trace_sample_rate=*/1.0, /*audit_capacity=*/0);
+  constexpr uint64_t kTraces = 300;
+  for (uint64_t i = 0; i < kTraces; ++i) {
+    RequestTrace trace = telemetry.MaybeStartTrace();
+    ASSERT_TRUE(trace.active());
+    telemetry.FinishTrace(&trace, true);
+  }
+  EXPECT_EQ(kTraces, telemetry.trace_total());
+  EXPECT_EQ(44u, telemetry.trace_dropped());  // 300 - 256 retained
+
+  const std::vector<TraceRecord> kept = telemetry.SnapshotTraces();
+  ASSERT_EQ(256u, kept.size());
+  // Oldest first: the 44 dropped traces were ids 1..44.
+  for (size_t i = 0; i < kept.size(); ++i) {
+    EXPECT_EQ(45u + i, kept[i].trace_id) << "position " << i;
+    if (i > 0) {
+      EXPECT_GE(kept[i].wall_micros, kept[i - 1].wall_micros);
+    }
+  }
 }
 
 TEST(EngineTelemetry, RateOneTracesEverySubmitBatchCall) {

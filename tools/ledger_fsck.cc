@@ -18,9 +18,9 @@
 //   exit 3  torn tail only — the crash-mid-append signature; Open()
 //           recovers with journal_allow_torn_tail, refuses without
 //
-// Segments with group or other permission bits are reported as
-// warnings (the journal creates them owner-only; older files may not
-// be); warnings never change the exit code.
+// A directory or segment with group or other permission bits is
+// reported as a warning (the journal creates both owner-only; older
+// ones may not be); warnings never change the exit code.
 //
 // --json prints the full report as one JSON object (balances with
 // %.17g doubles) for scripted smoke checks; --quiet suppresses the
@@ -35,6 +35,7 @@
 
 #include "engine/durable_file.h"
 #include "engine/ledger_journal.h"
+#include "engine/telemetry.h"
 
 namespace {
 
@@ -44,33 +45,6 @@ using namespace blowfish;
   if (msg != nullptr) std::fprintf(stderr, "error: %s\n\n", msg);
   std::fprintf(stderr, "usage: ledger_fsck [--json] [--quiet] <journal-dir>\n");
   std::exit(2);
-}
-
-void AppendJsonString(const std::string& value, std::string* out) {
-  out->push_back('"');
-  for (char ch : value) {
-    switch (ch) {
-      case '"': out->append("\\\""); break;
-      case '\\': out->append("\\\\"); break;
-      case '\n': out->append("\\n"); break;
-      case '\t': out->append("\\t"); break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out->append(buf);
-        } else {
-          out->push_back(ch);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void AppendDouble(double value, std::string* out) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  out->append(buf);
 }
 
 std::string ReportJson(const std::string& dir, const JournalScanReport& report,
@@ -163,10 +137,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "ledger_fsck: %s\n", scanned.ToString().c_str());
     return 2;
   }
-  // Data at rest: segments written before the 0600 create mode keep
-  // 0644. Advisory, like the balance cross-checks: the exit code holds.
+  // Data at rest: a directory created before the 0700 mode keeps 0755,
+  // segments written before the 0600 mode keep 0644. Advisory, like the
+  // balance cross-checks: the exit code holds.
+  std::vector<std::string> paths = {dir};
   for (const auto& segment : report.segments) {
-    std::string warning = OwnerOnlyWarning(dir + "/" + segment.name);
+    paths.push_back(dir + "/" + segment.name);
+  }
+  for (const std::string& path : paths) {
+    std::string warning = OwnerOnlyWarning(path);
     if (!warning.empty()) report.warnings.push_back(std::move(warning));
   }
 

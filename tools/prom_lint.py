@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """prom_lint: Prometheus text-exposition (version 0.0.4) validator.
 
-CI scrapes the engine's /metrics endpooint during the bench smoke and
-pipes the body through this linter; a malformed exposition fails the
+CI scrapes the engine's /metrics endpoint in its obs scrape smoke and
+pipes the body through this linter, and ctest's prom_lint_exposition
+lints engine_stats_dump's exposition; a malformed exposition fails the
 build before it can fail a real monitoring stack. Stdlib only — the
 point is to validate the format without importing a Prometheus client.
 
@@ -23,6 +24,9 @@ Checks
                     (non-decreasing in le order), an le="+Inf" bucket
                     exists and equals _count, and _sum/_count exist.
   counter-monotone  Counter sample values are finite and >= 0.
+  total-is-counter  A family whose name ends in `_total` is typed
+                    counter (the suffix promises a monotone count;
+                    rate() over a gauge-typed total misleads).
 
 Exit status: 0 clean, 1 findings (printed one per line as
 `LINE: RULE: message`), 2 usage error.
@@ -139,6 +143,10 @@ def lint(lines):
                                "duplicate # TYPE for %s (first at line %d)"
                                % (name, types[name][1]))
                     types[name] = (kind, lineno)
+                    if name.endswith("_total") and kind != "counter":
+                        report(lineno, "total-is-counter",
+                               "%s ends in _total but is typed %r"
+                               % (name, kind))
             continue
 
         match = SAMPLE.match(line)

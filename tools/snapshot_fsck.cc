@@ -20,9 +20,9 @@
 //           prefix followed by a truncated final frame and no footer;
 //           OpenLatest falls back to the previous generation
 //
-// Files with group or other permission bits are reported as warnings
-// (the store creates them owner-only; older files may not be);
-// warnings never change the exit code.
+// A directory or file with group or other permission bits is reported
+// as a warning (the store creates both owner-only; older ones may not
+// be); warnings never change the exit code.
 //
 // --json prints the full report as one JSON object for scripted smoke
 // checks; --quiet suppresses the human summary, keeping the exit code.
@@ -38,6 +38,7 @@
 
 #include "engine/durable_file.h"
 #include "engine/snapshot_store.h"
+#include "engine/telemetry.h"
 
 namespace {
 
@@ -49,27 +50,6 @@ using namespace blowfish;
                "usage: snapshot_fsck [--json] [--quiet] "
                "<snapshot-dir-or-file>\n");
   std::exit(2);
-}
-
-void AppendJsonString(const std::string& value, std::string* out) {
-  out->push_back('"');
-  for (char ch : value) {
-    switch (ch) {
-      case '"': out->append("\\\""); break;
-      case '\\': out->append("\\\\"); break;
-      case '\n': out->append("\\n"); break;
-      case '\t': out->append("\\t"); break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out->append(buf);
-        } else {
-          out->push_back(ch);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 struct FileVerdict {
@@ -89,13 +69,19 @@ struct FileVerdict {
 };
 
 std::string ReportJson(const std::string& target,
+                       const std::string& dir_warning,
                        const std::vector<FileVerdict>& files,
                        const char* verdict) {
   std::string out = "{\"target\":";
   AppendJsonString(target, &out);
   out += ",\"verdict\":\"";
   out += verdict;
-  out += "\",\"files\":[";
+  out += "\"";
+  if (!dir_warning.empty()) {
+    out += ",\"warning\":";
+    AppendJsonString(dir_warning, &out);
+  }
+  out += ",\"files\":[";
   for (size_t i = 0; i < files.size(); ++i) {
     const FileVerdict& file = files[i];
     if (i > 0) out += ",";
@@ -156,6 +142,7 @@ int main(int argc, char** argv) {
 
   // Accept either one snapshot file or a directory of generations.
   std::vector<std::string> paths;
+  std::string dir_warning;
   struct stat st;
   if (::stat(target.c_str(), &st) != 0) {
     std::fprintf(stderr, "snapshot_fsck: cannot stat %s: %s\n", target.c_str(),
@@ -163,6 +150,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (S_ISDIR(st.st_mode)) {
+    dir_warning = OwnerOnlyWarning(target);
     Result<std::vector<std::string>> names = snapshot::ListFiles(target);
     if (!names.ok()) {
       std::fprintf(stderr, "snapshot_fsck: %s\n",
@@ -204,11 +192,14 @@ int main(int argc, char** argv) {
                                         : "clean";
 
   if (json) {
-    const std::string body = ReportJson(target, files, verdict);
+    const std::string body = ReportJson(target, dir_warning, files, verdict);
     std::fwrite(body.data(), 1, body.size(), stdout);
   } else if (!quiet) {
     std::printf("snapshot %s: %s (%zu file%s)\n", target.c_str(), verdict,
                 files.size(), files.size() == 1 ? "" : "s");
+    if (!dir_warning.empty()) {
+      std::printf("  warning: %s\n", dir_warning.c_str());
+    }
     for (const FileVerdict& file : files) {
       if (file.io_error) {
         std::printf("  %s: UNREADABLE (%s)\n", file.path.c_str(),
