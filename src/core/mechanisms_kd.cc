@@ -211,8 +211,9 @@ Vector GridThetaRangeMechanism::AnswerRangesOnTransformed(
 
   Vector answers(workload.num_queries(), 0.0);
   for (size_t qi = 0; qi < workload.num_queries(); ++qi) {
-    const RangeQuery& q = workload.queries()[qi];
-    answers[qi] = AnswerOneRange(q.lo[0], q.hi[0], q.lo[1], q.hi[1], rel, n);
+    const size_t* lo = workload.lo(qi);
+    const size_t* hi = workload.hi(qi);
+    answers[qi] = AnswerOneRange(lo[0], hi[0], lo[1], hi[1], rel, n);
   }
   return answers;
 }
@@ -237,9 +238,10 @@ size_t GridThetaRangeMechanism::RangeCursor::AnswerNext(size_t count,
   const size_t produced = end - next_;
   out->reserve(out->size() + produced);
   for (; next_ < end; ++next_) {
-    const RangeQuery& q = workload_.queries()[next_];
-    out->push_back(mech_->AnswerOneRange(q.lo[0], q.hi[0], q.lo[1], q.hi[1],
-                                         releases_, n_));
+    const size_t* lo = workload_.lo(next_);
+    const size_t* hi = workload_.hi(next_);
+    out->push_back(
+        mech_->AnswerOneRange(lo[0], hi[0], lo[1], hi[1], releases_, n_));
   }
   return produced;
 }

@@ -100,21 +100,6 @@ int64_t WallMicrosNow() {
       .count();
 }
 
-void AppendHealthzString(std::string_view s, std::string* out) {
-  out->push_back('"');
-  for (const char c : s) {
-    if (c == '\\' || c == '"') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out->push_back(' ');
-    } else {
-      out->push_back(c);
-    }
-  }
-  out->push_back('"');
-}
-
 }  // namespace
 
 QueryEngine::QueryEngine(EngineOptions options)
@@ -376,7 +361,7 @@ HealthReport QueryEngine::Healthz() const {
   body = "{\"ok\":";
   body += report.ok ? "true" : "false";
   body += ",\"durability\":";
-  AppendHealthzString(durability.ok() ? "OK" : durability.ToString(), &body);
+  AppendJsonString(durability.ok() ? "OK" : durability.ToString(), &body);
   body += ",\"snapshot_generation\":";
   body += std::to_string(snapshot_restore_stats_.generation);
   body += ",\"burn_alerts_active\":";
@@ -1150,7 +1135,7 @@ class EstimateStreamCursor : public ChunkCursor {
     for (; next_ < end; ++next_) {
       chunk.values.push_back(
           answerer_.has_value()
-              ? answerer_->Answer(ranges_->queries()[next_])
+              ? answerer_->Answer(ranges_->lo(next_), ranges_->hi(next_))
               : workload_.matrix().RowDot(next_, estimate_));
     }
     return chunk;

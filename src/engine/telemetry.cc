@@ -699,9 +699,11 @@ bool FlightRecorder::Record(const FlightRecord& record) {
   // writers can interleave on one slot; readers then see a seq
   // mismatch (or an odd seq) and skip the record — a one-slot hole in
   // a diagnostic ring, never a torn read.
+  // Release word stores: a reader whose acquire load sees a new word
+  // also sees the odd seq stored before it, so its recheck fails.
   const uint64_t seq = slot.seq.fetch_add(1, std::memory_order_acq_rel);
   for (size_t w = 0; w < kWords; ++w) {
-    slot.words[w].store(words[w], std::memory_order_relaxed);
+    slot.words[w].store(words[w], std::memory_order_release);
   }
   slot.seq.store(seq + 2, std::memory_order_release);
 
@@ -737,11 +739,12 @@ std::vector<FlightRecord> FlightRecorder::Snapshot() const {
     for (int attempt = 0; attempt < 3 && !valid; ++attempt) {
       const uint64_t s1 = slot.seq.load(std::memory_order_acquire);
       if (s1 & 1) continue;  // write in flight
+      // Acquire word loads keep the seq recheck after them (no fence:
+      // TSan does not model atomic_thread_fence).
       uint64_t words[kWords];
       for (size_t w = 0; w < kWords; ++w) {
-        words[w] = slot.words[w].load(std::memory_order_relaxed);
+        words[w] = slot.words[w].load(std::memory_order_acquire);
       }
-      std::atomic_thread_fence(std::memory_order_acquire);
       if (slot.seq.load(std::memory_order_relaxed) != s1) continue;
       std::memcpy(&record, words, sizeof(record));
       valid = s1 != 0;  // seq 0 = never written

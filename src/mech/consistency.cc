@@ -6,12 +6,15 @@
 
 namespace blowfish {
 
-Vector IsotonicRegressionWeighted(const Vector& y, const Vector& weights) {
-  BF_CHECK_EQ(y.size(), weights.size());
+namespace {
+
+// PAVA over `y`, where weight_at(i) is y[i]'s weight: a stack of blocks
+// (mean, weight, count), merged while their means decrease.
+template <typename WeightAt>
+Vector Pava(const Vector& y, WeightAt weight_at) {
   const size_t n = y.size();
   if (n == 0) return {};
 
-  // Stack of blocks (mean, weight, count); merge while decreasing.
   struct Block {
     double mean;
     double weight;
@@ -20,8 +23,7 @@ Vector IsotonicRegressionWeighted(const Vector& y, const Vector& weights) {
   std::vector<Block> stack;
   stack.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    BF_CHECK_GT(weights[i], 0.0);
-    Block b{y[i], weights[i], 1};
+    Block b{y[i], weight_at(i), 1};
     while (!stack.empty() && stack.back().mean >= b.mean) {
       const Block& top = stack.back();
       const double w = top.weight + b.weight;
@@ -40,8 +42,21 @@ Vector IsotonicRegressionWeighted(const Vector& y, const Vector& weights) {
   return out;
 }
 
+}  // namespace
+
+Vector IsotonicRegressionWeighted(const Vector& y, const Vector& weights) {
+  BF_CHECK_EQ(y.size(), weights.size());
+  return Pava(y, [&weights](size_t i) {
+    BF_CHECK_GT(weights[i], 0.0);
+    return weights[i];
+  });
+}
+
 Vector IsotonicRegression(const Vector& y) {
-  return IsotonicRegressionWeighted(y, Vector(y.size(), 1.0));
+  // Unit weights: a block's weight is its count, an exact integer in a
+  // double, so the pooled means are bit-identical to the weighted form
+  // with a vector of ones.
+  return Pava(y, [](size_t) { return 1.0; });
 }
 
 Vector IsotonicRegressionClamped(const Vector& y, double lo, double hi) {

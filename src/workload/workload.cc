@@ -5,16 +5,41 @@
 namespace blowfish {
 
 RangeWorkload::RangeWorkload(std::string name, DomainShape domain,
-                             std::vector<RangeQuery> queries)
+                             const std::vector<RangeQuery>& queries)
     : name_(std::move(name)),
       domain_(std::move(domain)),
-      queries_(std::move(queries)) {
-  for (const RangeQuery& q : queries_) {
-    BF_CHECK_EQ(q.lo.size(), domain_.num_dims());
-    BF_CHECK_EQ(q.hi.size(), domain_.num_dims());
-    for (size_t d = 0; d < domain_.num_dims(); ++d) {
-      BF_CHECK_LE(q.lo[d], q.hi[d]);
-      BF_CHECK_LT(q.hi[d], domain_.dim(d));
+      num_queries_(queries.size()) {
+  const size_t d = domain_.num_dims();
+  corners_.reserve(2 * d * num_queries_);
+  for (const RangeQuery& q : queries) {
+    BF_CHECK_EQ(q.lo.size(), d);
+    BF_CHECK_EQ(q.hi.size(), d);
+    corners_.insert(corners_.end(), q.lo.begin(), q.lo.end());
+    corners_.insert(corners_.end(), q.hi.begin(), q.hi.end());
+  }
+  CheckCorners();
+}
+
+RangeWorkload RangeWorkload::FromCorners(std::string name, DomainShape domain,
+                                         std::vector<size_t> corners) {
+  RangeWorkload w;
+  w.name_ = std::move(name);
+  w.domain_ = std::move(domain);
+  w.num_queries_ = corners.size() / (2 * w.domain_.num_dims());
+  w.corners_ = std::move(corners);
+  w.CheckCorners();
+  return w;
+}
+
+void RangeWorkload::CheckCorners() const {
+  const size_t d = domain_.num_dims();
+  BF_CHECK_EQ(corners_.size(), 2 * d * num_queries_);
+  for (size_t qi = 0; qi < num_queries_; ++qi) {
+    const size_t* l = lo(qi);
+    const size_t* h = hi(qi);
+    for (size_t dim = 0; dim < d; ++dim) {
+      BF_CHECK_LE(l[dim], h[dim]);
+      BF_CHECK_LT(h[dim], domain_.dim(dim));
     }
   }
 }
@@ -47,7 +72,7 @@ SummedAreaAnswerer::SummedAreaAnswerer(DomainShape domain, const Vector& x)
   sat_ = SummedAreaTable(domain_, x);
 }
 
-double SummedAreaAnswerer::Answer(const RangeQuery& q) const {
+double SummedAreaAnswerer::Answer(const size_t* lo, const size_t* hi) const {
   const size_t d = domain_.num_dims();
   double acc = 0.0;
   // Inclusion-exclusion over the 2^d corners of the box.
@@ -56,14 +81,14 @@ double SummedAreaAnswerer::Answer(const RangeQuery& q) const {
     int sign = 1;
     size_t index = 0;
     for (size_t dim = 0; dim < d; ++dim) {
-      size_t coord = q.hi[dim];
+      size_t coord = hi[dim];
       if (mask & (size_t{1} << dim)) {
         sign = -sign;
-        if (q.lo[dim] == 0) {
+        if (lo[dim] == 0) {
           valid = false;
           break;
         }
-        coord = q.lo[dim] - 1;
+        coord = lo[dim] - 1;
       }
       BF_CHECK_LT(coord, domain_.dim(dim));
       index = index * domain_.dim(dim) + coord;
@@ -76,9 +101,9 @@ double SummedAreaAnswerer::Answer(const RangeQuery& q) const {
 
 Vector RangeWorkload::Answer(const Vector& x) const {
   const SummedAreaAnswerer answerer(domain_, x);
-  Vector out(queries_.size(), 0.0);
-  for (size_t qi = 0; qi < queries_.size(); ++qi) {
-    out[qi] = answerer.Answer(queries_[qi]);
+  Vector out(num_queries_, 0.0);
+  for (size_t qi = 0; qi < num_queries_; ++qi) {
+    out[qi] = answerer.Answer(lo(qi), hi(qi));
   }
   return out;
 }
@@ -87,26 +112,27 @@ Workload RangeWorkload::ToWorkload() const {
   std::vector<Triplet> triplets;
   const size_t d = domain_.num_dims();
   std::vector<size_t> coords(d);
-  for (size_t qi = 0; qi < queries_.size(); ++qi) {
-    const RangeQuery& q = queries_[qi];
+  for (size_t qi = 0; qi < num_queries_; ++qi) {
+    const size_t* l = lo(qi);
+    const size_t* h = hi(qi);
     // Enumerate all cells in the box with an odometer walk.
-    coords = q.lo;
+    coords.assign(l, l + d);
     bool done = false;
     while (!done) {
       triplets.push_back({qi, domain_.Flatten(coords), 1.0});
       done = true;
       for (size_t dim = d; dim-- > 0;) {
-        if (coords[dim] < q.hi[dim]) {
+        if (coords[dim] < h[dim]) {
           ++coords[dim];
           done = false;
           break;
         }
-        coords[dim] = q.lo[dim];
+        coords[dim] = l[dim];
       }
     }
   }
   return Workload(name_, SparseMatrix::FromTriplets(
-                             queries_.size(), domain_.size(),
+                             num_queries_, domain_.size(),
                              std::move(triplets)));
 }
 

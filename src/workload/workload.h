@@ -7,7 +7,9 @@
 //  * `RangeWorkload` keeps multi-dimensional range queries implicit
 //    (lo/hi corners) and answers them in O(domain + q) via summed-area
 //    tables; experiments at domain size 4096 or 100x100 with 10^4
-//    queries never materialize W.
+//    queries never materialize W. Its corners live in one flat array,
+//    so copying, moving or destroying a workload costs a few
+//    allocations whatever its query count.
 //
 // `RangeWorkload::ToWorkload()` bridges the two for small domains.
 
@@ -47,7 +49,8 @@ class Workload {
 };
 
 /// \brief An axis-aligned range query over a d-dimensional grid domain;
-/// bounds are inclusive cell coordinates.
+/// bounds are inclusive cell coordinates. The type for building a
+/// RangeWorkload; the workload stores corners flat.
 struct RangeQuery {
   std::vector<size_t> lo;
   std::vector<size_t> hi;
@@ -63,11 +66,12 @@ class SummedAreaAnswerer {
  public:
   SummedAreaAnswerer(DomainShape domain, const Vector& x);
 
-  /// The exact answer to one inclusive range query; identical
+  /// The exact answer to the inclusive range [lo, hi], each pointing
+  /// at num_dims() coordinates (RangeWorkload::lo/hi); identical
   /// arithmetic (inclusion-exclusion corner order) to
   /// RangeWorkload::Answer, so chunked answers concatenate
   /// bit-identically to the one-shot call.
-  double Answer(const RangeQuery& query) const;
+  double Answer(const size_t* lo, const size_t* hi) const;
 
  private:
   DomainShape domain_;
@@ -75,15 +79,31 @@ class SummedAreaAnswerer {
 };
 
 /// \brief Implicit workload of d-dimensional range queries.
+///
+/// Corners are stored flat: query qi occupies 2·d consecutive entries,
+/// its d `lo` coordinates then its d `hi` coordinates. A copy is one
+/// allocation for the corners plus the domain's extents (and the name
+/// past the small-string limit), however many queries it holds, and
+/// the answer loops read the corners contiguously.
 class RangeWorkload {
  public:
+  /// Checks every query: d coordinates per corner, lo <= hi < extent.
   RangeWorkload(std::string name, DomainShape domain,
-                std::vector<RangeQuery> queries);
+                const std::vector<RangeQuery>& queries);
+
+  /// Takes corners already in the flat layout (2·d entries per query,
+  /// lo then hi); the same checks as the RangeQuery constructor.
+  static RangeWorkload FromCorners(std::string name, DomainShape domain,
+                                   std::vector<size_t> corners);
 
   const std::string& name() const { return name_; }
   const DomainShape& domain() const { return domain_; }
-  const std::vector<RangeQuery>& queries() const { return queries_; }
-  size_t num_queries() const { return queries_.size(); }
+  size_t num_queries() const { return num_queries_; }
+  /// Query qi's inclusive corners, domain().num_dims() entries each.
+  const size_t* lo(size_t qi) const {
+    return corners_.data() + 2 * domain_.num_dims() * qi;
+  }
+  const size_t* hi(size_t qi) const { return lo(qi) + domain_.num_dims(); }
 
   /// Exact answers via a summed-area table: O(domain + q * 2^d).
   Vector Answer(const Vector& x) const;
@@ -92,9 +112,13 @@ class RangeWorkload {
   Workload ToWorkload() const;
 
  private:
+  RangeWorkload() = default;
+  void CheckCorners() const;
+
   std::string name_;
   DomainShape domain_;
-  std::vector<RangeQuery> queries_;
+  size_t num_queries_ = 0;
+  std::vector<size_t> corners_;
 };
 
 }  // namespace blowfish

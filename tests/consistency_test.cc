@@ -117,5 +117,22 @@ TEST(IsotonicDeath, RejectsNonPositiveWeights) {
   EXPECT_DEATH(IsotonicRegressionWeighted({1.0}, {0.0}), "CHECK failed");
 }
 
+TEST(Isotonic, UnweightedIsBitIdenticalToUnitWeights) {
+  // Noisy prefix sums, as the tree plan's consistency step sees them:
+  // the unweighted pooling must reproduce unit-weight PAVA bit for bit.
+  const size_t k = 4096;
+  for (uint64_t seed = 0; seed < 50; ++seed) {
+    Rng rng(seed);
+    Vector y(k);
+    double prefix = 0.0;
+    for (double& v : y) {
+      prefix += static_cast<double>(rng.UniformInt(0, 3));
+      v = prefix + rng.Laplace(8.0);
+    }
+    EXPECT_EQ(IsotonicRegression(y), IsotonicRegressionWeighted(y, Vector(k, 1.0)))
+        << "seed " << seed;
+  }
+}
+
 }  // namespace
 }  // namespace blowfish

@@ -309,6 +309,21 @@ TEST(ObsServer, HealthzFlipsTo503WhenDurabilityPoisons) {
   EXPECT_TRUE(engine->telemetry().flight().incident_fired());
 }
 
+TEST(ObsServer, HealthzEscapesControlCharactersInJson) {
+  // The journal cannot open (its parent directory is missing), and the
+  // failure names the path, tab included: /healthz must escape it as
+  // JSON does everywhere else, not rewrite it.
+  EngineOptions options;
+  options.seed = 7;
+  options.journal_path = MakeTempDir() + "/missing\tparent/journal";
+  QueryEngine engine(options);
+  const HealthReport health = engine.Healthz();
+  EXPECT_FALSE(health.ok);
+  EXPECT_NE(health.body.find("missing\\tparent"), std::string::npos)
+      << health.body;
+  EXPECT_EQ(health.body.find('\t'), std::string::npos) << health.body;
+}
+
 // ----------------------------------------------------- flight recorder
 
 TEST(FlightRecorder, RefusalBurstFiresIncidentAndDumpsTenants) {

@@ -25,17 +25,17 @@ class GridThetaRangeMechanismTestPeer {
     rel_ = m_.Tabulate(est_);
   }
 
-  double Tables(const RangeQuery& q, double n) const {
-    return m_.AnswerOneRange(q.lo[0], q.hi[0], q.lo[1], q.hi[1], rel_, n);
+  double Tables(const size_t* lo, const size_t* hi, double n) const {
+    return m_.AnswerOneRange(lo[0], hi[0], lo[1], hi[1], rel_, n);
   }
 
   /// The per-edge reconstruction: every spanner edge contributes
   /// (q[u] − q[v]) times its estimate, internal edges picking their
   /// slab system by the Figure 7d strip rule.
-  double PerEdge(const RangeQuery& q, double n) const {
+  double PerEdge(const size_t* lo, const size_t* hi, double n) const {
     const size_t k = m_.k_, block = m_.block_;
-    const size_t r1 = q.lo[0], r2 = q.hi[0];
-    const size_t c1 = q.lo[1], c2 = q.hi[1];
+    const size_t r1 = lo[0], r2 = hi[0];
+    const size_t c1 = lo[1], c2 = hi[1];
     const auto inside = [&](size_t i, size_t j) {
       return i >= r1 && i <= r2 && j >= c1 && j <= c2;
     };
@@ -71,10 +71,11 @@ class GridThetaRangeMechanismTestPeer {
 namespace {
 
 // Checks the summed-area reconstruction against the per-edge oracle on
-// `queries`, over noisy estimates (row and column estimates of an edge
-// differ, so a strip read from the wrong slab system shows).
+// every query of `queries`, over noisy estimates (row and column
+// estimates of an edge differ, so a strip read from the wrong slab
+// system shows).
 void ExpectTablesMatchPerEdge(size_t k, size_t theta,
-                              const std::vector<RangeQuery>& queries) {
+                              const RangeWorkload& queries) {
   auto mech = GridThetaRangeMechanism::Create(k, theta).ValueOrDie();
   const DomainShape domain({k, k});
   Rng rng(17 * k + theta);
@@ -83,12 +84,14 @@ void ExpectTablesMatchPerEdge(size_t k, size_t theta,
   GridThetaRangeMechanismTestPeer peer(*mech);
   peer.Draw(mech->PrecomputeTransformed(x), 0.5, &rng);
   const double n = Sum(x);
-  for (const RangeQuery& q : queries) {
-    const double oracle = peer.PerEdge(q, n);
-    ASSERT_NEAR(peer.Tables(q, n), oracle,
+  for (size_t i = 0; i < queries.num_queries(); ++i) {
+    const size_t* lo = queries.lo(i);
+    const size_t* hi = queries.hi(i);
+    const double oracle = peer.PerEdge(lo, hi, n);
+    ASSERT_NEAR(peer.Tables(lo, hi, n), oracle,
                 1e-9 * std::max(1.0, std::abs(oracle)))
-        << "k=" << k << " θ=" << theta << " rows [" << q.lo[0] << ","
-        << q.hi[0] << "] cols [" << q.lo[1] << "," << q.hi[1] << "]";
+        << "k=" << k << " θ=" << theta << " rows [" << lo[0] << ","
+        << hi[0] << "] cols [" << lo[1] << "," << hi[1] << "]";
   }
 }
 
@@ -107,7 +110,8 @@ TEST(GridTheta, SummedAreaReconstructionMatchesPerEdgeOnEveryRange) {
           }
         }
       }
-      ExpectTablesMatchPerEdge(k, theta, all);
+      ExpectTablesMatchPerEdge(
+          k, theta, RangeWorkload("all", DomainShape({k, k}), all));
     }
   }
 }
@@ -119,8 +123,52 @@ TEST(GridTheta, SummedAreaReconstructionMatchesPerEdgeOnRandomRanges) {
       if (k % block != 0) continue;
       Rng qrng(k + theta);
       ExpectTablesMatchPerEdge(
-          k, theta, RandomRanges(DomainShape({k, k}), 2000, &qrng).queries());
+          k, theta, RandomRanges(DomainShape({k, k}), 2000, &qrng));
     }
+  }
+}
+
+TEST(GridTheta, OneShotAndCursorAnswersAreBitIdenticalToPerQueryReference) {
+  // The reference reads each query's corners out of RangeQuery lo/hi
+  // vectors: the flat corner storage must answer bit for bit as
+  // per-query storage does.
+  struct Case {
+    size_t k, theta;
+    RangeWorkload ranges;
+  };
+  Rng qrng(2015);
+  const Case cases[] = {
+      {32, 4, RandomRanges(DomainShape({32, 32}), 1024, &qrng)},
+      {8, 2, AllRangesNd(DomainShape({8, 8}))}};
+  for (const Case& c : cases) {
+    auto mech = GridThetaRangeMechanism::Create(c.k, c.theta).ValueOrDie();
+    Rng xrng(c.k);
+    Vector x(c.k * c.k);
+    for (double& v : x) v = static_cast<double>(xrng.UniformInt(0, 20));
+    const Vector xg = mech->PrecomputeTransformed(x);
+    const double n = Sum(x);
+
+    Rng ref_rng(99);
+    GridThetaRangeMechanismTestPeer peer(*mech);
+    peer.Draw(xg, 0.5, &ref_rng);
+    Vector reference;
+    for (size_t i = 0; i < c.ranges.num_queries(); ++i) {
+      const RangeQuery q{{c.ranges.lo(i)[0], c.ranges.lo(i)[1]},
+                         {c.ranges.hi(i)[0], c.ranges.hi(i)[1]}};
+      reference.push_back(peer.Tables(q.lo.data(), q.hi.data(), n));
+    }
+
+    Rng one_shot_rng(99);
+    EXPECT_EQ(mech->AnswerRangesOnTransformed(c.ranges, xg, n, 0.5,
+                                              &one_shot_rng),
+              reference)
+        << "k=" << c.k;
+    // In chunks, as a result stream reads the cursor.
+    Rng cursor_rng(99);
+    auto cursor = mech->BeginRanges(c.ranges, xg, n, 0.5, &cursor_rng);
+    Vector chunked;
+    while (!cursor->done()) cursor->AnswerNext(100, &chunked);
+    EXPECT_EQ(chunked, reference) << "k=" << c.k;
   }
 }
 
@@ -185,7 +233,10 @@ void ExpectUnbiased(size_t k, size_t theta, size_t trials) {
   Vector x(domain.size(), 3.0);
   Rng qrng(k * theta);
   RangeWorkload w = RandomRanges(domain, 6, &qrng);
-  std::vector<RangeQuery> queries = w.queries();
+  std::vector<RangeQuery> queries;
+  for (size_t i = 0; i < w.num_queries(); ++i) {
+    queries.push_back({{w.lo(i)[0], w.lo(i)[1]}, {w.hi(i)[0], w.hi(i)[1]}});
+  }
   queries.push_back({{0, 0}, {k - 1, k - 1}});
   queries.push_back({{k / 2, k / 2}, {k / 2, k / 2}});
   w = RangeWorkload("probe", domain, queries);

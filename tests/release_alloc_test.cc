@@ -3,7 +3,9 @@
 // per submit, so an allocation per line or per cell shows up as
 // hundreds per request. The count is fixed for a given plan and
 // workload, so it gates where timings cannot. Bounds are the measured
-// counts plus a small margin.
+// counts plus a small margin. The same counter bounds a copy of a range
+// workload, which callers of the by-value stream and async entry
+// points pay per request.
 
 #include <gtest/gtest.h>
 
@@ -57,6 +59,21 @@ TEST(ReleaseAllocations, SlabRangeSubmitStaysWithinBudget) {
   // reconstruction per range.
   EXPECT_LE(AllocationsPerWarmRangeSubmit(GridPolicy(DomainShape({16, 16}), 4)),
             160.0);  // measured 142
+}
+
+TEST(ReleaseAllocations, CopyingARangeWorkloadAllocatesPerBufferNotPerQuery) {
+  // SubmitStream and SubmitAsync take their request by value, so a
+  // caller that keeps its request copies the workload on every call.
+  // The copy holds the domain's extents and one flat corner array.
+  Rng rng(7);
+  const RangeWorkload ranges = RandomRanges(DomainShape({32, 32}), 1024, &rng);
+  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  {
+    const RangeWorkload copy = ranges;
+    EXPECT_EQ(copy.hi(1023)[1], ranges.hi(1023)[1]);
+  }
+  const uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_LE(after - before, 3u);
 }
 
 }  // namespace
