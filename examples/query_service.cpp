@@ -269,10 +269,15 @@ int main() {
   const Result<StreamNext> cancelled = doomed_stream->Next(&chunk);
   std::printf("  stream  -> %s\n", cancelled.status().ToString().c_str());
 
+  // Plans live in the registered policies' own slots; the cache only
+  // makes concurrent misses plan once.
   const PlanCache::Stats stats = engine.plan_cache_stats();
-  std::printf("\nplan cache: %llu hits, %llu misses, %zu entries\n",
-              static_cast<unsigned long long>(stats.hits),
-              static_cast<unsigned long long>(stats.misses), stats.entries);
+  std::printf(
+      "\nplans: %llu hits, %llu misses, %zu held by live policies "
+      "(%zu bytes)\n",
+      static_cast<unsigned long long>(stats.hits),
+      static_cast<unsigned long long>(stats.misses), stats.entries,
+      stats.bytes);
   std::printf("\nalice's audit trail:\n%s\n",
               engine.SessionAudit("alice").ValueOrDie().c_str());
 

@@ -1,8 +1,8 @@
 // Clang thread-safety-analysis annotations (no-ops off clang).
 //
 // The engine's concurrency story is lock-discipline conventions —
-// "slots is only touched under its shard's mu", "EnforceBudgetLocked
-// requires mu_ exclusively" — that used to live in comments. These
+// "slots is only touched under its shard's mu", "EnqueueLocked
+// requires mu_ held" — that used to live in comments. These
 // macros turn the conventions into compiler-checked contracts: under
 // `clang -Wthread-safety` (the CI `clang-thread-safety` job builds
 // with `-Werror=thread-safety`), reading a GUARDED_BY member without

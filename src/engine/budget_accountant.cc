@@ -230,12 +230,6 @@ size_t BudgetAccountant::CloseLedgersWithPrefix(const std::string& prefix) {
   return removed;
 }
 
-bool BudgetAccountant::HasLedger(const std::string& id) const {
-  const Shard& shard = shards_[ShardOf(id)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.by_id.count(id) > 0;
-}
-
 Result<LedgerHandle> BudgetAccountant::Resolve(const std::string& id) const {
   const size_t shard_index = ShardOf(id);
   const Shard& shard = shards_[shard_index];

@@ -143,8 +143,6 @@ class BudgetAccountant {
   /// number closed.
   size_t CloseLedgersWithPrefix(const std::string& prefix);
 
-  bool HasLedger(const std::string& id) const;
-
   /// The current handle for an open ledger; kNotFound if absent.
   Result<LedgerHandle> Resolve(const std::string& id) const;
 

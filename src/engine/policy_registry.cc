@@ -17,7 +17,7 @@ Status Validate(const std::string& name, const Policy& policy,
     return Status::InvalidArgument("policy name must be non-empty");
   }
   if (name.find('\x1f') != std::string::npos) {
-    // Reserved as the plan-cache key separator.
+    // Reserved as the single-flight planning key separator.
     return Status::InvalidArgument("policy name contains '\\x1f'");
   }
   if (data.size() != policy.domain_size()) {

@@ -6,8 +6,10 @@
 // touching the graph again.
 //
 // Entries are immutable once published: Replace() swaps in a new
-// shared_ptr and bumps the version (the plan cache keys on it), so
-// readers holding the old snapshot are never invalidated mid-query.
+// shared_ptr and bumps the version (ledgers and single-flight planning
+// key on it), so readers holding the old snapshot are never
+// invalidated mid-query. An entry's lazily filled plan and precompute
+// slots are the snapshot's own and die with it.
 //
 // Sharding and handles. Entries are partitioned by name hash into
 // independently locked shards (read-mostly shared_mutex each), so
@@ -24,6 +26,7 @@
 
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <shared_mutex>
 #include <string>
@@ -60,8 +63,8 @@ struct RegisteredPolicy {
   PolicyMetadata metadata;
   /// Unique across the registry's lifetime (monotonic counter, never
   /// reused even through Unregister+Register under the same name), so
-  /// (name, version) keys — plan cache, budget ledgers — can never
-  /// alias a different entry.
+  /// (name, version) keys — single-flight planning, budget ledgers —
+  /// can never alias a different entry.
   uint64_t version = 0;
   /// This version's budget-cap ledger, resolved once at registration
   /// so a warm submit charges the cap without touching the
@@ -70,15 +73,25 @@ struct RegisteredPolicy {
   /// Lazily planned execution slots, one per planner option set
   /// ([0] data-independent, [1] data-dependent). Engine-managed via
   /// std::atomic_load/atomic_store; a populated slot is what makes a
-  /// warm submit plan-lookup-free. Snapshot-local: a Replace starts
-  /// the new version with empty slots while in-flight readers keep
-  /// the old snapshot's plans.
+  /// warm submit plan-lookup-free. The only store of the snapshot's
+  /// plans: a Replace starts the new version with empty slots while
+  /// in-flight readers keep the old snapshot's plans, which die with
+  /// it.
   mutable std::shared_ptr<const Plan> plan_slots[2];
-  /// Lazily computed noise-free release precompute per option set,
-  /// engine-managed like `plan_slots` (dies with the snapshot, so
-  /// Replace/Unregister can never serve a stale transform).
-  mutable std::shared_ptr<const BlowfishMechanism::ReleasePrecompute>
-      precompute_slots[2];
+  /// \brief The noise-free release precompute of one option set.
+  struct PrecomputeSlot {
+    /// Null until computed; engine-managed like `plan_slots`.
+    std::shared_ptr<const BlowfishMechanism::ReleasePrecompute> pre;
+    /// Held by the one submit filling a cold slot, so a cold-policy
+    /// herd runs the transform (a CG solve on general graphs) once.
+    std::mutex gate;
+    /// Recency stamp for the engine's transform byte budget.
+    std::atomic<uint64_t> last_used{0};
+  };
+  /// Lazily computed release precompute per option set, the only
+  /// store of it: it dies with the snapshot, so Replace/Unregister can
+  /// never serve a stale transform.
+  mutable PrecomputeSlot precompute_slots[2];
 };
 
 /// \brief Opaque reference to a registered name. Cheap to copy;

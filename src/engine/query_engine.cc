@@ -100,6 +100,19 @@ int64_t WallMicrosNow() {
       .count();
 }
 
+// The precompute-slot value of a mechanism without a precompute split
+// (unbounded DP, DAWA): it keeps "no split" apart from "not yet
+// computed" (an empty slot), so IsWarm and the async lanes treat such
+// plans as warm. Its footprint is the base class's nominal size, and
+// it has no wire form, so WriteSnapshot skips it.
+const std::shared_ptr<const BlowfishMechanism::ReleasePrecompute>&
+NoSplit() {
+  static const std::shared_ptr<const BlowfishMechanism::ReleasePrecompute>
+      no_split =
+          std::make_shared<const BlowfishMechanism::ReleasePrecompute>();
+  return no_split;
+}
+
 }  // namespace
 
 QueryEngine::QueryEngine(EngineOptions options)
@@ -107,8 +120,7 @@ QueryEngine::QueryEngine(EngineOptions options)
       seed_(options_.seed.has_value() ? *options_.seed : Rng::EntropySeed()),
       telemetry_(options_.trace_sample_rate, options_.audit_log_capacity,
                  options_.flight_recorder_capacity,
-                 options_.burn_alert_capacity),
-      plan_cache_(options_.plan_cache_bytes) {
+                 options_.burn_alert_capacity) {
   // Every spend/refusal the accountant decides lands in the audit
   // ring, appended under the charge's shard locks (see telemetry.h
   // for the ordering guarantee that buys).
@@ -208,21 +220,20 @@ QueryEngine::QueryEngine(EngineOptions options)
       f_tenant_requests_ != nullptr || telemetry_.flight().enabled();
 
   // Component levels and monotone counts, read at snapshot time from
-  // the stats the components already maintain (no second bookkeeping).
+  // the stats the components already maintain (no second bookkeeping);
+  // resident plans and precomputes are counted in the live snapshots'
+  // slots.
   metrics.counter_callback("engine_plan_cache_hits", [this] {
     return static_cast<double>(plan_cache_.stats().hits);
   });
   metrics.counter_callback("engine_plan_cache_misses", [this] {
     return static_cast<double>(plan_cache_.stats().misses);
   });
-  metrics.counter_callback("engine_plan_cache_evictions", [this] {
-    return static_cast<double>(plan_cache_.stats().evictions);
-  });
   metrics.gauge_callback("engine_plan_cache_entries", [this] {
-    return static_cast<double>(plan_cache_.stats().entries);
+    return static_cast<double>(plan_cache_stats().entries);
   });
   metrics.gauge_callback("engine_plan_cache_bytes", [this] {
-    return static_cast<double>(plan_cache_.stats().bytes);
+    return static_cast<double>(plan_cache_stats().bytes);
   });
   metrics.gauge_callback("engine_transform_cache_entries", [this] {
     return static_cast<double>(transform_cache_stats().entries);
@@ -610,28 +621,22 @@ void QueryEngine::RestoreFromSnapshot() {
       ++snapshot_restore_stats_.items_skipped;  // family/shape mismatch
       continue;
     }
-    const uint64_t key = (st.version << 1) | (st.data_dependent ? 1u : 0u);
-    PrecomputeShard& shard = precompute_shards_[PrecomputeShardOf(key)];
-    std::unique_lock<std::shared_mutex> lock(shard.mu);
-    PrecomputeEntry cached;
-    cached.bytes = pre->ApproxBytes();
-    cached.last_used =
-        transform_clock_.fetch_add(1, std::memory_order_relaxed) + 1;
-    cached.pre = std::move(pre);
-    const auto [it, inserted] = shard.entries.emplace(key, std::move(cached));
-    if (inserted) {
-      transform_bytes_.fetch_add(it->second.bytes,
-                                 std::memory_order_relaxed);
-      ++snapshot_restore_stats_.transforms_restored;
-    } else {
+    RegisteredPolicy::PrecomputeSlot& target =
+        entry.ValueOrDie()->precompute_slots[slot];
+    if (target.pre != nullptr) {
       ++snapshot_restore_stats_.items_skipped;  // duplicate section
+      continue;
     }
+    target.last_used.store(
+        transform_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
+        std::memory_order_relaxed);
+    std::atomic_store_explicit(&target.pre, std::move(pre),
+                               std::memory_order_release);
+    ++snapshot_restore_stats_.transforms_restored;
   }
   // A restored set larger than the configured budget trims to the
-  // budget exactly as live inserts would.
-  if (options_.transform_cache_bytes != 0) {
-    EnforceTransformBudget(~0ull);
-  }
+  // budget exactly as live fills would.
+  if (options_.transform_cache_bytes != 0) EnforceTransformBudget(nullptr);
 }
 
 Status QueryEngine::WriteSnapshot() {
@@ -639,17 +644,12 @@ Status QueryEngine::WriteSnapshot() {
     return Status::InvalidArgument(
         "engine has no snapshot store (EngineOptions::snapshot_path unset)");
   }
-  // Collect under brief locks (registry snapshots are immutable
-  // shared_ptrs; plan slots are atomics; each transform shard is held
-  // only long enough to copy key -> shared_ptr pairs). Serialization
-  // and file I/O then run with no engine lock held.
+  // Collect under brief registry locks (snapshots are immutable
+  // shared_ptrs; their slots are atomics). Serialization and file I/O
+  // then run with no engine lock held.
   SnapshotImage image;
-  std::unordered_map<uint64_t, std::string> live_versions;
-  for (const std::string& name : registry_.Names()) {
-    Result<std::shared_ptr<const RegisteredPolicy>> lookup =
-        registry_.Get(name);
-    if (!lookup.ok()) continue;  // raced an Unregister; skip
-    const RegisteredPolicy& entry = *lookup.ValueOrDie();
+  for (const std::shared_ptr<const RegisteredPolicy>& live : LiveSnapshots()) {
+    const RegisteredPolicy& entry = *live;
     SnapshotPolicy sp;
     sp.registered_name = entry.name;
     sp.policy_name = entry.policy.name;
@@ -662,46 +662,31 @@ Status QueryEngine::WriteSnapshot() {
     for (size_t slot = 0; slot < 2; ++slot) {
       const std::shared_ptr<const Plan> plan = std::atomic_load_explicit(
           &entry.plan_slots[slot], std::memory_order_acquire);
-      if (plan == nullptr) continue;
-      SnapshotPlanHint hint;
-      hint.slot = static_cast<uint8_t>(slot);
-      hint.kind = plan->kind;
-      sp.plan_hints.push_back(std::move(hint));
+      if (plan != nullptr) {
+        SnapshotPlanHint hint;
+        hint.slot = static_cast<uint8_t>(slot);
+        hint.kind = plan->kind;
+        sp.plan_hints.push_back(std::move(hint));
+      }
+      const PrecomputePtr pre = std::atomic_load_explicit(
+          &entry.precompute_slots[slot].pre, std::memory_order_acquire);
+      if (pre == nullptr) continue;
+      SnapshotTransform st;
+      // Empty for "no split" and for families without a wire form:
+      // those recompute on use.
+      st.family = std::string(pre->SerialFamily());
+      if (st.family.empty() || !pre->EncodePayload(&st.payload)) continue;
+      st.registered_name = entry.name;
+      st.version = entry.version;
+      st.data_dependent = slot == 1;
+      image.transforms.push_back(std::move(st));
     }
-    live_versions.emplace(entry.version, entry.name);
     image.policies.push_back(std::move(sp));
-  }
-
-  std::vector<std::pair<uint64_t, PrecomputePtr>> resident;
-  for (const PrecomputeShard& shard : precompute_shards_) {
-    std::shared_lock<std::shared_mutex> lock(shard.mu);
-    for (const auto& [key, entry] : shard.entries) {
-      if (entry.pre != nullptr) resident.emplace_back(key, entry.pre);
-    }
-  }
-  for (const auto& [key, pre] : resident) {
-    const auto live = live_versions.find(key >> 1);
-    if (live == live_versions.end()) continue;  // superseded version
-    SnapshotTransform st;
-    st.family = std::string(pre->SerialFamily());
-    if (st.family.empty() || !pre->EncodePayload(&st.payload)) {
-      continue;  // family not serializable; it will recompute on use
-    }
-    st.registered_name = live->second;
-    st.version = key >> 1;
-    st.data_dependent = (key & 1u) != 0;
-    image.transforms.push_back(std::move(st));
   }
 
   return snapshot::Write(options_.snapshot_path, image,
                          options_.snapshot_keep_generations,
                          options_.file_io);
-}
-
-// Spreads precompute keys (consecutive versions) across shards.
-size_t QueryEngine::PrecomputeShardOf(uint64_t key) {
-  return static_cast<size_t>((key * kStreamStep) >> 61) &
-         (kPrecomputeShards - 1);
 }
 
 std::string QueryEngine::SessionLedger(const std::string& session_id) {
@@ -759,9 +744,7 @@ Status QueryEngine::RegisterPolicy(const std::string& name, Policy policy,
 Status QueryEngine::ReplacePolicy(const std::string& name, Policy policy,
                                   Vector data, double epsilon_cap) {
   std::lock_guard<std::mutex> admin(admin_mu_);
-  Result<std::shared_ptr<const RegisteredPolicy>> old_entry =
-      registry_.Get(name);
-  if (!old_entry.ok()) return old_entry.status();
+  BF_RETURN_NOT_OK(registry_.Get(name).status());
   // Fresh data, fresh cap, fresh ledger id — opened before the swap
   // publishes the version, so no submit ever charges a missing
   // ledger. The superseded version's ledger stays open so in-flight
@@ -777,165 +760,109 @@ Status QueryEngine::ReplacePolicy(const std::string& name, Policy policy,
     accountant_.CloseLedger(*ledger).Check();
     return replaced;
   }
-  plan_cache_.Invalidate(name);
-  DropTransformed(*old_entry.ValueOrDie());
   return Status::OK();
 }
 
 Status QueryEngine::UnregisterPolicy(const std::string& name) {
   std::lock_guard<std::mutex> admin(admin_mu_);
-  Result<std::shared_ptr<const RegisteredPolicy>> old_entry =
-      registry_.Get(name);
-  if (!old_entry.ok()) return old_entry.status();
   BF_RETURN_NOT_OK(registry_.Unregister(name));
-  plan_cache_.Invalidate(name);
-  DropTransformed(*old_entry.ValueOrDie());
   accountant_.CloseLedgersWithPrefix(PolicyLedgerPrefix(name));
   return Status::OK();
 }
 
-void QueryEngine::DropTransformed(const RegisteredPolicy& entry) {
-  // Only the snapshot's two option slots can exist (superseded
-  // versions were dropped by the lifecycle op that superseded them),
-  // so eviction addresses exactly their shards. Erasing a gate an
-  // in-flight cold precompute still holds is safe: the straggler
-  // re-checks version currency under the shard lock before caching.
-  const uint64_t base = entry.version << 1;
-  for (uint64_t key : {base, base | 1u}) {
-    PrecomputeShard& shard = precompute_shards_[PrecomputeShardOf(key)];
-    std::unique_lock<std::shared_mutex> lock(shard.mu);
-    if (auto it = shard.entries.find(key); it != shard.entries.end()) {
-      transform_bytes_.fetch_sub(it->second.bytes,
-                                 std::memory_order_relaxed);
-      shard.entries.erase(it);
-    }
-    shard.gates.erase(key);
+std::vector<std::shared_ptr<const RegisteredPolicy>>
+QueryEngine::LiveSnapshots() const {
+  std::vector<std::shared_ptr<const RegisteredPolicy>> live;
+  for (const std::string& name : registry_.Names()) {
+    Result<std::shared_ptr<const RegisteredPolicy>> entry = registry_.Get(name);
+    if (entry.ok()) live.push_back(std::move(entry).ValueOrDie());
   }
+  return live;
 }
 
-void QueryEngine::EnforceTransformBudget(uint64_t protect_key) {
+void QueryEngine::EnforceTransformBudget(
+    const RegisteredPolicy::PrecomputeSlot* protect) {
   const size_t budget = options_.transform_cache_bytes;
-  // Evict the *globally* least-recently-used entry until the budget
-  // holds, scanning shards one lock at a time (never nested, so
-  // concurrent inserts cannot deadlock; the scan is approximate under
-  // concurrency, exact when quiet). The protected (just-inserted,
-  // presumably hot) entry is spared until everything else is gone,
-  // then evicted itself if it alone breaks the budget.
-  for (const bool allow_protected : {false, true}) {
-    while (transform_bytes_.load(std::memory_order_relaxed) > budget) {
-      size_t victim_shard = kPrecomputeShards;
-      uint64_t victim_key = 0;
-      uint64_t victim_stamp = ~0ull;
-      for (size_t s = 0; s < kPrecomputeShards; ++s) {
-        std::shared_lock<std::shared_mutex> lock(precompute_shards_[s].mu);
-        for (const auto& [entry_key, entry] : precompute_shards_[s].entries) {
-          if (!allow_protected && entry_key == protect_key) continue;
-          if (entry.last_used < victim_stamp) {
-            victim_stamp = entry.last_used;
-            victim_key = entry_key;
-            victim_shard = s;
-          }
-        }
-      }
-      if (victim_shard == kPrecomputeShards) break;  // nothing evictable
-      PrecomputeShard& shard = precompute_shards_[victim_shard];
-      std::unique_lock<std::shared_mutex> lock(shard.mu);
-      auto it = shard.entries.find(victim_key);
-      if (it == shard.entries.end()) continue;  // raced away; rescan
-      transform_bytes_.fetch_sub(it->second.bytes,
-                                 std::memory_order_relaxed);
-      shard.entries.erase(it);
+  struct Resident {
+    RegisteredPolicy::PrecomputeSlot* slot;
+    PrecomputePtr pre;
+    uint64_t stamp;
+  };
+  // The walk holds the snapshots, so their slots outlive it. It is
+  // approximate under concurrency (a slot filled or emptied meanwhile
+  // is missed) and exact when quiet.
+  const std::vector<std::shared_ptr<const RegisteredPolicy>> live =
+      LiveSnapshots();
+  std::vector<Resident> resident;
+  size_t bytes = 0;
+  for (const std::shared_ptr<const RegisteredPolicy>& entry : live) {
+    for (RegisteredPolicy::PrecomputeSlot& slot : entry->precompute_slots) {
+      PrecomputePtr pre =
+          std::atomic_load_explicit(&slot.pre, std::memory_order_acquire);
+      if (pre == nullptr) continue;
+      bytes += pre->ApproxBytes();
+      // The protected slot sorts last: emptied only as the last resort.
+      const uint64_t stamp =
+          &slot == protect ? ~0ull
+                           : slot.last_used.load(std::memory_order_relaxed);
+      resident.push_back(Resident{&slot, std::move(pre), stamp});
+    }
+  }
+  if (bytes <= budget) return;
+  std::sort(resident.begin(), resident.end(),
+            [](const Resident& a, const Resident& b) {
+              return a.stamp < b.stamp;
+            });
+  for (const Resident& r : resident) {
+    if (bytes <= budget) break;
+    // Empties the slot only if it still holds what the walk saw: a
+    // concurrent refill stays.
+    PrecomputePtr expected = r.pre;
+    if (std::atomic_compare_exchange_strong(&r.slot->pre, &expected,
+                                            PrecomputePtr())) {
+      bytes -= r.pre->ApproxBytes();
       transform_evictions_.fetch_add(1, std::memory_order_relaxed);
     }
-    if (transform_bytes_.load(std::memory_order_relaxed) <= budget) return;
   }
 }
 
 QueryEngine::PrecomputePtr QueryEngine::GetOrPrecompute(
     const RegisteredPolicy& entry, const Plan& plan,
     bool prefer_data_dependent) {
-  const uint64_t key =
-      (entry.version << 1) | (prefer_data_dependent ? 1u : 0u);
+  RegisteredPolicy::PrecomputeSlot& slot =
+      entry.precompute_slots[prefer_data_dependent ? 1 : 0];
   const bool budgeted = options_.transform_cache_bytes != 0;
-  PrecomputeShard& shard = precompute_shards_[PrecomputeShardOf(key)];
-  if (!budgeted) {
-    // Unbounded: recency is meaningless, the probe stays a shared
-    // (concurrent) read — the historical warm path, unchanged.
-    std::shared_lock<std::shared_mutex> lock(shard.mu);
-    auto it = shard.entries.find(key);
-    // A cached null is a memoized "mechanism has no precompute
-    // split": the submit falls back to Run() at one map probe.
-    if (it != shard.entries.end()) return it->second.pre;
-  } else {
-    // Budgeted: the hit must stamp recency, which needs the write
-    // lock (still sharded — only same-shard submits contend).
-    std::unique_lock<std::shared_mutex> lock(shard.mu);
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
-      it->second.last_used =
-          transform_clock_.fetch_add(1, std::memory_order_relaxed) + 1;
-      return it->second.pre;
-    }
-  }
-  // Per-key single-flight: a cold-policy herd must not run the CG
-  // solve once per submitter, and a cold policy must not block
-  // first-touch submits on *other* policies, so the gate is keyed,
-  // not engine-global. Warm submits never reach this point.
-  std::shared_ptr<std::mutex> gate;
-  {
-    std::unique_lock<std::shared_mutex> lock(shard.mu);
-    if (auto it = shard.entries.find(key); it != shard.entries.end()) {
-      return it->second.pre;
-    }
-    std::shared_ptr<std::mutex>& slot = shard.gates[key];
-    if (slot == nullptr) slot = std::make_shared<std::mutex>();
-    gate = slot;
-  }
-  std::lock_guard<std::mutex> flight(*gate);
-  {
-    std::shared_lock<std::shared_mutex> lock(shard.mu);
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) return it->second.pre;
-  }
-  PrecomputePtr pre = plan.mechanism->PrecomputeRelease(entry.data);
-  {
-    std::unique_lock<std::shared_mutex> lock(shard.mu);
-    shard.gates.erase(key);
-    // Cache only while this snapshot is still the registry's current
-    // version: a submit that lost a Replace/Unregister race must not
-    // re-insert an entry DropTransformed just erased (nothing would
-    // ever evict it again). The check and the insert share the shard
-    // lock with DropTransformed, and the lifecycle ops publish the new
-    // version *before* dropping — so either the check fails here, or
-    // the pending drop runs after this insert and erases it.
-    Result<std::shared_ptr<const RegisteredPolicy>> current =
-        registry_.Get(entry.name);
-    if (!current.ok() || current.ValueOrDie()->version != entry.version) {
+  PrecomputePtr pre =
+      std::atomic_load_explicit(&slot.pre, std::memory_order_acquire);
+  if (pre == nullptr) {
+    // Single-flight per slot: a cold-policy herd must not run the CG
+    // solve once per submitter, and the gate is the snapshot's own, so
+    // a cold policy never blocks first touches of other policies.
+    // Warm submits never take it.
+    std::unique_lock<std::mutex> gate(slot.gate);
+    pre = std::atomic_load_explicit(&slot.pre, std::memory_order_acquire);
+    if (pre == nullptr) {
+      pre = plan.mechanism->PrecomputeRelease(entry.data);
+      // Stamped before it is visible, so a concurrent budget walk never
+      // sees the fresh precompute as the oldest.
+      slot.last_used.store(
+          transform_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
+          std::memory_order_relaxed);
+      std::atomic_store_explicit(&slot.pre, pre != nullptr ? pre : NoSplit(),
+                                 std::memory_order_release);
+      gate.unlock();
+      // Walks every live snapshot, so it runs outside the gate.
+      if (budgeted) EnforceTransformBudget(&slot);
       return pre;
     }
-    PrecomputeEntry cached;
-    // A memoized null ("no precompute split") still occupies a map
-    // slot; charge it a nominal footprint so the accounting stays
-    // monotone.
-    const size_t bytes =
-        pre != nullptr ? pre->ApproxBytes() : sizeof(PrecomputeEntry);
-    cached.bytes = bytes;
-    cached.last_used =
-        transform_clock_.fetch_add(1, std::memory_order_relaxed) + 1;
-    cached.pre = pre;
-    // A straggler holding a stale gate can lose the insert to a fresh
-    // leader; counting its bytes anyway would inflate the global
-    // accounting forever (nothing ever subtracts a failed insert).
-    const auto [it, inserted] = shard.entries.emplace(key, std::move(cached));
-    (void)it;
-    if (inserted) {
-      transform_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    }
+  } else if (budgeted) {
+    // A budgeted hit stamps recency in the slot, without a lock.
+    slot.last_used.store(
+        transform_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
+        std::memory_order_relaxed);
   }
-  // Budget enforcement locks shards one at a time, so it must run
-  // outside this shard's lock.
-  if (budgeted) EnforceTransformBudget(key);
-  return pre;
+  // "No split": the submit falls back to Run().
+  return pre == NoSplit() ? nullptr : pre;
 }
 
 bool QueryEngine::IsWarm(const QueryRequest& request,
@@ -948,17 +875,12 @@ bool QueryEngine::IsWarm(const QueryRequest& request,
   if (!lookup.ok()) return true;
   const RegisteredPolicy& entry = *lookup.ValueOrDie();
   const size_t slot = request.prefer_data_dependent ? 1 : 0;
-  const bool planned =
-      std::atomic_load_explicit(&entry.plan_slots[slot],
-                                std::memory_order_acquire) != nullptr;
-  bool transformed = false;
-  if (planned) {
-    const uint64_t key = (entry.version << 1) | (slot ? 1u : 0u);
-    const PrecomputeShard& shard = precompute_shards_[PrecomputeShardOf(key)];
-    std::shared_lock<std::shared_mutex> lock(shard.mu);
-    transformed = shard.entries.find(key) != shard.entries.end();
+  if (std::atomic_load_explicit(&entry.plan_slots[slot],
+                                std::memory_order_acquire) != nullptr &&
+      std::atomic_load_explicit(&entry.precompute_slots[slot].pre,
+                                std::memory_order_acquire) != nullptr) {
+    return true;
   }
-  if (planned && transformed) return true;
   if (cold_key != nullptr) {
     *cold_key = PlanCache::MakeKey(entry.name, entry.version,
                                    request.prefer_data_dependent);
@@ -966,22 +888,34 @@ bool QueryEngine::IsWarm(const QueryRequest& request,
   return false;
 }
 
-size_t QueryEngine::transform_cache_entries() const {
-  size_t total = 0;
-  for (const PrecomputeShard& shard : precompute_shards_) {
-    std::shared_lock<std::shared_mutex> lock(shard.mu);
-    total += shard.entries.size();
+PlanCache::Stats QueryEngine::plan_cache_stats() const {
+  PlanCache::Stats stats = plan_cache_.stats();
+  for (const std::shared_ptr<const RegisteredPolicy>& entry :
+       LiveSnapshots()) {
+    for (const std::shared_ptr<const Plan>& slot : entry->plan_slots) {
+      const std::shared_ptr<const Plan> plan =
+          std::atomic_load_explicit(&slot, std::memory_order_acquire);
+      if (plan == nullptr) continue;
+      ++stats.entries;
+      stats.bytes += std::max(plan->approx_bytes, sizeof(Plan));
+    }
   }
-  return total;
+  return stats;
 }
 
 QueryEngine::TransformCacheStats QueryEngine::transform_cache_stats() const {
   TransformCacheStats stats;
-  for (const PrecomputeShard& shard : precompute_shards_) {
-    std::shared_lock<std::shared_mutex> lock(shard.mu);
-    stats.entries += shard.entries.size();
+  for (const std::shared_ptr<const RegisteredPolicy>& entry :
+       LiveSnapshots()) {
+    for (const RegisteredPolicy::PrecomputeSlot& slot :
+         entry->precompute_slots) {
+      const PrecomputePtr pre =
+          std::atomic_load_explicit(&slot.pre, std::memory_order_acquire);
+      if (pre == nullptr) continue;
+      ++stats.entries;
+      stats.bytes += pre->ApproxBytes();
+    }
   }
-  stats.bytes = transform_bytes_.load(std::memory_order_relaxed);
   stats.evictions = transform_evictions_.load(std::memory_order_relaxed);
   return stats;
 }
@@ -1030,20 +964,20 @@ Result<LedgerHandle> QueryEngine::ResolveSession(
 Result<std::shared_ptr<const Plan>> QueryEngine::GetOrPlan(
     const std::shared_ptr<const RegisteredPolicy>& entry,
     bool prefer_data_dependent, bool* cache_hit) {
+  std::shared_ptr<const Plan>* slot =
+      &entry->plan_slots[prefer_data_dependent ? 1 : 0];
   // Warm path: the snapshot's own plan slot — no key string, no map.
-  const size_t slot = prefer_data_dependent ? 1 : 0;
-  std::shared_ptr<const Plan> warm = std::atomic_load_explicit(
-      &entry->plan_slots[slot], std::memory_order_acquire);
+  std::shared_ptr<const Plan> warm =
+      std::atomic_load_explicit(slot, std::memory_order_acquire);
   if (warm != nullptr) {
     plan_cache_.RecordHit();
     *cache_hit = true;
     return warm;
   }
-  const std::string key = PlanCache::MakeKey(entry->name, entry->version,
-                                             prefer_data_dependent);
-  // Single-flight: concurrent misses on one key run the planner once.
-  Result<std::shared_ptr<const Plan>> planned = plan_cache_.GetOrCompute(
-      key,
+  // Single-flight: concurrent misses on one key run the planner once,
+  // into the slot.
+  return plan_cache_.GetOrCompute(
+      PlanCache::MakeKey(entry->name, entry->version, prefer_data_dependent),
       [&]() -> Result<Plan> {
         const Clock::time_point start = Clock::now();
         Result<Plan> result =
@@ -1059,25 +993,7 @@ Result<std::shared_ptr<const Plan>> QueryEngine::GetOrPlan(
             "policy '" + entry->name + "' via " + plan.kind);
         return plan;
       },
-      cache_hit);
-  if (!planned.ok()) return planned;
-  std::atomic_store_explicit(&entry->plan_slots[slot],
-                             std::shared_ptr<const Plan>(*planned),
-                             std::memory_order_release);
-  if (!*cache_hit) {
-    // This cold planning may have lost a Replace/Unregister race: the
-    // lifecycle op bumps the registry version before invalidating, so
-    // if the snapshot is no longer current our insert may have landed
-    // after the sweep and nothing else would ever evict it. The
-    // submit still proceeds with the plan it holds (the versioned
-    // budget charge decides its fate); only the cache entry goes.
-    Result<std::shared_ptr<const RegisteredPolicy>> current =
-        registry_.Get(entry->name);
-    if (!current.ok() || current.ValueOrDie()->version != entry->version) {
-      plan_cache_.Invalidate(entry->name);
-    }
-  }
-  return planned;
+      cache_hit, slot);
 }
 
 namespace {

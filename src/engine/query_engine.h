@@ -2,8 +2,9 @@
 //
 //   PolicyRegistry   named policies + the data they protect + ε caps
 //                    (sharded by name hash; handles skip the hash)
-//   PlanCache        (policy, options) -> shared plan; planner /
-//                    spanner / matrix work runs once per policy
+//   PlanCache        single-flight planning: planner / spanner /
+//                    matrix work runs once per (policy, version,
+//                    options), into the snapshot's own plan slot
 //   BudgetAccountant per-policy and per-session ε ledgers (sharded by
 //                    id hash), charged atomically before any noise is
 //                    drawn
@@ -35,9 +36,11 @@
 // own plan slot, the charge records a structured audit tag (shared
 // context string, no formatting), and the noise-free release
 // precompute (database transform, component totals — for general
-// graphs a conjugate-gradient solve) is cached per (policy, version)
-// in a sharded engine cache. String-id requests still work and pay
-// only one hash per lookup.
+// graphs a conjugate-gradient solve) comes from the snapshot's own
+// precompute slot. Both slots are filled once per (policy, version,
+// options) and die with the snapshot, so a Replace or Unregister
+// sweeps nothing. String-id requests still work and pay only one hash
+// per lookup.
 //
 // Release paths. A dense workload is answered as W x̂ from the plan's
 // full-histogram release. An implicit range workload on a θ>=2 grid
@@ -111,22 +114,19 @@ struct EngineOptions {
   /// Plan (and precompute the release transform) at registration time
   /// so the first submit is already warm.
   bool warm_plan_cache = false;
-  /// Byte budget for the plan cache (modeled plan footprints; 0 =
-  /// unbounded, the historical behavior). When set, the cache evicts
-  /// least-recently-used plans so resident bytes never exceed the
-  /// budget; evicted plans simply re-plan on next contact. Snapshot
-  /// plan slots are unaffected (at most two plans per live policy,
-  /// dying with the snapshot).
+  /// Retired: has no effect. Plans live only in the snapshots' plan
+  /// slots (at most two per live policy, dying with the snapshot), so
+  /// there is nothing to budget. Kept only because existing callers
+  /// still assign it; it goes once they stop.
   size_t plan_cache_bytes = 0;
-  /// Byte budget for the per-(policy, version) noise-free transform
-  /// cache (0 = unbounded). An insert that pushes the global total
-  /// over budget evicts globally least-recently-used entries (shard
-  /// locks taken one at a time), sparing the just-inserted entry
-  /// until the very last resort — so resident bytes return under
-  /// budget before the insert returns, stale idle entries in any
-  /// shard age out, and a hot new transform is never thrashed by cold
-  /// resident ones. Evicted transforms recompute on next contact
-  /// (single-flight, as on first touch).
+  /// Byte budget for the release precomputes held in the live
+  /// snapshots' precompute slots (0 = unbounded). A fill that pushes
+  /// the total over budget empties the least-recently-used slots among
+  /// the live snapshots, sparing the one just filled until the very
+  /// last resort — so resident bytes return under budget before the
+  /// fill returns, idle precomputes age out, and a hot new transform
+  /// is never thrashed by cold resident ones. An emptied slot
+  /// recomputes on next contact (single-flight, as on first touch).
   size_t transform_cache_bytes = 0;
 
   // ---- AsyncQueryEngine knobs (ignored by the synchronous engine) ----
@@ -233,7 +233,7 @@ struct EngineOptions {
   /// Directory of the warm-restart snapshot store. Empty (default)
   /// disables it. Non-empty: construction maps the newest valid
   /// snapshot generation and pre-populates the registry, the plan
-  /// slots, and the transform cache, so previously-warm requests
+  /// slots, and the precompute slots, so previously-warm requests
   /// readmit without replanning or recomputing — bit-identically,
   /// since transforms round trip as IEEE bit patterns. Strictly
   /// fail-open: a missing or corrupt snapshot means a cold start
@@ -333,7 +333,7 @@ class QueryEngine {
   /// (stats and tests).
   const LedgerJournal* journal() const { return journal_.get(); }
 
-  /// Serializes the current registry + plan slots + transform cache
+  /// Serializes the current registry + plan slots + precompute slots
   /// as the next snapshot generation under
   /// EngineOptions::snapshot_path (atomic: write-temp + fsync +
   /// rename + directory fsync; a crash mid-write never touches the
@@ -368,8 +368,9 @@ class QueryEngine {
   Status RegisterPolicy(const std::string& name, Policy policy, Vector data,
                         double epsilon_cap);
 
-  /// Swaps data/policy under an existing name: cached plans are
-  /// invalidated and the new entry gets its own fresh ε ledger (new
+  /// Swaps data/policy under an existing name: the new entry starts
+  /// with empty plan and precompute slots (the superseded snapshot's
+  /// die with it) and gets its own fresh ε ledger (new
   /// data is a fresh privacy resource). Budget ledgers are keyed by
   /// (name, version), so in-flight submits that snapshotted the old
   /// entry drain against the *old* data's cap — a replace can never
@@ -472,11 +473,12 @@ class QueryEngine {
 
   /// True when submitting `request` now would run no expensive cold
   /// work: the target snapshot's plan slot *and* its noise-free
-  /// release precompute are already cached. Requests that cannot
-  /// resolve a policy at all also count as warm — they fail fast
-  /// without planning. When the request is cold and `cold_key` is
-  /// non-null, it receives the (policy, version, options) plan-cache
-  /// key, the unit of cold single-flight.
+  /// release precompute slot are already filled (a precompute slot
+  /// also counts as filled when the plan has no precompute split).
+  /// Requests that cannot resolve a policy at all also count as warm —
+  /// they fail fast without planning. When the request is cold and
+  /// `cold_key` is non-null, it receives the (policy, version, options)
+  /// PlanCache::MakeKey key, the unit of cold single-flight.
   bool IsWarm(const QueryRequest& request,
               std::string* cold_key = nullptr) const;
 
@@ -507,13 +509,14 @@ class QueryEngine {
   /// for the on-call, not part of the up/down decision).
   HealthReport Healthz() const;
 
-  PlanCache::Stats plan_cache_stats() const { return plan_cache_.stats(); }
+  /// Single-flight hits and misses, plus the plans resident in the
+  /// live snapshots' plan slots (`entries`, `bytes`).
+  PlanCache::Stats plan_cache_stats() const;
   size_t num_policies() const { return registry_.size(); }
   std::vector<std::string> Names() const { return registry_.Names(); }
-  /// Cached noise-free release precomputes across all shards (tests).
-  size_t transform_cache_entries() const;
 
-  /// \brief Observability for the byte-budgeted transform cache.
+  /// \brief The release precomputes resident in the live snapshots'
+  /// precompute slots.
   struct TransformCacheStats {
     size_t entries = 0;
     size_t bytes = 0;        ///< Σ ApproxBytes of resident precomputes
@@ -599,32 +602,36 @@ class QueryEngine {
   /// generation and re-registers its policies (claiming their
   /// persisted versions), replans each recorded plan slot (spanner
   /// stretch is re-certified, which costs well under a millisecond),
-  /// and pre-populates the transform cache from the decoded
-  /// precomputes.
+  /// and fills the precompute slots from the decoded precomputes.
   /// Every failure is fail-open: the item is skipped and recomputed
   /// lazily on first contact. Runs before any submit can exist, so it
-  /// touches the shards without contention.
+  /// fills the slots without contention.
   void RestoreFromSnapshot();
 
-  /// Per-snapshot plan slot fast path, falling back to the
-  /// single-flight string-keyed cache on cold misses.
+  /// The snapshot's plan slot, planned single-flight into it on a
+  /// cold miss.
   Result<std::shared_ptr<const Plan>> GetOrPlan(
       const std::shared_ptr<const RegisteredPolicy>& entry,
       bool prefer_data_dependent, bool* cache_hit);
 
-  /// Cached noise-free precompute for (entry version, options slot);
-  /// single-flight per key so a cold-policy herd runs the transform
-  /// (a CG solve on general graphs) once. Null if the plan's
-  /// mechanism has no precompute split.
+  /// The snapshot's precompute slot for the option set, filled under
+  /// the slot's gate on a cold miss. Null if the plan's mechanism has
+  /// no precompute split (memoized in the slot, so the miss is paid
+  /// once).
   PrecomputePtr GetOrPrecompute(const RegisteredPolicy& entry,
                                 const Plan& plan, bool prefer_data_dependent);
 
-  /// Evicts the cached precomputes of one superseded snapshot. The
-  /// cache is sharded by key hash, so eviction addresses exactly the
-  /// shards holding the snapshot's two option slots.
-  void DropTransformed(const RegisteredPolicy& entry);
+  /// The registry's current snapshots: the live ones, whose slots the
+  /// stats count and the transform budget evicts from.
+  std::vector<std::shared_ptr<const RegisteredPolicy>> LiveSnapshots() const;
 
-  static size_t PrecomputeShardOf(uint64_t key);
+  /// Brings the live precompute slots back under
+  /// EngineOptions::transform_cache_bytes after a fill: empties slots
+  /// least recently used first. `protect` — the slot just filled,
+  /// presumably hot — is spared until everything else is gone, then
+  /// emptied itself if it alone exceeds the budget.
+  void EnforceTransformBudget(
+      const RegisteredPolicy::PrecomputeSlot* protect);
 
   /// The bounded-cardinality tenant label of a session id: the prefix
   /// before the first ':', '/', '#', or '@' — the conventional
@@ -709,39 +716,10 @@ class QueryEngine {
   std::unordered_map<uint64_t, std::string> session_tenants_
       GUARDED_BY(sessions_mu_);
 
-  /// Sharded (version << 1 | dd-option) -> precompute cache. Integer
-  /// keys: versions are registry-unique, so no name string is ever
-  /// built. The gates map holds one per-key mutex per in-progress
-  /// cold precompute (single-flight without blocking other policies'
-  /// first touches). When EngineOptions::transform_cache_bytes is
-  /// set, entries carry recency stamps and the inserting shard evicts
-  /// oldest-first until the *global* byte budget holds (see
-  /// EnforceTransformBudgetLocked).
-  static constexpr size_t kPrecomputeShards = 8;
-  struct PrecomputeEntry {
-    PrecomputePtr pre;       ///< may be null: memoized "no split"
-    size_t bytes = 0;        ///< ApproxBytes at insert
-    uint64_t last_used = 0;  ///< recency stamp; used when budgeted
-  };
-  struct PrecomputeShard {
-    mutable std::shared_mutex mu;
-    std::unordered_map<uint64_t, PrecomputeEntry> entries GUARDED_BY(mu);
-    std::unordered_map<uint64_t, std::shared_ptr<std::mutex>> gates
-        GUARDED_BY(mu);
-  };
-  PrecomputeShard precompute_shards_[kPrecomputeShards];
-
-  /// Brings the transform cache back under its global byte budget
-  /// after an insert: repeatedly evicts the globally least-recently-
-  /// used entry (shard locks taken one at a time — never nested, so
-  /// concurrent inserts cannot deadlock). The entry under
-  /// `protect_key` — the one just inserted, presumably hot — is
-  /// spared until everything else is gone, then evicted itself if it
-  /// alone exceeds the budget.
-  void EnforceTransformBudget(uint64_t protect_key);
-
+  /// Recency source for the precompute slots' stamps (used when
+  /// EngineOptions::transform_cache_bytes is set), and the budget's
+  /// eviction count.
   std::atomic<uint64_t> transform_clock_{0};
-  std::atomic<size_t> transform_bytes_{0};
   std::atomic<uint64_t> transform_evictions_{0};
 
   /// Filled once by RestoreFromSnapshot() during construction (no

@@ -3,8 +3,8 @@
 //
 // The paper's subject is *accounting* — policy-aware ε spent per
 // release — and before this layer the engine could only report it
-// through ad-hoc per-component stats (AsyncStats, PlanCache::Stats,
-// transform_cache_stats()) with no record of which tenant spent which
+// through ad-hoc per-component stats (AsyncStats, the plan and
+// transform slot counts) with no record of which tenant spent which
 // budget when, or where a request's latency went. Three pieces fix
 // that:
 //
@@ -323,10 +323,11 @@ class MetricsRegistry {
   Gauge* gauge(const std::string& name, std::string_view help = {});
   LatencyHistogram* histogram(const std::string& name,
                               std::string_view help = {});
-  /// A gauge whose value is computed at snapshot time (plan-cache
-  /// stats, queue depths — levels a component already tracks under
-  /// its own lock). `fn` runs on the snapshotting thread and may take
-  /// that component's locks; it must not call back into the registry.
+  /// A gauge whose value is computed at snapshot time (plans resident
+  /// in the registry's snapshots, queue depths — levels a component
+  /// already tracks under its own locks). `fn` runs on the
+  /// snapshotting thread and may take that component's locks; it must
+  /// not call back into the registry.
   void gauge_callback(const std::string& name, std::function<double()> fn,
                       std::string_view help = {}) {
     RegisterCallback(name, std::move(fn), help, /*is_counter=*/false);

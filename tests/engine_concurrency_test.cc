@@ -89,6 +89,56 @@ TEST(EngineConcurrency, ParallelSubmitsAcrossPoliciesAndSessions) {
   EXPECT_EQ(stats.hits + stats.misses, kThreads * kSubmitsPerThread);
 }
 
+TEST(EngineConcurrency, BudgetedPrecomputeSlotsChurnUnderConcurrentSubmits) {
+  // Threads submit across θ>=2 grid policies whose precomputes do not
+  // all fit the transform budget, so slot fills, budgeted hits and LRU
+  // evictions interleave. Every submit must succeed with all its
+  // answers, and once quiet the live slots are back under the budget.
+  constexpr size_t kBudget = 2048;
+  constexpr size_t kPolicies = 8;
+  constexpr size_t kThreads = 4;
+  constexpr size_t kSubmitsPerThread = 40;
+  EngineOptions options;
+  options.seed = 1;
+  options.transform_cache_bytes = kBudget;
+  QueryEngine engine(options);
+  for (size_t i = 0; i < kPolicies; ++i) {
+    ASSERT_TRUE(engine
+                    .RegisterPolicy("slab" + std::to_string(i),
+                                    GridPolicy(DomainShape({8, 8}), 4),
+                                    Ramp(64), 1e6)
+                    .ok());
+  }
+  ASSERT_TRUE(engine.OpenSession("s", 1e6).ok());
+
+  std::atomic<size_t> failures{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&engine, &failures, t] {
+      QueryRequest request;
+      request.session = "s";
+      request.ranges = RangeWorkload("r", DomainShape({8, 8}),
+                                     {{{0, 0}, {3, 3}}, {{2, 1}, {7, 7}}});
+      request.epsilon = 0.01;
+      for (size_t i = 0; i < kSubmitsPerThread; ++i) {
+        request.policy = "slab" + std::to_string((t * 3 + i) % kPolicies);
+        const Result<QueryResult> result = engine.Submit(request);
+        if (!result.ok() || result.ValueOrDie().answers.size() != 2u ||
+            !result.ValueOrDie().range_fast_path) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(failures.load(), 0u);
+  const QueryEngine::TransformCacheStats stats =
+      engine.transform_cache_stats();
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LE(stats.bytes, kBudget);
+}
+
 TEST(EngineConcurrency, ContendedCapAdmitsExactlyTheBudget) {
   constexpr size_t kThreads = 6;
   constexpr size_t kSubmitsPerThread = 10;
@@ -216,6 +266,7 @@ TEST(EngineConcurrency, ColdPlanCacheMissesSingleFlight) {
   // planner cost, the rest must block and share its plan.
   constexpr size_t kThreads = 8;
   PlanCache cache;
+  std::shared_ptr<const Plan> slot;
   std::atomic<size_t> invocations{0};
   std::atomic<size_t> failures{0};
 
@@ -234,7 +285,7 @@ TEST(EngineConcurrency, ColdPlanCacheMissesSingleFlight) {
             p.kind = "slow-plan";
             return p;
           },
-          &hit);
+          &hit, &slot);
       if (!plan.ok() || (*plan)->kind != "slow-plan") failures.fetch_add(1);
     });
   }
@@ -244,26 +295,29 @@ TEST(EngineConcurrency, ColdPlanCacheMissesSingleFlight) {
                                     << invocations.load() << " times";
   EXPECT_EQ(failures.load(), 0u);
   const PlanCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.entries, 1u);
+  // The one plan is retained, in the caller's slot.
+  ASSERT_NE(slot, nullptr);
+  EXPECT_EQ(slot->kind, "slow-plan");
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, kThreads - 1);
 }
 
 TEST(EngineConcurrency, FailedPlanIsSharedButNotCached) {
   PlanCache cache;
+  std::shared_ptr<const Plan> slot;
   std::atomic<size_t> invocations{0};
   bool hit = false;
   const auto failing = [&]() -> Result<Plan> {
     invocations.fetch_add(1);
     return Status::InvalidArgument("unplannable");
   };
-  EXPECT_EQ(cache.GetOrCompute("k", failing, &hit).status().code(),
+  EXPECT_EQ(cache.GetOrCompute("k", failing, &hit, &slot).status().code(),
             StatusCode::kInvalidArgument);
   // The failure was not cached; the next caller retries the planner.
-  EXPECT_EQ(cache.GetOrCompute("k", failing, &hit).status().code(),
+  EXPECT_EQ(cache.GetOrCompute("k", failing, &hit, &slot).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(invocations.load(), 2u);
-  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(slot, nullptr);
 }
 
 TEST(EngineConcurrency, ConcurrentCloseReportsClosedNotExhausted) {

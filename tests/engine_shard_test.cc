@@ -1,12 +1,14 @@
 // Shard-boundary coverage for the sharded serving layer. Ledgers and
 // policies are partitioned by id/name hash; these tests pin the
 // operations that must see across every shard: prefix ledger sweeps,
-// transform-cache eviction, handle staleness through the generation
-// counters, and the all-or-nothing guarantee of charges whose ledgers
-// live in different shards.
+// the plan and precompute slots that die with a superseded snapshot,
+// handle staleness through the generation counters, and the
+// all-or-nothing guarantee of charges whose ledgers live in different
+// shards.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -45,8 +47,9 @@ TEST(BudgetShards, PrefixCloseSweepsEveryShard) {
   }
   EXPECT_EQ(accountant.CloseLedgersWithPrefix("policy/p\x1f"), kCount);
   for (size_t i = 0; i < kCount; ++i) {
-    EXPECT_FALSE(accountant.HasLedger("policy/p\x1f" + std::to_string(i)));
-    EXPECT_TRUE(accountant.HasLedger("session/u" + std::to_string(i)));
+    EXPECT_FALSE(
+        accountant.Resolve("policy/p\x1f" + std::to_string(i)).ok());
+    EXPECT_TRUE(accountant.Resolve("session/u" + std::to_string(i)).ok());
   }
   EXPECT_EQ(accountant.CloseLedgersWithPrefix("policy/p\x1f"), 0u);
 }
@@ -154,11 +157,11 @@ TEST(PolicyShards, ManyPoliciesSpreadAndEnumerateAcrossShards) {
   EXPECT_EQ(registry.size(), kCount / 2);
 }
 
-TEST(TransformCache, DropTransformedEvictsAcrossShardsOnLifecycleOps) {
-  // Several θ>=2 grid policies; consecutive versions land in
-  // different precompute shards. Each warm submit populates the
-  // sharded transform cache; Replace/Unregister must evict exactly
-  // the superseded snapshot's entries wherever they hashed to.
+TEST(TransformCache, LifecycleOpsDropTheSupersededSnapshotsPrecomputes) {
+  // Several θ>=2 grid policies, spread over the registry's shards.
+  // Each warm submit fills its snapshot's precompute slot;
+  // Replace/Unregister must drop exactly the superseded snapshot's
+  // precomputes, wherever the policy hashed to.
   QueryEngine engine(SeededOptions(1));
   const size_t kPolicies = 6;
   for (size_t i = 0; i < kPolicies; ++i) {
@@ -169,7 +172,7 @@ TEST(TransformCache, DropTransformedEvictsAcrossShardsOnLifecycleOps) {
                     .ok());
   }
   ASSERT_TRUE(engine.OpenSession("s", 1e6).ok());
-  EXPECT_EQ(engine.transform_cache_entries(), 0u);
+  EXPECT_EQ(engine.transform_cache_stats().entries, 0u);
   for (size_t i = 0; i < kPolicies; ++i) {
     QueryRequest request;
     request.session = "s";
@@ -179,22 +182,22 @@ TEST(TransformCache, DropTransformedEvictsAcrossShardsOnLifecycleOps) {
     request.epsilon = 0.1;
     ASSERT_TRUE(engine.Submit(request).ValueOrDie().range_fast_path);
   }
-  EXPECT_EQ(engine.transform_cache_entries(), kPolicies);
+  EXPECT_EQ(engine.transform_cache_stats().entries, kPolicies);
 
-  // Replace evicts the superseded version's cache entry; the next
-  // submit repopulates for the new version.
+  // Replace drops the superseded version's precompute; the next
+  // submit fills the new version's slot.
   ASSERT_TRUE(engine
                   .ReplacePolicy("slab0", GridPolicy(DomainShape({8, 8}), 4),
                                  Ramp(64), 100.0)
                   .ok());
-  EXPECT_EQ(engine.transform_cache_entries(), kPolicies - 1);
+  EXPECT_EQ(engine.transform_cache_stats().entries, kPolicies - 1);
 
-  // Unregister evicts too, for every remaining policy — if any shard
-  // were missed, the count could not reach zero.
+  // Unregister drops them too, for every remaining policy — if any
+  // shard were missed, the count could not reach zero.
   for (size_t i = 0; i < kPolicies; ++i) {
     ASSERT_TRUE(engine.UnregisterPolicy("slab" + std::to_string(i)).ok());
   }
-  EXPECT_EQ(engine.transform_cache_entries(), 0u);
+  EXPECT_EQ(engine.transform_cache_stats().entries, 0u);
 }
 
 TEST(TransformCache, ChurningManyPoliciesStaysUnderByteBudget) {
@@ -235,46 +238,6 @@ TEST(TransformCache, ChurningManyPoliciesStaysUnderByteBudget) {
   EXPECT_LE(stats.bytes, kBudget);
 }
 
-TEST(PlanCacheBudget, EvictionsAreSplitFromInvalidationsAndBudgetHolds) {
-  EngineOptions options;
-  options.seed = 1;
-  // Roughly two line-policy plans' worth (approx_bytes ≈ 2.2 KB each).
-  options.plan_cache_bytes = 5000;
-  QueryEngine engine(options);
-  const size_t kPolicies = 4;
-  for (size_t i = 0; i < kPolicies; ++i) {
-    ASSERT_TRUE(engine
-                    .RegisterPolicy("p" + std::to_string(i), LinePolicy(32),
-                                    Ramp(32), 1e6)
-                    .ok());
-  }
-  ASSERT_TRUE(engine.OpenSession("s", 1e6).ok());
-  QueryRequest request;
-  request.session = "s";
-  request.workload = IdentityWorkload(32);
-  request.epsilon = 0.1;
-  for (size_t i = 0; i < kPolicies; ++i) {
-    request.policy = "p" + std::to_string(i);
-    ASSERT_TRUE(engine.Submit(request).ok());
-  }
-  PlanCache::Stats stats = engine.plan_cache_stats();
-  // Every submit was one lookup; the invariant survives eviction.
-  EXPECT_EQ(stats.hits + stats.misses, static_cast<uint64_t>(kPolicies));
-  EXPECT_EQ(stats.misses, static_cast<uint64_t>(kPolicies));
-  EXPECT_GT(stats.evictions, 0u);
-  EXPECT_EQ(stats.invalidations, 0u);
-  EXPECT_LE(stats.bytes, options.plan_cache_bytes);
-  EXPECT_LT(stats.entries, kPolicies);
-
-  // Lifecycle removals count separately from budget evictions.
-  const uint64_t evictions_before = stats.evictions;
-  ASSERT_TRUE(engine.UnregisterPolicy("p" + std::to_string(kPolicies - 1))
-                  .ok());
-  stats = engine.plan_cache_stats();
-  EXPECT_EQ(stats.evictions, evictions_before);
-  EXPECT_GT(stats.invalidations, 0u);
-}
-
 TEST(PlanCacheBudget, WarmSlotHitsKeepTheLookupInvariant) {
   // hits + misses == lookups must hold across the snapshot-slot fast
   // path too (RecordHit), with and without a byte budget.
@@ -312,14 +275,148 @@ TEST(TransformCache, DensePrecomputesEvictWithTheirSnapshot) {
   request.workload = IdentityWorkload(16);
   request.epsilon = 0.1;
   ASSERT_TRUE(engine.Submit(request).ok());
-  EXPECT_EQ(engine.transform_cache_entries(), 1u);
+  EXPECT_EQ(engine.transform_cache_stats().entries, 1u);
   ASSERT_TRUE(
       engine.ReplacePolicy("line", LinePolicy(16), Ramp(16), 100.0).ok());
-  EXPECT_EQ(engine.transform_cache_entries(), 0u);
+  EXPECT_EQ(engine.transform_cache_stats().entries, 0u);
   ASSERT_TRUE(engine.Submit(request).ok());
-  EXPECT_EQ(engine.transform_cache_entries(), 1u);
+  EXPECT_EQ(engine.transform_cache_stats().entries, 1u);
   ASSERT_TRUE(engine.UnregisterPolicy("line").ok());
-  EXPECT_EQ(engine.transform_cache_entries(), 0u);
+  EXPECT_EQ(engine.transform_cache_stats().entries, 0u);
+}
+
+TEST(SlotStats, LifecycleOpsDropTheSupersededSnapshotsShare) {
+  // Plans and precomputes live only in their snapshot's slots, so the
+  // plan and transform counts drop by exactly the superseded
+  // snapshot's share as soon as Replace or Unregister returns (no
+  // submit is in flight to hold the old snapshot).
+  QueryEngine engine(SeededOptions(1));
+  struct Spec {
+    std::string name;
+    Policy policy;
+    Vector data;
+  };
+  const std::vector<Spec> specs = {
+      {"line16", LinePolicy(16), Ramp(16)},
+      {"line32", LinePolicy(32), Ramp(32)},
+      {"slab", GridPolicy(DomainShape({8, 8}), 4), Ramp(64)}};
+  // Each snapshot's share, from a plan of the same policy and data.
+  std::vector<size_t> plan_share, transform_share;
+  for (const Spec& spec : specs) {
+    ASSERT_TRUE(
+        engine.RegisterPolicy(spec.name, spec.policy, spec.data, 1e6).ok());
+    const Plan plan =
+        PlanMechanism(PlanRequest{spec.policy, false}).ValueOrDie();
+    plan_share.push_back(std::max(plan.approx_bytes, sizeof(Plan)));
+    const auto pre = plan.mechanism->PrecomputeRelease(spec.data);
+    ASSERT_NE(pre, nullptr) << spec.name;
+    transform_share.push_back(pre->ApproxBytes());
+  }
+  ASSERT_TRUE(engine.OpenSession("s", 1e6).ok());
+  for (const Spec& spec : specs) {
+    QueryRequest request;
+    request.session = "s";
+    request.policy = spec.name;
+    request.workload = IdentityWorkload(spec.data.size());
+    request.epsilon = 0.1;
+    ASSERT_TRUE(engine.Submit(request).ok()) << spec.name;
+  }
+  const PlanCache::Stats plans = engine.plan_cache_stats();
+  const QueryEngine::TransformCacheStats transforms =
+      engine.transform_cache_stats();
+  EXPECT_EQ(plans.entries, specs.size());
+  EXPECT_EQ(plans.bytes, plan_share[0] + plan_share[1] + plan_share[2]);
+  EXPECT_EQ(transforms.entries, specs.size());
+  EXPECT_EQ(transforms.bytes,
+            transform_share[0] + transform_share[1] + transform_share[2]);
+
+  ASSERT_TRUE(
+      engine.ReplacePolicy("line32", LinePolicy(32), Ramp(32), 1e6).ok());
+  EXPECT_EQ(engine.plan_cache_stats().entries, plans.entries - 1);
+  EXPECT_EQ(engine.plan_cache_stats().bytes, plans.bytes - plan_share[1]);
+  EXPECT_EQ(engine.transform_cache_stats().entries, transforms.entries - 1);
+  EXPECT_EQ(engine.transform_cache_stats().bytes,
+            transforms.bytes - transform_share[1]);
+
+  ASSERT_TRUE(engine.UnregisterPolicy("slab").ok());
+  EXPECT_EQ(engine.plan_cache_stats().entries, plans.entries - 2);
+  EXPECT_EQ(engine.plan_cache_stats().bytes,
+            plans.bytes - plan_share[1] - plan_share[2]);
+  EXPECT_EQ(engine.transform_cache_stats().entries, transforms.entries - 2);
+  EXPECT_EQ(engine.transform_cache_stats().bytes,
+            transforms.bytes - transform_share[1] - transform_share[2]);
+}
+
+TEST(TransformCache, EvictedPolicyIsColdUntilItsNextSubmit) {
+  // The async cold lane routes by IsWarm: a policy whose precompute
+  // the byte budget evicted must read cold, and warm again once its
+  // next submit refilled the slot.
+  constexpr size_t kBudget = 2048;
+  EngineOptions options;
+  options.seed = 1;
+  options.transform_cache_bytes = kBudget;
+  QueryEngine engine(options);
+  const size_t kPolicies = 8;
+  for (size_t i = 0; i < kPolicies; ++i) {
+    ASSERT_TRUE(engine
+                    .RegisterPolicy("slab" + std::to_string(i),
+                                    GridPolicy(DomainShape({8, 8}), 4),
+                                    Ramp(64), 1e6)
+                    .ok());
+  }
+  ASSERT_TRUE(engine.OpenSession("s", 1e6).ok());
+  QueryRequest request;
+  request.session = "s";
+  request.ranges = RangeWorkload("r", DomainShape({8, 8}), {{{0, 0}, {3, 3}}});
+  request.epsilon = 0.1;
+  for (size_t i = 0; i < kPolicies; ++i) {
+    request.policy = "slab" + std::to_string(i);
+    ASSERT_TRUE(engine.Submit(request).ok());
+    EXPECT_TRUE(engine.IsWarm(request)) << "just filled: slab" << i;
+  }
+  ASSERT_GT(engine.transform_cache_stats().evictions, 0u);
+  // slab0 was the least recently used, so the budget emptied it first.
+  request.policy = "slab0";
+  std::string cold_key;
+  EXPECT_FALSE(engine.IsWarm(request, &cold_key));
+  EXPECT_FALSE(cold_key.empty());
+  ASSERT_TRUE(engine.Submit(request).ok());
+  EXPECT_TRUE(engine.IsWarm(request));
+  EXPECT_LE(engine.transform_cache_stats().bytes, kBudget);
+}
+
+TEST(PlanCacheBudget, RetiredPlanBudgetHasNoEffect) {
+  // EngineOptions::plan_cache_bytes is retired: plans stay in their
+  // snapshots' slots whatever it says, so a budget of roughly two
+  // line-policy plans (approx_bytes ≈ 2.2 KB each) still plans each of
+  // four policies once and serves every later round from the slots.
+  EngineOptions options;
+  options.seed = 1;
+  options.plan_cache_bytes = 5000;
+  QueryEngine engine(options);
+  const size_t kPolicies = 4;
+  const size_t kRounds = 3;
+  for (size_t i = 0; i < kPolicies; ++i) {
+    ASSERT_TRUE(engine
+                    .RegisterPolicy("p" + std::to_string(i), LinePolicy(32),
+                                    Ramp(32), 1e6)
+                    .ok());
+  }
+  ASSERT_TRUE(engine.OpenSession("s", 1e6).ok());
+  QueryRequest request;
+  request.session = "s";
+  request.workload = IdentityWorkload(32);
+  request.epsilon = 0.1;
+  for (size_t round = 0; round < kRounds; ++round) {
+    for (size_t i = 0; i < kPolicies; ++i) {
+      request.policy = "p" + std::to_string(i);
+      ASSERT_TRUE(engine.Submit(request).ok());
+    }
+  }
+  const PlanCache::Stats stats = engine.plan_cache_stats();
+  EXPECT_EQ(stats.misses, kPolicies);
+  EXPECT_EQ(stats.hits, kPolicies * (kRounds - 1));
+  EXPECT_EQ(stats.entries, kPolicies);
 }
 
 }  // namespace

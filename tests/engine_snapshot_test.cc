@@ -173,7 +173,7 @@ TEST(SnapshotStoreTest, WarmRestartIsBitIdenticalWithZeroColdWork) {
     for (const QueryRequest& request : RequestSequence()) {
       ASSERT_TRUE(warm.Submit(request).ok());
     }
-    transforms_written = warm.transform_cache_entries();
+    transforms_written = warm.transform_cache_stats().entries;
     ASSERT_TRUE(warm.WriteSnapshot().ok());
   }
 
@@ -199,7 +199,7 @@ TEST(SnapshotStoreTest, WarmRestartIsBitIdenticalWithZeroColdWork) {
 
   // Every previously-warm request is warm *before* any submit: no
   // replanning, no transform recomputation left to do.
-  const size_t restored_transforms = restored.transform_cache_entries();
+  const size_t restored_transforms = restored.transform_cache_stats().entries;
   for (const QueryRequest& request : RequestSequence()) {
     EXPECT_TRUE(restored.IsWarm(request)) << request.policy;
   }
@@ -227,7 +227,7 @@ TEST(SnapshotStoreTest, WarmRestartIsBitIdenticalWithZeroColdWork) {
   // whole warm replay.
   EXPECT_EQ(restored.plan_cache_stats().misses, 0u);
   EXPECT_EQ(restored.plan_cache_stats().hits, RequestSequence().size());
-  EXPECT_EQ(restored.transform_cache_entries(), restored_transforms);
+  EXPECT_EQ(restored.transform_cache_stats().entries, restored_transforms);
 
   RemoveTree(dir);
 }
