@@ -104,11 +104,10 @@ int main() {
       Vector x(domain.size(), 1.0);
       auto mech =
           GridBlowfishMechanism::Create(GridPolicy(domain, 1)).ValueOrDie();
-      const Vector xg = mech->PrecomputeTransformed(x);
-      const double n = Sum(x);
+      const auto pre = mech->PrecomputeRelease(x);
       const double b = MeasureError(
                            [&](const Vector&, double e, Rng* r) {
-                             return mech->RunOnTransformed(xg, n, e, r);
+                             return mech->RunPrecomputed(*pre, e, r);
                            },
                            w, x, eps, kTrials, kSeed)
                            .mean;

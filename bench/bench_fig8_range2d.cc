@@ -41,8 +41,7 @@ int main() {
       auto blowfish =
           GridBlowfishMechanism::Create(GridPolicy(ds.domain, 1)).ValueOrDie();
       // The transform is noise-free; share it across trials.
-      const Vector xg = blowfish->PrecomputeTransformed(ds.counts);
-      const double n = Sum(ds.counts);
+      const auto pre = blowfish->PrecomputeRelease(ds.counts);
 
       privelet_row.push_back(
           Fmt(MeasureError(
@@ -61,7 +60,7 @@ int main() {
       blowfish_row.push_back(
           Fmt(MeasureError(
                   [&](const Vector&, double e, Rng* r) {
-                    return blowfish->RunOnTransformed(xg, n, e, r);
+                    return blowfish->RunPrecomputed(*pre, e, r);
                   },
                   workload, ds.counts, eps, kTrials, kSeed)
                   .mean));

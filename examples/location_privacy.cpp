@@ -43,11 +43,10 @@ int main() {
   const double epsilon = 0.1;
   // Blowfish at ε; the DP baseline at ε/2 per the paper's protocol (a
   // bounded-neighbors DP guarantee costs a factor 2 in ε).
-  const Vector xg = mechanism->PrecomputeTransformed(checkins.counts);
-  const double n = Sum(checkins.counts);
+  const auto pre = mechanism->PrecomputeRelease(checkins.counts);
   const ErrorStats blowfish_err = MeasureError(
       [&](const Vector&, double e, Rng* rng) {
-        return mechanism->RunOnTransformed(xg, n, e, rng);
+        return mechanism->RunPrecomputed(*pre, e, rng);
       },
       workload, checkins.counts, epsilon, 5, 2015);
 
@@ -69,7 +68,7 @@ int main() {
 
   // One concrete query, end to end.
   Rng rng(3);
-  const Vector release = mechanism->RunOnTransformed(xg, n, epsilon, &rng);
+  const Vector release = mechanism->RunPrecomputed(*pre, epsilon, &rng);
   const RangeWorkload downtown("downtown", checkins.domain,
                                {RangeQuery{{5, 30}, {15, 40}}});
   std::printf("\n'downtown' rectangle: true %.0f, released %.1f\n",

@@ -39,17 +39,21 @@ class BlowfishMechanism {
   virtual ~BlowfishMechanism() = default;
 
   /// Releases a noisy full-domain histogram estimate; the release
-  /// satisfies Guarantee(epsilon).
-  virtual Vector Run(const Vector& x, double epsilon, Rng* rng) const = 0;
+  /// satisfies Guarantee(epsilon). Always the two phases below, in
+  /// order, so a caller that caches the precompute draws the same
+  /// noise and gets bit-identical answers.
+  Vector Run(const Vector& x, double epsilon, Rng* rng) const {
+    return RunPrecomputed(*PrecomputeRelease(x), epsilon, rng);
+  }
 
   virtual std::string name() const = 0;
 
   virtual PrivacyGuarantee Guarantee(double epsilon) const = 0;
 
   /// \brief Opaque noise-free precomputation of a (mechanism,
-  /// database) pair — the part of Run() that does not depend on ε or
-  /// randomness (database transforms, component totals). Instances are
-  /// immutable and safe to share across concurrent releases.
+  /// database) pair — the part of a release that does not depend on ε
+  /// or randomness (database transforms, component totals). Instances
+  /// are immutable and safe to share across concurrent releases.
   struct ReleasePrecompute {
     virtual ~ReleasePrecompute() = default;
     /// Approximate resident size, used by the engine's byte-budgeted
@@ -57,58 +61,36 @@ class BlowfishMechanism {
     /// their dominant payload (the transformed-database vectors);
     /// exactness does not matter, monotonicity with actual footprint
     /// does.
-    virtual size_t ApproxBytes() const { return sizeof(ReleasePrecompute); }
+    virtual size_t ApproxBytes() const = 0;
 
-    /// Wire-schema name ("tree/1", "grid/1", ...) for snapshot
-    /// persistence, or empty when this precompute is not serializable
-    /// (the snapshot store then simply skips it — fail-open).
-    virtual std::string_view SerialFamily() const { return {}; }
+    /// Wire-schema name ("tree/1", "grid/1", "slab/1") under which the
+    /// snapshot store persists this precompute.
+    virtual std::string_view SerialFamily() const = 0;
 
-    /// Encodes this precompute into `out`. Returns false (leaving
-    /// `out` untouched) when not serializable.
-    virtual bool EncodePayload(PrecomputePayload* out) const {
-      (void)out;
-      return false;
-    }
+    /// Encodes this precompute into `out`.
+    virtual void EncodePayload(PrecomputePayload* out) const = 0;
   };
 
-  /// Splits Run() into a cacheable noise-free phase and a per-release
-  /// noisy phase. Returns null when the mechanism has no such split;
-  /// otherwise RunPrecomputed(*PrecomputeRelease(x), eps, rng) draws
-  /// the same noise and returns bit-identical answers to
-  /// Run(x, eps, rng). Callers (the serving layer) cache the
-  /// precompute per (policy, data) snapshot — for the general-graph
-  /// transforms this hoists a conjugate-gradient solve out of every
-  /// warm release.
+  /// Noise-free phase of a release: never null. Callers (the serving
+  /// layer) cache it per (policy, data) snapshot — for the
+  /// general-graph transforms this hoists a conjugate-gradient solve
+  /// out of every warm release.
   virtual std::shared_ptr<const ReleasePrecompute> PrecomputeRelease(
-      const Vector& x) const {
-    (void)x;
-    return nullptr;
-  }
+      const Vector& x) const = 0;
 
   /// Noisy phase continuing from PrecomputeRelease's result. Only
   /// called with a precompute this mechanism produced.
   virtual Vector RunPrecomputed(const ReleasePrecompute& pre, double epsilon,
-                                Rng* rng) const {
-    (void)pre;
-    (void)epsilon;
-    (void)rng;
-    BF_CHECK_MSG(false, "mechanism does not support precomputed releases");
-    return Vector();
-  }
+                                Rng* rng) const = 0;
 
   /// Inverse of EncodePayload: rehydrates a persisted precompute that
   /// this mechanism (for the same policy, version, and data) once
   /// produced. Implementations must validate `family` and every size
   /// the payload implies against their own structure and return null
   /// on any mismatch — the caller treats null as "recompute from
-  /// data" (fail-open), never as an error. Default: not restorable.
+  /// data" (fail-open), never as an error.
   virtual std::shared_ptr<const ReleasePrecompute> DecodePrecompute(
-      std::string_view family, const PrecomputePayload& payload) const {
-    (void)family;
-    (void)payload;
-    return nullptr;
-  }
+      std::string_view family, const PrecomputePayload& payload) const = 0;
 };
 
 using BlowfishMechanismPtr = std::unique_ptr<BlowfishMechanism>;

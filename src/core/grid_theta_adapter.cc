@@ -13,13 +13,6 @@ GridThetaHistogramAdapter::Create(size_t k, size_t theta) {
       new GridThetaHistogramAdapter(std::move(inner).ValueOrDie(), k * k));
 }
 
-Vector GridThetaHistogramAdapter::Run(const Vector& x, double epsilon,
-                                      Rng* rng) const {
-  BF_CHECK_EQ(x.size(), num_cells_);
-  return inner_->ReleaseHistogramOnTransformed(
-      inner_->PrecomputeTransformed(x), Sum(x), epsilon, rng);
-}
-
 std::shared_ptr<const BlowfishMechanism::ReleasePrecompute>
 GridThetaHistogramAdapter::PrecomputeRelease(const Vector& x) const {
   BF_CHECK_EQ(x.size(), num_cells_);

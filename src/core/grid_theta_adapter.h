@@ -2,7 +2,7 @@
 // underlying GridThetaRangeMechanism answers range workloads directly
 // (its slab-system choice is per-query), so it does not natively fit
 // the BlowfishMechanism protocol of releasing one full-domain
-// histogram x̂. This adapter closes the gap: Run() answers the k²
+// histogram x̂. This adapter closes the gap: a release answers the k²
 // single-cell ranges through the slab reconstruction, which *is* a
 // histogram release — every cell estimate is post-processing of the
 // same noisy slab/line releases, so the (ε, Gθ)-Blowfish guarantee is
@@ -35,10 +35,6 @@ class GridThetaHistogramAdapter : public BlowfishMechanism {
   static Result<std::unique_ptr<GridThetaHistogramAdapter>> Create(
       size_t k, size_t theta);
 
-  /// Releases x̂ over the k² cells (flattened row-major, matching the
-  /// policy domain) by answering every single-cell range.
-  Vector Run(const Vector& x, double epsilon, Rng* rng) const override;
-
   std::string name() const override {
     return inner_->name() + " (histogram adapter)";
   }
@@ -67,15 +63,16 @@ class GridThetaHistogramAdapter : public BlowfishMechanism {
       return sizeof(SlabPrecompute) + xg.capacity() * sizeof(double);
     }
     std::string_view SerialFamily() const override { return "slab/1"; }
-    bool EncodePayload(PrecomputePayload* out) const override {
+    void EncodePayload(PrecomputePayload* out) const override {
       out->vectors = {xg};
       out->scalars = {n};
-      return true;
     }
   };
 
   std::shared_ptr<const ReleasePrecompute> PrecomputeRelease(
       const Vector& x) const override;
+  /// Releases x̂ over the k² cells (flattened row-major, matching the
+  /// policy domain) by answering every single-cell range.
   Vector RunPrecomputed(const ReleasePrecompute& pre, double epsilon,
                         Rng* rng) const override;
 

@@ -59,28 +59,12 @@ struct TreePrecompute : BlowfishMechanism::ReleasePrecompute {
            (xg.capacity() + component_totals.capacity()) * sizeof(double);
   }
   std::string_view SerialFamily() const override { return "tree/1"; }
-  bool EncodePayload(BlowfishMechanism::PrecomputePayload* out) const override {
+  void EncodePayload(BlowfishMechanism::PrecomputePayload* out) const override {
     out->vectors = {xg, component_totals};
     out->scalars.clear();
-    return true;
   }
 };
 }  // namespace
-
-Vector TreeTransformMechanism::Run(const Vector& x, double epsilon,
-                                   Rng* rng) const {
-  TreePrecompute pre;
-  pre.xg = transform_.TransformDatabase(x);
-  pre.component_totals = transform_.ComponentTotals(x);
-  if (options_.enforce_monotone) {
-    // The projection is only the paper's consistency step if the true
-    // transformed database satisfies the constraint.
-    BF_CHECK_MSG(std::is_sorted(pre.xg.begin(), pre.xg.end()),
-                 "enforce_monotone requires a monotone transformed database "
-                 "(line-policy prefix sums)");
-  }
-  return RunPrecomputed(pre, epsilon, rng);
-}
 
 std::shared_ptr<const BlowfishMechanism::ReleasePrecompute>
 TreeTransformMechanism::PrecomputeRelease(const Vector& x) const {
@@ -88,6 +72,8 @@ TreeTransformMechanism::PrecomputeRelease(const Vector& x) const {
   pre->xg = transform_.TransformDatabase(x);
   pre->component_totals = transform_.ComponentTotals(x);
   if (options_.enforce_monotone) {
+    // The projection is only the paper's consistency step if the true
+    // transformed database satisfies the constraint.
     BF_CHECK_MSG(std::is_sorted(pre->xg.begin(), pre->xg.end()),
                  "enforce_monotone requires a monotone transformed database "
                  "(line-policy prefix sums)");
@@ -147,13 +133,6 @@ SpannerMechanism::SpannerMechanism(std::string original_policy_name,
   BF_CHECK_GE(stretch_, 1);
   BF_CHECK(inner_ != nullptr);
   label_ = inner_->name() + "/stretch" + std::to_string(stretch_);
-}
-
-Vector SpannerMechanism::Run(const Vector& x, double epsilon,
-                             Rng* rng) const {
-  BF_CHECK_GT(epsilon, 0.0);
-  // Lemma 4.5: an (ε/ℓ, H) mechanism is (ε, G)-Blowfish private.
-  return inner_->Run(x, epsilon / static_cast<double>(stretch_), rng);
 }
 
 PrivacyGuarantee SpannerMechanism::Guarantee(double epsilon) const {

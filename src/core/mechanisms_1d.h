@@ -22,6 +22,7 @@
 
 #include <memory>
 
+#include "common/check.h"
 #include "common/status.h"
 #include "core/blowfish_mechanism.h"
 #include "core/subgraph_approx.h"
@@ -54,12 +55,11 @@ class TreeTransformMechanism : public BlowfishMechanism {
   static Result<std::unique_ptr<TreeTransformMechanism>> Create(
       Policy policy, HistogramMechanismPtr inner);
 
-  Vector Run(const Vector& x, double epsilon, Rng* rng) const override;
   std::string name() const override { return label_; }
   PrivacyGuarantee Guarantee(double epsilon) const override;
 
   /// Caches the transformed database and component totals — the
-  /// noise-free half of Run(); RunPrecomputed only draws noise and
+  /// noise-free half of a release; RunPrecomputed only draws noise and
   /// lifts the estimate back.
   std::shared_ptr<const ReleasePrecompute> PrecomputeRelease(
       const Vector& x) const override;
@@ -90,7 +90,6 @@ class SpannerMechanism : public BlowfishMechanism {
   SpannerMechanism(std::string original_policy_name, int64_t stretch,
                    BlowfishMechanismPtr inner);
 
-  Vector Run(const Vector& x, double epsilon, Rng* rng) const override;
   std::string name() const override { return label_; }
   PrivacyGuarantee Guarantee(double epsilon) const override;
   int64_t stretch() const { return stretch_; }
@@ -103,6 +102,8 @@ class SpannerMechanism : public BlowfishMechanism {
   }
   Vector RunPrecomputed(const ReleasePrecompute& pre, double epsilon,
                         Rng* rng) const override {
+    BF_CHECK_GT(epsilon, 0.0);
+    // Lemma 4.5: an (ε/ℓ, H) mechanism is (ε, G)-Blowfish private.
     return inner_->RunPrecomputed(pre, epsilon / static_cast<double>(stretch_),
                                   rng);
   }

@@ -107,30 +107,6 @@ void GridBlowfishMechanism::BuildLineGroups() {
   }
 }
 
-Vector GridBlowfishMechanism::Run(const Vector& x, double epsilon,
-                                  Rng* rng) const {
-  const Vector xg = PrecomputeTransformed(x);
-  return RunOnTransformed(xg, Sum(x), epsilon, rng);
-}
-
-Vector GridBlowfishMechanism::RunOnTransformed(const Vector& xg, double n,
-                                               double epsilon,
-                                               Rng* rng) const {
-  BF_CHECK_EQ(xg.size(), transform_.num_edges());
-  BF_CHECK_GT(epsilon, 0.0);
-  Vector noisy(xg.size(), 0.0);
-  // Each line runs its (shared, immutable) Privelet instance at the
-  // full budget — lines are disjoint, so parallel composition applies.
-  Vector sub;
-  for (size_t gi = 0; gi < groups_.size(); ++gi) {
-    sub.resize(groups_[gi].size());
-    for (size_t i = 0; i < sub.size(); ++i) sub[i] = xg[groups_[gi][i]];
-    const Vector est = group_mechanisms_[gi]->Run(sub, epsilon, rng);
-    for (size_t i = 0; i < sub.size(); ++i) noisy[groups_[gi][i]] = est[i];
-  }
-  return transform_.ReconstructHistogram(noisy, n);
-}
-
 namespace {
 /// Noise-free half of a grid release: the edge-domain transform and
 /// the public database size.
@@ -141,10 +117,9 @@ struct GridPrecompute : BlowfishMechanism::ReleasePrecompute {
     return sizeof(GridPrecompute) + xg.capacity() * sizeof(double);
   }
   std::string_view SerialFamily() const override { return "grid/1"; }
-  bool EncodePayload(BlowfishMechanism::PrecomputePayload* out) const override {
+  void EncodePayload(BlowfishMechanism::PrecomputePayload* out) const override {
     out->vectors = {xg};
     out->scalars = {n};
-    return true;
   }
 };
 }  // namespace
@@ -152,7 +127,7 @@ struct GridPrecompute : BlowfishMechanism::ReleasePrecompute {
 std::shared_ptr<const BlowfishMechanism::ReleasePrecompute>
 GridBlowfishMechanism::PrecomputeRelease(const Vector& x) const {
   auto pre = std::make_shared<GridPrecompute>();
-  pre->xg = PrecomputeTransformed(x);
+  pre->xg = transform_.TransformDatabase(x);
   pre->n = Sum(x);
   return pre;
 }
@@ -175,7 +150,20 @@ Vector GridBlowfishMechanism::RunPrecomputed(const ReleasePrecompute& pre,
                                              double epsilon,
                                              Rng* rng) const {
   const auto& grid_pre = static_cast<const GridPrecompute&>(pre);
-  return RunOnTransformed(grid_pre.xg, grid_pre.n, epsilon, rng);
+  const Vector& xg = grid_pre.xg;
+  BF_CHECK_EQ(xg.size(), transform_.num_edges());
+  BF_CHECK_GT(epsilon, 0.0);
+  Vector noisy(xg.size(), 0.0);
+  // Each line runs its (shared, immutable) Privelet instance at the
+  // full budget — lines are disjoint, so parallel composition applies.
+  Vector sub;
+  for (size_t gi = 0; gi < groups_.size(); ++gi) {
+    sub.resize(groups_[gi].size());
+    for (size_t i = 0; i < sub.size(); ++i) sub[i] = xg[groups_[gi][i]];
+    const Vector est = group_mechanisms_[gi]->Run(sub, epsilon, rng);
+    for (size_t i = 0; i < sub.size(); ++i) noisy[groups_[gi][i]] = est[i];
+  }
+  return transform_.ReconstructHistogram(noisy, grid_pre.n);
 }
 
 PrivacyGuarantee GridBlowfishMechanism::Guarantee(double epsilon) const {

@@ -35,22 +35,13 @@ class GridBlowfishMechanism : public BlowfishMechanism {
   /// domain with at least 2 dimensions.
   static Result<std::unique_ptr<GridBlowfishMechanism>> Create(Policy policy);
 
-  Vector Run(const Vector& x, double epsilon, Rng* rng) const override;
   std::string name() const override { return "Transformed+Privelet"; }
   PrivacyGuarantee Guarantee(double epsilon) const override;
 
-  /// The database transform is noise-free and relatively expensive
-  /// (conjugate gradient on the grounded grid Laplacian); callers that
-  /// run many trials on the same database should compute it once.
-  Vector PrecomputeTransformed(const Vector& x) const {
-    return transform_.TransformDatabase(x);
-  }
-  /// Run continuing from a precomputed transform.
-  Vector RunOnTransformed(const Vector& xg, double n, double epsilon,
-                          Rng* rng) const;
-
   /// Caches {transformed database, Σx} — the conjugate-gradient solve
-  /// that dominates a cold grid release.
+  /// on the grounded grid Laplacian that dominates a cold grid
+  /// release; callers that run many trials on the same database
+  /// should compute it once.
   std::shared_ptr<const ReleasePrecompute> PrecomputeRelease(
       const Vector& x) const override;
   Vector RunPrecomputed(const ReleasePrecompute& pre, double epsilon,

@@ -90,12 +90,11 @@ Result<Plan> PlanMechanismImpl(PlanRequest request);
 }  // namespace
 
 Result<Plan> PlanMechanism(PlanRequest request) {
-  // Footprint model for the byte-budgeted plan cache: every strategy
+  // Footprint model reported in the plan-cache stats: every strategy
   // family holds CSR structures proportional to the edge count (the
   // policy transform P_G has ~2 nonzeros per edge column) plus
   // domain-proportional vectors; the per-slab Privelet systems are
-  // also edge-bounded. Constants are deliberately generous — the
-  // cache only needs relative ordering.
+  // also edge-bounded. Constants are deliberately generous.
   const size_t domain = request.policy.domain_size();
   const size_t edges = request.policy.graph.num_edges();
   Result<Plan> planned = PlanMechanismImpl(std::move(request));

@@ -61,9 +61,9 @@ struct Plan {
   std::shared_ptr<const GridThetaRangeMechanism> range_mechanism;
   /// Approximate resident footprint of the plan (mechanism, policy
   /// transform, per-slab systems), modeled from the policy's domain
-  /// and edge counts at planning time. Consumed by the byte-budgeted
-  /// plan cache to order evictions; an estimate, not an accounting —
-  /// only monotonicity with the real footprint matters.
+  /// and edge counts at planning time. Summed into
+  /// plan_cache_stats().bytes and the engine_plan_cache_bytes gauge;
+  /// an estimate, not an accounting — nothing evicts by it.
   size_t approx_bytes = 0;
   /// Preformatted audit suffix ("policy 'X' via <kind>") filled in by
   /// the serving layer when it caches the plan, so a warm submit's

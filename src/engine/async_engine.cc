@@ -84,28 +84,13 @@ AsyncQueryEngine::~AsyncQueryEngine() {
 // -------------------------------------------------------- submission
 
 void AsyncQueryEngine::Classify(Task* task) const {
-  task->cold = false;
   task->cold_key.clear();
-  for (const QueryRequest& request : task->requests) {
-    std::string key;
-    if (!engine_.IsWarm(request, &key)) {
-      task->cold = true;
-      task->cold_key = std::move(key);
-      break;
-    }
-  }
+  task->cold = !engine_.IsWarm(task->request, &task->cold_key);
 }
 
-Status AsyncQueryEngine::AcquireSlots(std::unique_lock<std::mutex>* lock,
-                                      size_t slots) {
+Status AsyncQueryEngine::AcquireSlot(std::unique_lock<std::mutex>* lock) {
   if (!accepting_) return Status::Cancelled(kShutdownMsg);
-  if (slots > capacity_) {
-    return Status::Unavailable(
-        "batch of " + std::to_string(slots) +
-        " exceeds the submission queue capacity of " +
-        std::to_string(capacity_));
-  }
-  if (queued_slots_ + slots > capacity_) {
+  if (queued_slots_ >= capacity_) {
     if (full_policy_ == QueueFullPolicy::kReject) {
       return Status::Unavailable("submission queue full (capacity " +
                                  std::to_string(capacity_) + ")");
@@ -113,7 +98,7 @@ Status AsyncQueryEngine::AcquireSlots(std::unique_lock<std::mutex>* lock,
     ++blocked_submitters_;
     // Explicit wait loop: the guarded reads stay in this function's
     // scope, where the analysis knows mu_ is held.
-    while (accepting_ && queued_slots_ + slots > capacity_) {
+    while (accepting_ && queued_slots_ >= capacity_) {
       space_cv_.wait(*lock);
     }
     --blocked_submitters_;
@@ -150,9 +135,9 @@ void AsyncQueryEngine::EnqueueLocked(TaskPtr task) {
   const bool cold = task->cold;
   task->enqueue_time = Clock::now();
   task->lane_cold = cold;
-  task->held_slots = task->slots();
+  task->held_slots = 1;
   queued_slots_ += task->held_slots;
-  // AcquireSlots admitted this task under the same hold of mu_.
+  // AcquireSlot admitted this task under the same hold of mu_.
   BF_DCHECK_LE(queued_slots_, capacity_);
   ++outstanding_;
   LaneCounters& lane = cold ? cold_counters_ : warm_counters_;
@@ -167,16 +152,15 @@ void AsyncQueryEngine::EnqueueLocked(TaskPtr task) {
 std::future<Result<QueryResult>> AsyncQueryEngine::SubmitAsync(
     QueryRequest request) {
   TaskPtr task = std::make_unique<Task>();
-  task->requests.push_back(std::move(request));
-  task->promises.emplace_back();
-  std::future<Result<QueryResult>> future = task->promises[0].get_future();
+  task->request = std::move(request);
+  std::future<Result<QueryResult>> future = task->promise.get_future();
   // Sampling decides here so the span covers the queue wait too; the
   // worker carries the span into Submit and finishes it.
   task->trace = engine_.telemetry().MaybeStartTrace();
   Classify(task.get());
 
   std::unique_lock<std::mutex> lock(mu_);
-  const Status admitted = AcquireSlots(&lock, 1);
+  const Status admitted = AcquireSlot(&lock);
   if (!admitted.ok()) {
     LaneCounters& lane = task->cold ? cold_counters_ : warm_counters_;
     if (admitted.code() == StatusCode::kUnavailable) {
@@ -185,46 +169,11 @@ std::future<Result<QueryResult>> AsyncQueryEngine::SubmitAsync(
       ++lane.cancelled;
     }
     lock.unlock();
-    task->promises[0].set_value(admitted);
+    task->promise.set_value(admitted);
     return future;
   }
   EnqueueLocked(std::move(task));
   return future;
-}
-
-std::vector<std::future<Result<QueryResult>>>
-AsyncQueryEngine::SubmitBatchAsync(std::vector<QueryRequest> batch,
-                                   const BatchOptions& options) {
-  std::vector<std::future<Result<QueryResult>>> futures;
-  if (batch.empty()) return futures;
-  TaskPtr task = std::make_unique<Task>();
-  task->is_batch = true;
-  task->batch_options = options;
-  task->requests = std::move(batch);
-  task->promises.resize(task->requests.size());
-  futures.reserve(task->promises.size());
-  for (Promise& promise : task->promises) {
-    futures.push_back(promise.get_future());
-  }
-  Classify(task.get());
-
-  std::unique_lock<std::mutex> lock(mu_);
-  const Status admitted = AcquireSlots(&lock, task->slots());
-  if (!admitted.ok()) {
-    // All-or-nothing: a batch straddling the remaining capacity is
-    // wholly refused; every future resolves with the same status.
-    LaneCounters& lane = task->cold ? cold_counters_ : warm_counters_;
-    if (admitted.code() == StatusCode::kUnavailable) {
-      ++lane.rejected;
-    } else {
-      ++lane.cancelled;
-    }
-    lock.unlock();
-    for (Promise& promise : task->promises) promise.set_value(admitted);
-    return futures;
-  }
-  EnqueueLocked(std::move(task));
-  return futures;
 }
 
 std::shared_ptr<ResultStream> AsyncQueryEngine::SubmitStreamAsync(
@@ -232,14 +181,14 @@ std::shared_ptr<ResultStream> AsyncQueryEngine::SubmitStreamAsync(
   std::shared_ptr<ResultStream> stream =
       ResultStream::MakeChannel(options.max_buffered_chunks);
   TaskPtr task = std::make_unique<Task>();
-  task->requests.push_back(std::move(request));
+  task->request = std::move(request);
   task->stream = stream;
   task->stream_options = options;
   task->trace = engine_.telemetry().MaybeStartTrace();
   Classify(task.get());
 
   std::unique_lock<std::mutex> lock(mu_);
-  const Status admitted = AcquireSlots(&lock, 1);
+  const Status admitted = AcquireSlot(&lock);
   if (!admitted.ok()) {
     // Refusals mirror futures: delivered through the handle, already
     // terminal (header and status resolve together).
@@ -300,8 +249,8 @@ void AsyncQueryEngine::WorkerLoop() {
       continue;
     }
     {
-      // Flight records written inside Submit/SubmitBatch carry the
-      // lane this execution actually ran on.
+      // Flight records written inside Submit carry the lane this
+      // execution actually ran on.
       FlightLaneScope lane_scope(task->cold ? FlightLane::kAsyncCold
                                             : FlightLane::kAsyncWarm);
       Process(task.get());
@@ -338,7 +287,7 @@ void AsyncQueryEngine::RunStreamTask(TaskPtr task, bool cold_leader) {
     // The request moves into the cursor — the task carried it only to
     // reach admission (classification used it at submit time).
     Result<std::unique_ptr<ChunkCursor>> cursor = engine_.AdmitStream(
-        std::move(t->requests[0]), t->stream_options, &header, &t->trace);
+        std::move(t->request), t->stream_options, &header, &t->trace);
     if (cold_leader) {
       // The plan and transform are cached (or planning failed) the
       // moment admission returns: release the single-flight key now,
@@ -496,24 +445,12 @@ void AsyncQueryEngine::FinishStreamTask(TaskPtr task, StreamOutcome outcome) {
 }
 
 void AsyncQueryEngine::Process(Task* task) {
-  std::vector<Result<QueryResult>> results;
-  bool ok = true;
-  if (task->is_batch) {
-    // SubmitBatch samples and finishes its own span (one per call,
-    // the entries' stages accumulated); the task's span stays inactive
-    // because batch tasks are not sampled at enqueue, so a batch trace
-    // carries no queue wait.
-    results = engine_.SubmitBatch(task->requests, task->batch_options);
-    for (const Result<QueryResult>& result : results) ok = ok && result.ok();
-  } else {
-    // The task's span (queue wait already stamped) rides through the
-    // engine's admission stages; a caller-owned span is never
-    // finished by Submit.
-    results.emplace_back(engine_.Submit(task->requests[0], &task->trace));
-    ok = results[0].ok();
-  }
-  engine_.telemetry().FinishTrace(&task->trace, ok);
-  // Completion stats are recorded *before* the promises resolve, so a
+  // The task's span (queue wait already stamped) rides through the
+  // engine's admission stages; a caller-owned span is never finished
+  // by Submit.
+  Result<QueryResult> result = engine_.Submit(task->request, &task->trace);
+  engine_.telemetry().FinishTrace(&task->trace, result.ok());
+  // Completion stats are recorded *before* the promise resolves, so a
   // caller woken by get() observes its own task already counted.
   // Stats attribute to the lane the task was *accepted* into: a cold
   // task re-enqueued warm after its leader planned still paid the
@@ -521,9 +458,7 @@ void AsyncQueryEngine::Process(Task* task) {
   LaneCounters& lane = task->lane_cold ? cold_counters_ : warm_counters_;
   lane.completed.fetch_add(1, std::memory_order_relaxed);
   lane.latency->Record(MsSince(task->enqueue_time, Clock::now()));
-  for (size_t i = 0; i < results.size(); ++i) {
-    task->promises[i].set_value(std::move(results[i]));
-  }
+  task->promise.set_value(std::move(result));
 }
 
 void AsyncQueryEngine::FinishCold(const std::string& key) {
@@ -590,9 +525,7 @@ void AsyncQueryEngine::FinishCold(const std::string& key) {
         task->stream->Abort(Status::Cancelled(kShutdownMsg));
         continue;
       }
-      for (Promise& promise : task->promises) {
-        promise.set_value(Status::Cancelled(kShutdownMsg));
-      }
+      task->promise.set_value(Status::Cancelled(kShutdownMsg));
     }
   }
 }
@@ -670,9 +603,7 @@ void AsyncQueryEngine::Shutdown(ShutdownMode mode) {
       task->stream->Abort(Status::Cancelled(kShutdownMsg));
       continue;
     }
-    for (Promise& promise : task->promises) {
-      promise.set_value(Status::Cancelled(kShutdownMsg));
-    }
+    task->promise.set_value(Status::Cancelled(kShutdownMsg));
   }
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();

@@ -20,19 +20,14 @@
 //               leaders run at once, so a burst of distinct new
 //               policies can never capture every worker.
 //
-// Futures. SubmitAsync returns std::future<Result<QueryResult>>;
-// SubmitBatchAsync returns one future per entry while preserving
-// SubmitBatch's grouped-charge semantics (the batch is one task, one
-// atomic charge per (session, policy) group). Every accepted future
-// resolves exactly once. Refusals are also delivered through the
-// future, already resolved: kUnavailable when the bounded queue is
-// full under QueueFullPolicy::kReject, kCancelled when the engine is
-// shutting down.
+// Futures. SubmitAsync returns std::future<Result<QueryResult>>. Every
+// accepted future resolves exactly once. Refusals are also delivered
+// through the future, already resolved: kUnavailable when the bounded
+// queue is full under QueueFullPolicy::kReject, kCancelled when the
+// engine is shutting down.
 //
 // Backpressure. `async_queue_capacity` bounds queued-but-not-started
-// entries across both lanes (a batch holds one slot per entry,
-// acquired all-or-nothing — a batch that straddles the remaining
-// capacity is rejected or blocks as a whole). kBlock submitters wait
+// tasks across both lanes, one slot per task. kBlock submitters wait
 // on the queue; shutdown wakes them with kCancelled.
 //
 // Shutdown. Shutdown(kCancelPending) — the destructor's default —
@@ -170,15 +165,6 @@ class AsyncQueryEngine {
   /// began. Under kBlock a full queue blocks the caller instead.
   std::future<Result<QueryResult>> SubmitAsync(QueryRequest request);
 
-  /// Enqueues a batch as one task (SubmitBatch's grouped charges are
-  /// preserved); future i resolves with entry i's result. The batch
-  /// needs one queue slot per entry, acquired all-or-nothing: a batch
-  /// straddling the remaining capacity is wholly rejected (every
-  /// future ready with kUnavailable) or wholly blocks, per policy.
-  std::vector<std::future<Result<QueryResult>>> SubmitBatchAsync(
-      std::vector<QueryRequest> batch,
-      const BatchOptions& options = BatchOptions());
-
   /// Enqueues one request for chunked delivery and returns the stream
   /// handle immediately. A worker admits it (ε charged atomically, all
   /// noise drawn — header() resolves then) and produces chunks into
@@ -216,10 +202,8 @@ class AsyncQueryEngine {
   using Clock = std::chrono::steady_clock;
 
   struct Task {
-    std::vector<QueryRequest> requests;  ///< size 1 unless a batch
-    std::vector<Promise> promises;       ///< one per request
-    BatchOptions batch_options;
-    bool is_batch = false;
+    QueryRequest request;
+    Promise promise;  ///< unused by stream tasks
     /// Current classification (decides which runnable queue holds the
     /// task; re-computed when a parked task is re-enqueued).
     bool cold = false;
@@ -228,8 +212,8 @@ class AsyncQueryEngine {
     bool lane_cold = false;
     std::string cold_key;  ///< plan-cache key; empty when warm
     Clock::time_point enqueue_time;
-    /// Queue slots currently held (set at enqueue, released at pop; a
-    /// resumed stream producer re-enters the queue holding none).
+    /// Queue slots currently held: 1 from enqueue until pop; a resumed
+    /// stream producer re-enters the queue holding none.
     size_t held_slots = 0;
 
     // ---- stream-task state (stream != nullptr) ----
@@ -253,7 +237,6 @@ class AsyncQueryEngine {
     /// the wait ends when the task is taken back out.
     Clock::time_point parked_at;
 
-    size_t slots() const { return requests.size(); }
   };
   using TaskPtr = std::unique_ptr<Task>;
 
@@ -272,25 +255,23 @@ class AsyncQueryEngine {
     LatencyHistogram* queue_wait = nullptr;
   };
 
-  /// Classifies (outside the queue lock): cold iff any entry's plan
-  /// or precompute is missing; fills `cold_key` from the first cold
-  /// entry.
+  /// Classifies (outside the queue lock): cold iff the request's plan
+  /// or precompute is missing; then `cold_key` names the plan.
   void Classify(Task* task) const;
 
-  /// Acquires `slots` queue slots under `lock` (which must wrap mu_,
-  /// held on entry and on return — the kBlock path releases/reacquires
-  /// it inside the capacity wait), honoring the queue-full policy. OK
-  /// on success; kUnavailable / kCancelled without side effects
+  /// Acquires one queue slot under `lock` (which must wrap mu_, held
+  /// on entry and on return — the kBlock path releases/reacquires it
+  /// inside the capacity wait), honoring the queue-full policy. OK on
+  /// success; kUnavailable / kCancelled without side effects
   /// otherwise.
-  Status AcquireSlots(std::unique_lock<std::mutex>* lock, size_t slots)
-      REQUIRES(mu_);
+  Status AcquireSlot(std::unique_lock<std::mutex>* lock) REQUIRES(mu_);
 
   /// Enqueues an accepted task (lock held): stamps the clock, bumps
   /// lane counters, pushes to its lane, wakes one worker.
   void EnqueueLocked(TaskPtr task) REQUIRES(mu_);
 
   void WorkerLoop();
-  /// Runs the task on the engine, resolves its promises, records
+  /// Runs the task on the engine, resolves its promise, records
   /// completion stats. Called without the lock.
   void Process(Task* task);
   /// Post-leader bookkeeping: releases the cold key, re-enqueues

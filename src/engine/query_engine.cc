@@ -100,19 +100,6 @@ int64_t WallMicrosNow() {
       .count();
 }
 
-// The precompute-slot value of a mechanism without a precompute split
-// (unbounded DP, DAWA): it keeps "no split" apart from "not yet
-// computed" (an empty slot), so IsWarm and the async lanes treat such
-// plans as warm. Its footprint is the base class's nominal size, and
-// it has no wire form, so WriteSnapshot skips it.
-const std::shared_ptr<const BlowfishMechanism::ReleasePrecompute>&
-NoSplit() {
-  static const std::shared_ptr<const BlowfishMechanism::ReleasePrecompute>
-      no_split =
-          std::make_shared<const BlowfishMechanism::ReleasePrecompute>();
-  return no_split;
-}
-
 }  // namespace
 
 QueryEngine::QueryEngine(EngineOptions options)
@@ -672,10 +659,8 @@ Status QueryEngine::WriteSnapshot() {
           &entry.precompute_slots[slot].pre, std::memory_order_acquire);
       if (pre == nullptr) continue;
       SnapshotTransform st;
-      // Empty for "no split" and for families without a wire form:
-      // those recompute on use.
       st.family = std::string(pre->SerialFamily());
-      if (st.family.empty() || !pre->EncodePayload(&st.payload)) continue;
+      pre->EncodePayload(&st.payload);
       st.registered_name = entry.name;
       st.version = entry.version;
       st.data_dependent = slot == 1;
@@ -848,8 +833,7 @@ QueryEngine::PrecomputePtr QueryEngine::GetOrPrecompute(
       slot.last_used.store(
           transform_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
           std::memory_order_relaxed);
-      std::atomic_store_explicit(&slot.pre, pre != nullptr ? pre : NoSplit(),
-                                 std::memory_order_release);
+      std::atomic_store_explicit(&slot.pre, pre, std::memory_order_release);
       gate.unlock();
       // Walks every live snapshot, so it runs outside the gate.
       if (budgeted) EnforceTransformBudget(&slot);
@@ -861,8 +845,7 @@ QueryEngine::PrecomputePtr QueryEngine::GetOrPrecompute(
         transform_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
         std::memory_order_relaxed);
   }
-  // "No split": the submit falls back to Run().
-  return pre == NoSplit() ? nullptr : pre;
+  return pre;
 }
 
 bool QueryEngine::IsWarm(const QueryRequest& request,
@@ -1175,24 +1158,19 @@ void QueryEngine::DrawRelease(const Admission& admission,
     // across submits.
     const GridThetaRangeMechanism& mech = *plan.range_mechanism;
     header->guarantee = mech.Guarantee(request.epsilon);
+    // range_mechanism is set only on the adapter's plans, and the
+    // adapter's precompute is always a SlabPrecompute.
     const auto* slab =
         dynamic_cast<const GridThetaHistogramAdapter::SlabPrecompute*>(
             pre.get());
-    if (slab != nullptr) {
-      on_slab(mech, slab->xg, slab->n, &rng);
-    } else {
-      // Safety net (the adapter always splits): transform per submit.
-      on_slab(mech, mech.PrecomputeTransformed(entry.data), Sum(entry.data),
-              &rng);
-    }
+    BF_CHECK(slab != nullptr);
+    on_slab(mech, slab->xg, slab->n, &rng);
     return;
   }
   // Histogram-release paths: the noisy estimate x̂ is the release;
   // answers are post-processing of it.
   header->guarantee = plan.mechanism->Guarantee(request.epsilon);
-  on_estimate(pre != nullptr
-                  ? plan.mechanism->RunPrecomputed(*pre, request.epsilon, &rng)
-                  : plan.mechanism->Run(entry.data, request.epsilon, &rng));
+  on_estimate(plan.mechanism->RunPrecomputed(*pre, request.epsilon, &rng));
 }
 
 void QueryEngine::Materialize(const Admission& admission,

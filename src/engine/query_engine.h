@@ -134,8 +134,8 @@ struct EngineOptions {
   /// Worker threads draining the submission queue; 0 means
   /// hardware_concurrency.
   size_t async_workers = 0;
-  /// Bound on queued-but-not-started requests across both lanes (a
-  /// batch counts one slot per entry). Must be >= 1.
+  /// Bound on queued-but-not-started requests across both lanes.
+  /// Must be >= 1.
   size_t async_queue_capacity = 1024;
   /// What SubmitAsync does when the queue is at capacity.
   QueueFullPolicy async_queue_full = QueueFullPolicy::kReject;
@@ -473,9 +473,7 @@ class QueryEngine {
 
   /// True when submitting `request` now would run no expensive cold
   /// work: the target snapshot's plan slot *and* its noise-free
-  /// release precompute slot are already filled (a precompute slot
-  /// also counts as filled when the plan has no precompute split).
-  /// Requests that cannot resolve a policy at all also count as warm —
+  /// release precompute slot are already filled. Requests that cannot resolve a policy at all also count as warm —
   /// they fail fast without planning. When the request is cold and
   /// `cold_key` is non-null, it receives the (policy, version, options)
   /// PlanCache::MakeKey key, the unit of cold single-flight.
@@ -615,9 +613,7 @@ class QueryEngine {
       bool prefer_data_dependent, bool* cache_hit);
 
   /// The snapshot's precompute slot for the option set, filled under
-  /// the slot's gate on a cold miss. Null if the plan's mechanism has
-  /// no precompute split (memoized in the slot, so the miss is paid
-  /// once).
+  /// the slot's gate on a cold miss. Never null.
   PrecomputePtr GetOrPrecompute(const RegisteredPolicy& entry,
                                 const Plan& plan, bool prefer_data_dependent);
 

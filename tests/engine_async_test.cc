@@ -2,8 +2,8 @@
 // (engine/async_engine.h): single-worker determinism against the
 // sequential engine, exact ledger conservation under a multi-thread
 // flood, cold/warm lane isolation with plan single-flight,
-// cancellation-on-destruction, and deterministic backpressure for
-// both SubmitAsync and SubmitBatchAsync. Runs under TSan in CI.
+// cancellation-on-destruction, and deterministic backpressure. Runs
+// under TSan in CI.
 
 #include <gtest/gtest.h>
 
@@ -75,33 +75,16 @@ TEST(EngineAsync, SingleWorkerMatchesSequentialBitwise) {
   const QueryRequest proto = MakeRequest("s", "line", kDomain, 0.1);
   async.Pause();
   std::vector<FutureResult> futures;
-  for (int i = 0; i < 6; ++i) futures.push_back(async.SubmitAsync(proto));
-  std::vector<FutureResult> batch_futures =
-      async.SubmitBatchAsync({proto, proto, proto});
-  for (int i = 0; i < 3; ++i) futures.push_back(async.SubmitAsync(proto));
+  for (int i = 0; i < 9; ++i) futures.push_back(async.SubmitAsync(proto));
   async.Resume();
 
   std::vector<Vector> async_answers;
-  for (size_t i = 0; i < 6; ++i) {
-    async_answers.push_back(futures[i].get().ValueOrDie().answers);
-  }
-  for (FutureResult& future : batch_futures) {
+  for (FutureResult& future : futures) {
     async_answers.push_back(future.get().ValueOrDie().answers);
-  }
-  for (size_t i = 6; i < futures.size(); ++i) {
-    async_answers.push_back(futures[i].get().ValueOrDie().answers);
   }
 
   std::vector<Vector> sequential_answers;
-  for (int i = 0; i < 6; ++i) {
-    sequential_answers.push_back(
-        sequential.Submit(proto).ValueOrDie().answers);
-  }
-  for (const Result<QueryResult>& result :
-       sequential.SubmitBatch({proto, proto, proto})) {
-    sequential_answers.push_back(result.ValueOrDie().answers);
-  }
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 9; ++i) {
     sequential_answers.push_back(
         sequential.Submit(proto).ValueOrDie().answers);
   }
@@ -369,8 +352,7 @@ TEST(EngineAsync, ShutdownRacesParkedColdFollowers) {
 
 TEST(EngineAsync, BackpressureRejectsDeterministically) {
   // capacity=4, paused worker: the 5th submission must be refused
-  // with kUnavailable (already-resolved future), a batch straddling
-  // the remaining capacity must be wholly refused, and everything
+  // with kUnavailable (already-resolved future), and everything
   // accepted must still resolve after Resume().
   AsyncQueryEngine async(AsyncOptions(13, /*workers=*/1, /*capacity=*/4));
   QueryEngine& engine = async.engine();
@@ -383,41 +365,23 @@ TEST(EngineAsync, BackpressureRejectsDeterministically) {
   const QueryRequest proto = MakeRequest("s", "p", 16, 0.01);
   async.Pause();
   std::vector<FutureResult> accepted;
-  for (int i = 0; i < 3; ++i) accepted.push_back(async.SubmitAsync(proto));
-
-  // 3 of 4 slots used: a batch of 2 straddles the boundary and is
-  // wholly rejected — both futures ready with kUnavailable.
-  std::vector<FutureResult> straddle =
-      async.SubmitBatchAsync({proto, proto});
-  ASSERT_EQ(straddle.size(), 2u);
-  for (FutureResult& future : straddle) {
-    ASSERT_FALSE(Pending(future));
-    EXPECT_EQ(future.get().status().code(), StatusCode::kUnavailable);
+  for (int i = 0; i < 4; ++i) {
+    accepted.push_back(async.SubmitAsync(proto));
+    EXPECT_TRUE(Pending(accepted.back()));
   }
-  // A batch of exactly the remaining capacity fits.
-  std::vector<FutureResult> fits = async.SubmitBatchAsync({proto});
-  ASSERT_EQ(fits.size(), 1u);
-  EXPECT_TRUE(Pending(fits[0]));
 
   // Queue now full: single submits are refused, deterministically.
   FutureResult overflow = async.SubmitAsync(proto);
   ASSERT_FALSE(Pending(overflow));
   EXPECT_EQ(overflow.get().status().code(), StatusCode::kUnavailable);
-  // A batch larger than the whole queue can never be admitted.
-  std::vector<FutureResult> too_big = async.SubmitBatchAsync(
-      std::vector<QueryRequest>(5, proto));
-  for (FutureResult& future : too_big) {
-    EXPECT_EQ(future.get().status().code(), StatusCode::kUnavailable);
-  }
 
   AsyncStats stats = async.stats();
   EXPECT_EQ(stats.warm.depth, 4u);
   EXPECT_EQ(stats.warm.peak_depth, 4u);
-  EXPECT_EQ(stats.warm.rejected + stats.cold.rejected, 3u);
+  EXPECT_EQ(stats.warm.rejected + stats.cold.rejected, 1u);
 
   async.Resume();
   for (FutureResult& future : accepted) EXPECT_TRUE(future.get().ok());
-  EXPECT_TRUE(fits[0].get().ok());
 }
 
 TEST(EngineAsync, BackpressureBlockModeWaitsForSpace) {
@@ -481,27 +445,6 @@ TEST(EngineAsync, ShutdownWakesBlockedSubmitterWithCancelled) {
   EXPECT_TRUE(returned.load());
   EXPECT_EQ(blocked_future.get().status().code(), StatusCode::kCancelled);
   EXPECT_EQ(queued[0].get().status().code(), StatusCode::kCancelled);
-}
-
-TEST(EngineAsync, BatchAsyncKeepsGroupedChargeSemantics) {
-  // SubmitBatchAsync runs through SubmitBatch: a declared
-  // disjoint-domain batch charges max(eps) once, not sum(eps).
-  AsyncQueryEngine async(AsyncOptions(23, /*workers=*/2));
-  QueryEngine& engine = async.engine();
-  ASSERT_TRUE(
-      engine.RegisterPolicy("p", LinePolicy(16), Ramp(16), 1e6).ok());
-  ASSERT_TRUE(engine.OpenSession("s", 10.0).ok());
-
-  std::vector<QueryRequest> batch(3, MakeRequest("s", "p", 16, 0.0));
-  batch[0].epsilon = 0.3;
-  batch[1].epsilon = 0.5;
-  batch[2].epsilon = 0.2;
-  BatchOptions disjoint;
-  disjoint.disjoint_domains = true;
-  std::vector<FutureResult> futures =
-      async.SubmitBatchAsync(std::move(batch), disjoint);
-  for (FutureResult& future : futures) EXPECT_TRUE(future.get().ok());
-  EXPECT_NEAR(*engine.SessionRemaining("s"), 10.0 - 0.5, 1e-9);
 }
 
 TEST(EngineAsync, DrainRunsTheQueueDry) {

@@ -124,12 +124,11 @@ TEST(Integration, TwitterGridBlowfishBeatsPrivelet) {
   auto blowfish =
       GridBlowfishMechanism::Create(GridPolicy(ds.domain, 1)).ValueOrDie();
   PriveletMechanism privelet{ds.domain};
-  const Vector xg = blowfish->PrecomputeTransformed(ds.counts);
-  const double n = Sum(ds.counts);
+  const auto pre = blowfish->PrecomputeRelease(ds.counts);
   const double b_err =
       MeasureError(
           [&](const Vector&, double e, Rng* rng) {
-            return blowfish->RunOnTransformed(xg, n, e, rng);
+            return blowfish->RunPrecomputed(*pre, e, rng);
           },
           w, ds.counts, eps, 5, 4)
           .mean;

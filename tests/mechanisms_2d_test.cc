@@ -36,9 +36,9 @@ TEST(GridMechanism, UnbiasedUnderNoise) {
   Rng rng(2);
   Vector mean(36, 0.0);
   const size_t trials = 2000;
-  const Vector xg = mech->PrecomputeTransformed(x);
+  const auto pre = mech->PrecomputeRelease(x);
   for (size_t t = 0; t < trials; ++t) {
-    const Vector est = mech->RunOnTransformed(xg, Sum(x), 1.0, &rng);
+    const Vector est = mech->RunPrecomputed(*pre, 1.0, &rng);
     for (size_t i = 0; i < 36; ++i) mean[i] += est[i] / trials;
   }
   for (size_t i = 0; i < 36; ++i) EXPECT_NEAR(mean[i], 4.0, 1.5);
@@ -67,12 +67,11 @@ TEST(GridMechanism, BeatsPriveletOn2DRanges) {
       GridBlowfishMechanism::Create(GridPolicy(domain, 1)).ValueOrDie();
   PriveletMechanism privelet{domain};
   const double eps = 0.1;
-  const Vector xg = blowfish->PrecomputeTransformed(x);
-  const double n = Sum(x);
+  const auto pre = blowfish->PrecomputeRelease(x);
   const double b_err =
       MeasureError(
           [&](const Vector&, double e, Rng* rng) {
-            return blowfish->RunOnTransformed(xg, n, e, rng);
+            return blowfish->RunPrecomputed(*pre, e, rng);
           },
           w, x, eps, 5, 5)
           .mean;
