@@ -11,7 +11,9 @@
 // DAWA (data-dependent) inner mechanism. Paths: a direct Run; a
 // RunPrecomputed after an EncodePayload -> DecodePrecompute round trip;
 // the engine's dense Submit; the range fast path through Submit and
-// through SubmitStream; and a snapshot-restored engine.
+// through SubmitStream; a snapshot-restored engine; and range workloads
+// answered through a summed-area table over x̂, by Submit and by
+// SubmitStream.
 //
 // A pin that fails prints the table line holding the value it saw.
 // Update the table only for a change that is meant to move answers.
@@ -145,6 +147,26 @@ const Hashes& Pins() {
       {"run/slab/laplace", 0x91f05ba608c72d07ull},
       {"run/theta/dawa", 0x1c39dd4d8c3f7b78ull},
       {"run/theta/laplace", 0xbe938b1f2bc41091ull},
+      {"sat-stream/cube/dawa", 0x6807f412f15a3e23ull},
+      {"sat-stream/cube/laplace", 0x6807f412f15a3e23ull},
+      {"sat-stream/grid/dawa", 0x6387b540a4361da2ull},
+      {"sat-stream/grid/laplace", 0x6387b540a4361da2ull},
+      {"sat-stream/line/dawa", 0x4415cf60d019d42bull},
+      {"sat-stream/line/laplace", 0x6d736d683fa5a695ull},
+      {"sat-stream/ring/dawa", 0xa17e31e44ed32061ull},
+      {"sat-stream/ring/laplace", 0x7f757317245e22e6ull},
+      {"sat-stream/theta/dawa", 0x6e11cc94d161d25full},
+      {"sat-stream/theta/laplace", 0x5e88614c25ad7f08ull},
+      {"sat-submit/cube/dawa", 0x6807f412f15a3e23ull},
+      {"sat-submit/cube/laplace", 0x6807f412f15a3e23ull},
+      {"sat-submit/grid/dawa", 0x6387b540a4361da2ull},
+      {"sat-submit/grid/laplace", 0x6387b540a4361da2ull},
+      {"sat-submit/line/dawa", 0x4415cf60d019d42bull},
+      {"sat-submit/line/laplace", 0x6d736d683fa5a695ull},
+      {"sat-submit/ring/dawa", 0xa17e31e44ed32061ull},
+      {"sat-submit/ring/laplace", 0x7f757317245e22e6ull},
+      {"sat-submit/theta/dawa", 0x6e11cc94d161d25full},
+      {"sat-submit/theta/laplace", 0x5e88614c25ad7f08ull},
   };
   return pins;
 }
@@ -331,6 +353,84 @@ TEST(AnswerPins, RangeFastPathSubmitAndStream) {
     }
     EXPECT_EQ(Fnv1a(all), Fnv1a(full.ValueOrDie().answers));
     seen[PinName("fast-stream", "slab", dd)] = Fnv1a(all);
+  }
+  ExpectPinned(seen);
+}
+
+// ---------------------------------------------------------------------
+// Summed-area range path: range workloads on histogram-release plans
+// are answered from x̂ through a summed-area table. The subjects reach
+// the 1-D reader (line, theta, ring), the 2-D reader (grid) and the
+// generic corner loop (a 4×4×4 θ=1 grid).
+
+std::vector<Subject> SummedAreaSubjects() {
+  std::vector<Subject> subjects;
+  for (Subject& subject : Subjects()) {
+    if (std::strcmp(subject.name, "slab") != 0) {
+      subjects.push_back(std::move(subject));
+    }
+  }
+  subjects.push_back(
+      {"cube", "grid-matrix", GridPolicy(DomainShape({4, 4, 4}), 1)});
+  return subjects;
+}
+
+QueryRequest SummedAreaRanges(const Subject& subject, bool dd) {
+  Rng rng(19);
+  QueryRequest request;
+  request.session = "s";
+  request.policy = subject.name;
+  request.ranges = RandomRanges(subject.policy.domain, 41, &rng);
+  request.epsilon = kEpsilon;
+  request.prefer_data_dependent = dd;
+  return request;
+}
+
+// Every subject's ranges in one fixed order on a fresh engine, once
+// materialized and once streamed in chunks of 7 (41 = 5·7 + 6, so the
+// last chunk is short).
+TEST(AnswerPins, SummedAreaRangesSubmitAndStream) {
+  Hashes seen;
+  for (bool dd : {false, true}) {
+    QueryEngine submitted(SeededOptions());
+    QueryEngine streamed(SeededOptions());
+    for (QueryEngine* engine : {&submitted, &streamed}) {
+      for (Subject& subject : SummedAreaSubjects()) {
+        const Vector x = Ramp(subject.policy.domain_size());
+        ASSERT_TRUE(engine
+                        ->RegisterPolicy(subject.name,
+                                         std::move(subject.policy), x, 1e6)
+                        .ok());
+      }
+      ASSERT_TRUE(engine->OpenSession("s", 1e6).ok());
+    }
+    for (const Subject& subject : SummedAreaSubjects()) {
+      SCOPED_TRACE(PinName("sat", subject.name, dd));
+      Result<QueryResult> full =
+          submitted.Submit(SummedAreaRanges(subject, dd));
+      ASSERT_TRUE(full.ok()) << full.status().ToString();
+      EXPECT_FALSE(full.ValueOrDie().range_fast_path);
+      EXPECT_EQ(full.ValueOrDie().plan_kind, subject.kind);
+      seen[PinName("sat-submit", subject.name, dd)] =
+          Fnv1a(full.ValueOrDie().answers);
+
+      StreamOptions options;
+      options.chunk_queries = 7;
+      Result<std::shared_ptr<ResultStream>> stream =
+          streamed.SubmitStream(SummedAreaRanges(subject, dd), options);
+      ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+      Vector all;
+      for (;;) {
+        StreamChunk chunk;
+        Result<StreamNext> next = stream.ValueOrDie()->Next(&chunk);
+        ASSERT_TRUE(next.ok()) << next.status().ToString();
+        if (next.ValueOrDie() == StreamNext::kDone) break;
+        ASSERT_EQ(next.ValueOrDie(), StreamNext::kChunk);
+        all.insert(all.end(), chunk.values.begin(), chunk.values.end());
+      }
+      EXPECT_EQ(Fnv1a(all), Fnv1a(full.ValueOrDie().answers));
+      seen[PinName("sat-stream", subject.name, dd)] = Fnv1a(all);
+    }
   }
   ExpectPinned(seen);
 }

@@ -183,7 +183,11 @@ TEST(RangeWorkload, AnswersAreBitIdenticalToPerQueryVectorReference) {
   const RangeWorkload workloads[] = {
       AllRangesNd(DomainShape({5, 12})), AllRangesNd(DomainShape({3, 4, 8})),
       RandomRanges(DomainShape({4096}), 1000, &rng),
-      RandomRanges(DomainShape({32, 32}), 1024, &rng)};
+      RandomRanges(DomainShape({32, 32}), 1024, &rng),
+      // Unit extents, a one-cell domain, and every lo = 0 branch of a
+      // 1-D domain.
+      AllRangesNd(DomainShape({1, 7})), AllRangesNd(DomainShape({7, 1})),
+      AllRangesNd(DomainShape({1})), AllRanges1D(64)};
   for (const RangeWorkload& w : workloads) {
     // Non-integer cells, so any reordered addition changes the bits.
     Vector x(w.domain().size());
