@@ -1,10 +1,12 @@
 // Microbenchmarks (google-benchmark): throughput of the computational
 // kernels underlying the mechanisms — wavelet transforms, isotonic
-// regression, the DAWA partition DP, the policy transform, and the
-// sparse workload transform.
+// regression, the DAWA partition DP, the policy transform, the sparse
+// workload transform, range answers from a summed-area table, and a
+// warm grid-matrix release.
 
 #include <benchmark/benchmark.h>
 
+#include "core/mechanisms_2d.h"
 #include "core/pg_matrix.h"
 #include "core/transform.h"
 #include "mech/consistency.h"
@@ -111,6 +113,44 @@ void BM_PgMatrixBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PgMatrixBuild)->Arg(4096);
+
+// Range answers from a released x̂ through a summed-area table, at the
+// serving benchmark's sizes: dims 1 is k=4096 with 800 ranges (the line
+// tree and the θ-line spanner), dims 2 is 32×32 with 1,024 ranges (the
+// grid matrix). Times the table build and every read.
+void BM_RangeAnswer(benchmark::State& state) {
+  const bool one_d = state.range(0) == 1;
+  const DomainShape domain =
+      one_d ? DomainShape({4096}) : DomainShape({32, 32});
+  Rng rng(10);
+  const RangeWorkload w = RandomRanges(domain, one_d ? 800 : 1024, &rng);
+  const Vector x = RandomVector(domain.size(), 11);
+  Vector sat, answers;
+  for (auto _ : state) {
+    w.Answer(x, &sat, &answers);
+    benchmark::DoNotOptimize(answers.data());
+  }
+  state.SetItemsProcessed(state.iterations() * w.num_queries());
+}
+BENCHMARK(BM_RangeAnswer)->ArgName("dims")->Arg(1)->Arg(2);
+
+// One warm grid-matrix release (θ=1, side×side) with a kept workspace,
+// as the engine runs it: a Privelet release per grid line, then the
+// reconstruction of x̂.
+void BM_GridMatrixRelease(benchmark::State& state) {
+  const size_t side = static_cast<size_t>(state.range(0));
+  const auto mech =
+      GridBlowfishMechanism::Create(GridPolicy(DomainShape({side, side}), 1))
+          .ValueOrDie();
+  const auto pre = mech->PrecomputeRelease(RandomVector(side * side, 12));
+  Rng rng(13);
+  ReleaseWorkspace ws;
+  for (auto _ : state) {
+    mech->RunPrecomputed(*pre, 1.0, &rng, &ws, &ws.estimate);
+    benchmark::DoNotOptimize(ws.estimate.data());
+  }
+}
+BENCHMARK(BM_GridMatrixRelease)->Arg(32);
 
 }  // namespace
 }  // namespace blowfish

@@ -17,6 +17,7 @@
 #include "common/check.h"
 #include "linalg/vector_ops.h"
 #include "mech/mechanism.h"
+#include "mech/release_workspace.h"
 #include "rng/rng.h"
 
 namespace blowfish {
@@ -79,9 +80,17 @@ class BlowfishMechanism {
       const Vector& x) const = 0;
 
   /// Noisy phase continuing from PrecomputeRelease's result. Only
-  /// called with a precompute this mechanism produced.
-  virtual Vector RunPrecomputed(const ReleasePrecompute& pre, double epsilon,
-                                Rng* rng) const = 0;
+  /// called with a precompute this mechanism produced. Returns x̂; the
+  /// workspace form below with the calling thread's workspace.
+  Vector RunPrecomputed(const ReleasePrecompute& pre, double epsilon,
+                        Rng* rng) const;
+
+  /// The noisy phase into `out` (resized; `ws.estimate` or a buffer
+  /// outside `ws`), taking scratch from `ws`: a caller that keeps the
+  /// workspace releases without allocating for it.
+  virtual void RunPrecomputed(const ReleasePrecompute& pre, double epsilon,
+                              Rng* rng, ReleaseWorkspace* ws,
+                              Vector* out) const = 0;
 
   /// Inverse of EncodePayload: rehydrates a persisted precompute that
   /// this mechanism (for the same policy, version, and data) once
@@ -92,6 +101,14 @@ class BlowfishMechanism {
   virtual std::shared_ptr<const ReleasePrecompute> DecodePrecompute(
       std::string_view family, const PrecomputePayload& payload) const = 0;
 };
+
+inline Vector BlowfishMechanism::RunPrecomputed(const ReleasePrecompute& pre,
+                                                double epsilon,
+                                                Rng* rng) const {
+  Vector out;
+  RunPrecomputed(pre, epsilon, rng, &ReleaseWorkspace::ForThisThread(), &out);
+  return out;
+}
 
 using BlowfishMechanismPtr = std::unique_ptr<BlowfishMechanism>;
 

@@ -22,12 +22,13 @@ GridThetaHistogramAdapter::PrecomputeRelease(const Vector& x) const {
   return pre;
 }
 
-Vector GridThetaHistogramAdapter::RunPrecomputed(const ReleasePrecompute& pre,
-                                                 double epsilon,
-                                                 Rng* rng) const {
+void GridThetaHistogramAdapter::RunPrecomputed(const ReleasePrecompute& pre,
+                                               double epsilon, Rng* rng,
+                                               ReleaseWorkspace* ws,
+                                               Vector* out) const {
   const auto& slab_pre = static_cast<const SlabPrecompute&>(pre);
-  return inner_->ReleaseHistogramOnTransformed(slab_pre.xg, slab_pre.n,
-                                               epsilon, rng);
+  inner_->ReleaseHistogramOnTransformed(slab_pre.xg, slab_pre.n, epsilon, rng,
+                                        ws, out);
 }
 
 }  // namespace blowfish

@@ -73,8 +73,9 @@ class GridThetaHistogramAdapter : public BlowfishMechanism {
       const Vector& x) const override;
   /// Releases x̂ over the k² cells (flattened row-major, matching the
   /// policy domain) by answering every single-cell range.
-  Vector RunPrecomputed(const ReleasePrecompute& pre, double epsilon,
-                        Rng* rng) const override;
+  using BlowfishMechanism::RunPrecomputed;
+  void RunPrecomputed(const ReleasePrecompute& pre, double epsilon, Rng* rng,
+                      ReleaseWorkspace* ws, Vector* out) const override;
 
   /// Restores a snapshot-persisted "slab/1" precompute. Null on any
   /// family/shape mismatch (the caller then recomputes from data).

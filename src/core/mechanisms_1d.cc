@@ -103,19 +103,19 @@ TreeTransformMechanism::DecodePrecompute(
   return pre;
 }
 
-Vector TreeTransformMechanism::RunPrecomputed(const ReleasePrecompute& pre,
-                                              double epsilon,
-                                              Rng* rng) const {
+void TreeTransformMechanism::RunPrecomputed(const ReleasePrecompute& pre,
+                                            double epsilon, Rng* rng,
+                                            ReleaseWorkspace* ws,
+                                            Vector* out) const {
   BF_CHECK_GT(epsilon, 0.0);
   const auto& tree_pre = static_cast<const TreePrecompute&>(pre);
-  Vector xg_noisy = inner_->Run(tree_pre.xg, epsilon, rng);
-  if (options_.enforce_monotone) {
-    xg_noisy = IsotonicRegression(xg_noisy);
-  }
+  inner_->Run(tree_pre.xg, epsilon, rng, ws, &ws->noisy);
+  if (options_.enforce_monotone) IsotonicRegression(&ws->noisy, &ws->pava);
   // Component totals are public under a bounded policy (neighboring
   // databases share them by Definition 3.2).
-  return transform_.ReconstructHistogram(xg_noisy,
-                                         tree_pre.component_totals);
+  transform_.ReconstructHistogram(ws->noisy, tree_pre.component_totals.data(),
+                                  tree_pre.component_totals.size(), &ws->kept,
+                                  out);
 }
 
 PrivacyGuarantee TreeTransformMechanism::Guarantee(double epsilon) const {

@@ -63,8 +63,9 @@ class TreeTransformMechanism : public BlowfishMechanism {
   /// lifts the estimate back.
   std::shared_ptr<const ReleasePrecompute> PrecomputeRelease(
       const Vector& x) const override;
-  Vector RunPrecomputed(const ReleasePrecompute& pre, double epsilon,
-                        Rng* rng) const override;
+  using BlowfishMechanism::RunPrecomputed;
+  void RunPrecomputed(const ReleasePrecompute& pre, double epsilon, Rng* rng,
+                      ReleaseWorkspace* ws, Vector* out) const override;
 
   /// Restores a snapshot-persisted "tree/1" precompute. Null on any
   /// family/shape mismatch (the caller then recomputes from data).
@@ -100,12 +101,13 @@ class SpannerMechanism : public BlowfishMechanism {
       const Vector& x) const override {
     return inner_->PrecomputeRelease(x);
   }
-  Vector RunPrecomputed(const ReleasePrecompute& pre, double epsilon,
-                        Rng* rng) const override {
+  using BlowfishMechanism::RunPrecomputed;
+  void RunPrecomputed(const ReleasePrecompute& pre, double epsilon, Rng* rng,
+                      ReleaseWorkspace* ws, Vector* out) const override {
     BF_CHECK_GT(epsilon, 0.0);
     // Lemma 4.5: an (ε/ℓ, H) mechanism is (ε, G)-Blowfish private.
-    return inner_->RunPrecomputed(pre, epsilon / static_cast<double>(stretch_),
-                                  rng);
+    inner_->RunPrecomputed(pre, epsilon / static_cast<double>(stretch_), rng,
+                           ws, out);
   }
   std::shared_ptr<const ReleasePrecompute> DecodePrecompute(
       std::string_view family, const PrecomputePayload& payload) const override {

@@ -146,24 +146,27 @@ GridBlowfishMechanism::DecodePrecompute(
   return pre;
 }
 
-Vector GridBlowfishMechanism::RunPrecomputed(const ReleasePrecompute& pre,
-                                             double epsilon,
-                                             Rng* rng) const {
+void GridBlowfishMechanism::RunPrecomputed(const ReleasePrecompute& pre,
+                                           double epsilon, Rng* rng,
+                                           ReleaseWorkspace* ws,
+                                           Vector* out) const {
   const auto& grid_pre = static_cast<const GridPrecompute&>(pre);
   const Vector& xg = grid_pre.xg;
   BF_CHECK_EQ(xg.size(), transform_.num_edges());
   BF_CHECK_GT(epsilon, 0.0);
-  Vector noisy(xg.size(), 0.0);
+  Vector& noisy = ws->noisy;
+  noisy.assign(xg.size(), 0.0);
   // Each line runs its (shared, immutable) Privelet instance at the
   // full budget — lines are disjoint, so parallel composition applies.
-  Vector sub;
+  Vector& line = ws->group;
   for (size_t gi = 0; gi < groups_.size(); ++gi) {
-    sub.resize(groups_[gi].size());
-    for (size_t i = 0; i < sub.size(); ++i) sub[i] = xg[groups_[gi][i]];
-    const Vector est = group_mechanisms_[gi]->Run(sub, epsilon, rng);
-    for (size_t i = 0; i < sub.size(); ++i) noisy[groups_[gi][i]] = est[i];
+    line.resize(groups_[gi].size());
+    for (size_t i = 0; i < line.size(); ++i) line[i] = xg[groups_[gi][i]];
+    group_mechanisms_[gi]->Release(line.data(), epsilon, rng, ws, line.data());
+    for (size_t i = 0; i < line.size(); ++i) noisy[groups_[gi][i]] = line[i];
   }
-  return transform_.ReconstructHistogram(noisy, grid_pre.n);
+  // A grid policy is connected: one removed vertex, whose total is n.
+  transform_.ReconstructHistogram(noisy, &grid_pre.n, 1, &ws->kept, out);
 }
 
 PrivacyGuarantee GridBlowfishMechanism::Guarantee(double epsilon) const {

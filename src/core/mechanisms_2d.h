@@ -44,8 +44,9 @@ class GridBlowfishMechanism : public BlowfishMechanism {
   /// should compute it once.
   std::shared_ptr<const ReleasePrecompute> PrecomputeRelease(
       const Vector& x) const override;
-  Vector RunPrecomputed(const ReleasePrecompute& pre, double epsilon,
-                        Rng* rng) const override;
+  using BlowfishMechanism::RunPrecomputed;
+  void RunPrecomputed(const ReleasePrecompute& pre, double epsilon, Rng* rng,
+                      ReleaseWorkspace* ws, Vector* out) const override;
 
   /// Restores a snapshot-persisted "grid/1" precompute. Null on any
   /// family/shape mismatch (the caller then recomputes from data).

@@ -6,6 +6,7 @@
 #include "common/check.h"
 #include "graph/algorithms.h"
 #include "mech/privelet.h"
+#include "mech/release_workspace.h"
 
 namespace blowfish {
 
@@ -91,72 +92,85 @@ GridThetaRangeMechanism::Create(size_t k, size_t theta) {
   return m;
 }
 
-GridThetaRangeMechanism::Estimates GridThetaRangeMechanism::DrawEstimates(
-    const Vector& xg, double epsilon, Rng* rng) const {
+void GridThetaRangeMechanism::DrawEstimates(const Vector& xg, double epsilon,
+                                            Rng* rng, ReleaseWorkspace* ws,
+                                            Estimates* est) const {
   BF_CHECK_GT(epsilon, 0.0);
   BF_CHECK_EQ(xg.size(), edge_info_.size());
   const double eps_prime = epsilon / static_cast<double>(stretch_);
-  Estimates est{Vector(k_ * k_), Vector(k_ * k_), Vector(xg.size())};
+  est->row.assign(k_ * k_, 0.0);
+  est->col.assign(k_ * k_, 0.0);
+  est->ext.assign(xg.size(), 0.0);
 
-  // External: one 1D Privelet per red-grid line at full ε' (disjoint).
-  Vector sub(k_ / block_);
+  // External: one 1D Privelet per red-grid line at full ε' (disjoint),
+  // each released in place in the gathered line.
+  Vector& sub = ws->group;
+  sub.resize(k_ / block_);
   for (const std::vector<size_t>& line : external_lines_) {
     for (size_t i = 0; i < line.size(); ++i) sub[i] = xg[line[i]];
-    const Vector line_est = line_privelet_->Run(sub, eps_prime, rng);
-    for (size_t i = 0; i < line.size(); ++i) est.ext[line[i]] = line_est[i];
+    line_privelet_->Release(sub.data(), eps_prime, rng, ws, sub.data());
+    for (size_t i = 0; i < line.size(); ++i) est->ext[line[i]] = sub[i];
   }
 
   // Internal: the slab systems over the k×k grid of black cells (red
   // cells stay zero). Row slab b is rows [b·s, (b+1)·s), a contiguous
-  // run of the row-major grid; column slab b is columns [b·s, (b+1)·s).
-  Vector cells(k_ * k_, 0.0);
+  // run of the row-major grid, released straight from the grid; column
+  // slab b is columns [b·s, (b+1)·s), gathered and released in place.
+  Vector& cells = ws->cells;
+  cells.assign(k_ * k_, 0.0);
   for (size_t e = 0; e < edge_info_.size(); ++e) {
     if (edge_info_[e].internal) cells[edge_info_[e].u] = xg[e];
   }
   const size_t slab = block_ * k_;
-  Vector col_slab(slab);
+  Vector& col_slab = ws->group;
+  col_slab.resize(slab);
   for (size_t b = 0; b < k_ / block_; ++b) {
-    const Vector row_slab(cells.begin() + b * slab,
-                          cells.begin() + (b + 1) * slab);
     for (size_t i = 0; i < k_; ++i) {
       std::copy_n(&cells[i * k_ + b * block_], block_, &col_slab[i * block_]);
     }
-    const Vector row_out = row_privelet_->Run(row_slab, eps_prime / 2.0, rng);
-    const Vector col_out = col_privelet_->Run(col_slab, eps_prime / 2.0, rng);
-    std::copy(row_out.begin(), row_out.end(), est.row.begin() + b * slab);
+    row_privelet_->Release(&cells[b * slab], eps_prime / 2.0, rng, ws,
+                           &est->row[b * slab]);
+    col_privelet_->Release(col_slab.data(), eps_prime / 2.0, rng, ws,
+                           col_slab.data());
     for (size_t i = 0; i < k_; ++i) {
-      std::copy_n(&col_out[i * block_], block_, &est.col[i * k_ + b * block_]);
+      std::copy_n(&col_slab[i * block_], block_, &est->col[i * k_ + b * block_]);
     }
   }
-  return est;
 }
 
-GridThetaRangeMechanism::Releases GridThetaRangeMechanism::Tabulate(
-    const Estimates& est) const {
+void GridThetaRangeMechanism::Tabulate(const Estimates& est,
+                                       Releases* rel) const {
   const size_t w = k_ + 1;
-  Releases rel{Vector(w * w, 0.0), Vector(w * w, 0.0), Vector(w * w, 0.0)};
+  rel->ext.assign(w * w, 0.0);
+  rel->row.assign(w * w, 0.0);
+  rel->col.assign(w * w, 0.0);
   // Cell (i, j) goes to entry (i + 1, j + 1); prefix sums follow.
   const auto at = [&](size_t c) { return (c / k_ + 1) * w + c % k_ + 1; };
   for (size_t e = 0; e < edge_info_.size(); ++e) {
     const EdgeInfo& info = edge_info_[e];
     if (info.internal) {
-      rel.row[at(info.u)] = est.row[info.u];
-      rel.col[at(info.u)] = est.col[info.u];
+      rel->row[at(info.u)] = est.row[info.u];
+      rel->col[at(info.u)] = est.col[info.u];
     } else {
-      rel.ext[at(info.u)] += est.ext[e];
-      rel.ext[at(info.v)] -= est.ext[e];
+      rel->ext[at(info.u)] += est.ext[e];
+      rel->ext[at(info.v)] -= est.ext[e];
     }
   }
-  for (Vector* table : {&rel.ext, &rel.row, &rel.col}) {
-    Vector& t = *table;
+  // Rows first, each a running sum carried in a register; then each
+  // row adds the finished row above it.
+  for (Vector* table : {&rel->ext, &rel->row, &rel->col}) {
+    double* t = table->data();
     for (size_t i = 1; i < w; ++i) {
-      for (size_t j = 1; j < w; ++j) t[i * w + j] += t[i * w + j - 1];
+      double run = t[i * w];
+      for (size_t j = 1; j < w; ++j) {
+        run = t[i * w + j] + run;
+        t[i * w + j] = run;
+      }
     }
     for (size_t i = 1; i < w; ++i) {
       for (size_t j = 1; j < w; ++j) t[i * w + j] += t[(i - 1) * w + j];
     }
   }
-  return rel;
 }
 
 Vector GridThetaRangeMechanism::AnswerRanges(const RangeWorkload& workload,
@@ -207,13 +221,15 @@ Vector GridThetaRangeMechanism::AnswerRangesOnTransformed(
     double epsilon, Rng* rng) const {
   BF_CHECK_EQ(workload.domain().num_dims(), 2u);
   BF_CHECK_EQ(workload.domain().size(), k_ * k_);
-  const Releases rel = Tabulate(DrawEstimates(xg, epsilon, rng));
+  ReleaseWorkspace& ws = ReleaseWorkspace::ForThisThread();
+  DrawEstimates(xg, epsilon, rng, &ws, &ws.slab_estimates);
+  Tabulate(ws.slab_estimates, &ws.slab_tables);
 
   Vector answers(workload.num_queries(), 0.0);
   for (size_t qi = 0; qi < workload.num_queries(); ++qi) {
     const size_t* lo = workload.lo(qi);
     const size_t* hi = workload.hi(qi);
-    answers[qi] = AnswerOneRange(lo[0], hi[0], lo[1], hi[1], rel, n);
+    answers[qi] = AnswerOneRange(lo[0], hi[0], lo[1], hi[1], ws.slab_tables, n);
   }
   return answers;
 }
@@ -226,8 +242,12 @@ GridThetaRangeMechanism::BeginRanges(RangeWorkload workload, const Vector& xg,
   BF_CHECK_EQ(workload.domain().size(), k_ * k_);
   // All noise for the submit is drawn here — the cursor's chunks are
   // post-processing, so pausing or abandoning it leaks nothing beyond
-  // the releases the charge already covered.
-  Releases rel = Tabulate(DrawEstimates(xg, epsilon, rng));
+  // the releases the charge already covered. The cursor owns its
+  // tables: it outlives this call and may run on another thread.
+  ReleaseWorkspace& ws = ReleaseWorkspace::ForThisThread();
+  DrawEstimates(xg, epsilon, rng, &ws, &ws.slab_estimates);
+  Releases rel;
+  Tabulate(ws.slab_estimates, &rel);
   return std::unique_ptr<RangeCursor>(
       new RangeCursor(this, std::move(workload), std::move(rel), n));
 }
@@ -246,17 +266,18 @@ size_t GridThetaRangeMechanism::RangeCursor::AnswerNext(size_t count,
   return produced;
 }
 
-Vector GridThetaRangeMechanism::ReleaseHistogramOnTransformed(
-    const Vector& xg, double n, double epsilon, Rng* rng) const {
-  const Releases rel = Tabulate(DrawEstimates(xg, epsilon, rng));
+void GridThetaRangeMechanism::ReleaseHistogramOnTransformed(
+    const Vector& xg, double n, double epsilon, Rng* rng,
+    ReleaseWorkspace* ws, Vector* out) const {
+  DrawEstimates(xg, epsilon, rng, ws, &ws->slab_estimates);
+  Tabulate(ws->slab_estimates, &ws->slab_tables);
 
-  Vector answers(k_ * k_);
+  out->resize(k_ * k_);
   for (size_t i = 0; i < k_; ++i) {
     for (size_t j = 0; j < k_; ++j) {
-      answers[i * k_ + j] = AnswerOneRange(i, i, j, j, rel, n);
+      (*out)[i * k_ + j] = AnswerOneRange(i, i, j, j, ws->slab_tables, n);
     }
   }
-  return answers;
 }
 
 PrivacyGuarantee GridThetaRangeMechanism::Guarantee(double epsilon) const {

@@ -38,6 +38,7 @@
 #include "core/subgraph_approx.h"
 #include "core/transform.h"
 #include "mech/mechanism.h"
+#include "mech/release_workspace.h"
 #include "workload/workload.h"
 
 namespace blowfish {
@@ -48,13 +49,12 @@ class PriveletMechanism;
 class GridThetaRangeMechanism {
  private:
   /// One submit's noisy releases as (k+1)×(k+1) row-major summed-area
-  /// tables: entry (i, j) sums the cells [0, i)×[0, j). Defined before
-  /// the public section so RangeCursor can hold them by value.
-  struct Releases {
-    Vector ext;  // external-line estimates, ± at the edge endpoints
-    Vector row;  // row-slab estimates at internal edges' black cells
-    Vector col;  // column-slab estimates, likewise
-  };
+  /// tables: entry (i, j) sums the cells [0, i)×[0, j). `ext` holds
+  /// the external-line estimates, ± at the edge endpoints; `row` and
+  /// `col` the row- and column-slab estimates at internal edges' black
+  /// cells. Declared before the public section so RangeCursor can hold
+  /// them by value.
+  using Releases = SlabReleases;
 
  public:
   /// Requires θ >= 2 and (θ/2 == 0 is impossible) k divisible by the
@@ -75,6 +75,8 @@ class GridThetaRangeMechanism {
   /// Length of the transformed (spanner-edge-domain) database; used
   /// by restore paths to validate a persisted transform's shape.
   size_t num_spanner_edges() const { return transform_.num_edges(); }
+  /// Draws and tabulates in the calling thread's ReleaseWorkspace, so a
+  /// warm call allocates only the answers.
   Vector AnswerRangesOnTransformed(const RangeWorkload& workload,
                                    const Vector& xg, double n,
                                    double epsilon, Rng* rng) const;
@@ -122,12 +124,13 @@ class GridThetaRangeMechanism {
                                            const Vector& xg, double n,
                                            double epsilon, Rng* rng) const;
 
-  /// Full-histogram release x̂ (all k² cells, flattened row-major): the
-  /// range reconstruction evaluated at every unit cell, O(k²) in all,
-  /// so it is bit-identical to answering the unit-cell ranges through
-  /// AnswerRangesOnTransformed.
-  Vector ReleaseHistogramOnTransformed(const Vector& xg, double n,
-                                       double epsilon, Rng* rng) const;
+  /// Full-histogram release x̂ (all k² cells, flattened row-major) into
+  /// `out`: the range reconstruction evaluated at every unit cell,
+  /// O(k²) in all, so it is bit-identical to answering the unit-cell
+  /// ranges through AnswerRangesOnTransformed.
+  void ReleaseHistogramOnTransformed(const Vector& xg, double n,
+                                     double epsilon, Rng* rng,
+                                     ReleaseWorkspace* ws, Vector* out) const;
 
   PrivacyGuarantee Guarantee(double epsilon) const;
   int64_t stretch() const { return stretch_; }
@@ -141,13 +144,15 @@ class GridThetaRangeMechanism {
 
   /// One submit's noisy estimates: ext per spanner edge; row and col
   /// per cell, read only at internal edges' black cells.
-  struct Estimates { Vector row, col, ext; };
+  using Estimates = SlabReleases;
 
-  /// Draws the submit's noise at ε' = ε/ℓ — the only randomized step.
-  Estimates DrawEstimates(const Vector& xg, double epsilon,
-                              Rng* rng) const;
+  /// Draws the submit's noise at ε' = ε/ℓ — the only randomized step —
+  /// into `est`, with the black-cell grid and the Privelet buffers in
+  /// `ws` (`est` may be ws->slab_estimates).
+  void DrawEstimates(const Vector& xg, double epsilon, Rng* rng,
+                     ReleaseWorkspace* ws, Estimates* est) const;
   /// Folds the estimates into the summed-area tables.
-  Releases Tabulate(const Estimates& est) const;
+  void Tabulate(const Estimates& est, Releases* rel) const;
 
   /// Reconstructs the range [r1, r2]×[c1, c2] (inclusive) from the
   /// tables (the Figure 7d strip classification); the one-shot path,

@@ -117,12 +117,23 @@ Vector PolicyTransform::TransformDatabaseGeneral(const Vector& reduced) const {
 
 Vector PolicyTransform::ReconstructHistogram(
     const Vector& xg_estimate, const Vector& component_totals) const {
+  Vector kept, out;
+  ReconstructHistogram(xg_estimate, component_totals.data(),
+                       component_totals.size(), &kept, &out);
+  return out;
+}
+
+void PolicyTransform::ReconstructHistogram(const Vector& xg_estimate,
+                                           const double* component_totals,
+                                           size_t num_totals, Vector* kept,
+                                           Vector* out) const {
   BF_CHECK_EQ(xg_estimate.size(), pg_.cols());
-  BF_CHECK_EQ(component_totals.size(), reduction_.removed.size());
-  const Vector kept_estimate = pg_.MultiplyVector(xg_estimate);
-  Vector out(policy_.domain_size(), 0.0);
+  BF_CHECK_EQ(num_totals, reduction_.removed.size());
+  pg_.MultiplyVector(xg_estimate, kept);
+  const Vector& kept_estimate = *kept;
+  out->assign(policy_.domain_size(), 0.0);
   for (size_t j = 0; j < reduction_.new_to_old.size(); ++j) {
-    out[reduction_.new_to_old[j]] = kept_estimate[j];
+    (*out)[reduction_.new_to_old[j]] = kept_estimate[j];
   }
   for (size_t r = 0; r < reduction_.removed.size(); ++r) {
     const size_t rv = reduction_.removed[r];
@@ -130,17 +141,8 @@ Vector PolicyTransform::ReconstructHistogram(
     for (size_t j = 0; j < reduction_.new_to_old.size(); ++j) {
       if (reduction_.removed_of_component[j] == rv) others += kept_estimate[j];
     }
-    out[rv] = component_totals[r] - others;
+    (*out)[rv] = component_totals[r] - others;
   }
-  return out;
-}
-
-Vector PolicyTransform::ReconstructHistogram(const Vector& xg_estimate,
-                                             double n) const {
-  BF_CHECK_LE(reduction_.removed.size(), 1u);
-  Vector totals;
-  if (reduction_.removed.size() == 1) totals.push_back(n);
-  return ReconstructHistogram(xg_estimate, totals);
 }
 
 Vector PolicyTransform::ComponentTotals(const Vector& x) const {

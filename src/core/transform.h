@@ -60,8 +60,13 @@ class PolicyTransform {
   Vector ReconstructHistogram(const Vector& xg_estimate,
                               const Vector& component_totals) const;
 
-  /// Convenience for connected bounded policies: single total n.
-  Vector ReconstructHistogram(const Vector& xg_estimate, double n) const;
+  /// The same reconstruction into `out` (resized), from `num_totals`
+  /// totals, with P_G x̃_G over the kept vertices in `kept`; allocates
+  /// nothing once both have the capacity.
+  void ReconstructHistogram(const Vector& xg_estimate,
+                            const double* component_totals,
+                            size_t num_totals, Vector* kept,
+                            Vector* out) const;
 
   /// Per-component totals of a database, ordered like
   /// reduction().removed. (Public information under the policy.)

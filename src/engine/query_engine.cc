@@ -1012,17 +1012,22 @@ class GridStreamCursor : public ChunkCursor {
 /// workload is answered from a summed-area table built once (identical
 /// arithmetic to RangeWorkload::Answer); a dense one row by row, each
 /// row the same CSR dot MultiplyVector performs. Either way chunk
-/// concatenation is bit-identical to the materialized answers.
+/// concatenation is bit-identical to the materialized answers. The
+/// cursor owns its table (or its copy of x̂): it outlives the submit
+/// and may run on another thread than the release's workspace.
 class EstimateStreamCursor : public ChunkCursor {
  public:
   /// Moves the request's workload in; the request may die first.
-  EstimateStreamCursor(QueryRequest* request, Vector estimate,
+  EstimateStreamCursor(QueryRequest* request, const Vector& estimate,
                        size_t chunk_queries)
       : ranges_(std::move(request->ranges)),
         workload_(std::move(request->workload)),
-        estimate_(std::move(estimate)),
         chunk_queries_(chunk_queries) {
-    if (ranges_.has_value()) answerer_.emplace(ranges_->domain(), estimate_);
+    if (ranges_.has_value()) {
+      answerer_.emplace(ranges_->domain(), estimate);
+    } else {
+      estimate_ = estimate;
+    }
   }
 
   std::optional<StreamChunk> NextChunk() override {
@@ -1170,7 +1175,10 @@ void QueryEngine::DrawRelease(const Admission& admission,
   // Histogram-release paths: the noisy estimate x̂ is the release;
   // answers are post-processing of it.
   header->guarantee = plan.mechanism->Guarantee(request.epsilon);
-  on_estimate(plan.mechanism->RunPrecomputed(*pre, request.epsilon, &rng));
+  ReleaseWorkspace& ws = ReleaseWorkspace::ForThisThread();
+  plan.mechanism->RunPrecomputed(*pre, request.epsilon, &rng, &ws,
+                                 &ws.estimate);
+  on_estimate(ws.estimate);
 }
 
 void QueryEngine::Materialize(const Admission& admission,
@@ -1186,9 +1194,13 @@ void QueryEngine::Materialize(const Admission& admission,
       [&](const Vector& estimate) {
         // Range workloads on histogram-release plans are answered from
         // x̂ with a summed-area table; W is never materialized.
-        result->answers = request.ranges.has_value()
-                              ? request.ranges->Answer(estimate)
-                              : request.workload.Answer(estimate);
+        if (request.ranges.has_value()) {
+          request.ranges->Answer(
+              estimate, &ReleaseWorkspace::ForThisThread().sat,
+              &result->answers);
+        } else {
+          result->answers = request.workload.Answer(estimate);
+        }
       });
 }
 
@@ -1211,9 +1223,9 @@ std::unique_ptr<ChunkCursor> QueryEngine::BuildCursor(
                              request->epsilon, rng),
             chunk_queries);
       },
-      [&](Vector estimate) {
-        cursor = std::make_unique<EstimateStreamCursor>(
-            request, std::move(estimate), chunk_queries);
+      [&](const Vector& estimate) {
+        cursor = std::make_unique<EstimateStreamCursor>(request, estimate,
+                                                        chunk_queries);
       });
   header->total_answers = cursor->total_answers();
   return cursor;

@@ -559,9 +559,11 @@ class QueryEngine {
   /// (`Header` is QueryResult or StreamHeader), and draws the noise.
   /// A range workload on a θ>=2 grid plan takes the slab fast path:
   /// `on_slab(mech, xg, n, rng)` draws and reconstructs on the
-  /// transformed data (transformed per submit if the precompute did
-  /// not split). Every other request releases the histogram:
-  /// `on_estimate(x̂)`. Materialize and BuildCursor are its two tails.
+  /// cached transformed data. Every other request releases the
+  /// histogram: `on_estimate(x̂)`. Materialize and BuildCursor are its
+  /// two tails. Both release through the calling thread's
+  /// ReleaseWorkspace: a release runs start to finish on that thread,
+  /// holds no lock and never calls back into the engine.
   template <typename Header, typename OnSlab, typename OnEstimate>
   void DrawRelease(const Admission& admission, const QueryRequest& request,
                    Header* header, OnSlab&& on_slab, OnEstimate&& on_estimate);

@@ -61,15 +61,21 @@ SparseMatrix SparseMatrix::FromDense(const Matrix& dense) {
 }
 
 Vector SparseMatrix::MultiplyVector(const Vector& x) const {
+  Vector y;
+  MultiplyVector(x, &y);
+  return y;
+}
+
+void SparseMatrix::MultiplyVector(const Vector& x, Vector* y) const {
   BF_CHECK_EQ(cols_, x.size());
-  Vector y(rows_, 0.0);
+  y->resize(rows_);
+  double* out = y->data();
   for (size_t r = 0; r < rows_; ++r) {
     double acc = 0.0;
     for (size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k)
       acc += values_[k] * x[col_idx_[k]];
-    y[r] = acc;
+    out[r] = acc;
   }
-  return y;
 }
 
 Vector SparseMatrix::TransposeMultiplyVector(const Vector& x) const {

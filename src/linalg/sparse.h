@@ -44,6 +44,8 @@ class SparseMatrix {
 
   /// y = A * x.
   Vector MultiplyVector(const Vector& x) const;
+  /// y = A * x into `y` (resized).
+  void MultiplyVector(const Vector& x, Vector* y) const;
   /// y = A^T * x.
   Vector TransposeMultiplyVector(const Vector& x) const;
   /// C = A * B (CSR x CSR -> CSR).

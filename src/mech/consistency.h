@@ -13,13 +13,26 @@
 #ifndef BLOWFISH_MECH_CONSISTENCY_H_
 #define BLOWFISH_MECH_CONSISTENCY_H_
 
+#include <vector>
+
 #include "linalg/vector_ops.h"
 
 namespace blowfish {
 
+/// One pooled run of PAVA's stack: its mean, total weight and length.
+struct PavaBlock {
+  double mean;
+  double weight;
+  size_t count;
+};
+
 /// L2 projection of `y` onto non-decreasing sequences (PAVA). Returns
 /// argmin_z ‖y − z‖₂ s.t. z[0] <= z[1] <= ... <= z[n-1].
 Vector IsotonicRegression(const Vector& y);
+
+/// The same projection in place, with a caller-owned block stack, so a
+/// release that keeps both allocates nothing.
+void IsotonicRegression(Vector* y, std::vector<PavaBlock>* stack);
 
 /// Weighted variant: argmin Σ w_i (y_i − z_i)² over non-decreasing z.
 /// Weights must be positive.

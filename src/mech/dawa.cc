@@ -85,7 +85,8 @@ Vector DawaMechanism::Run(const Vector& x, double epsilon, Rng* rng) const {
 
   // Stage 1 on an ε₁-noisy copy (the true histogram is never consulted
   // by the partition).
-  const Vector noisy = AddLaplaceNoise(x, 1.0 / eps1, rng);
+  Vector noisy = x;
+  AddLaplaceNoise(1.0 / eps1, rng, &noisy);
   const std::vector<size_t> ends = ChoosePartition(noisy, eps2, 1.0 / eps1);
 
   // Stage 2: noisy bucket totals, uniform expansion.

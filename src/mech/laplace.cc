@@ -4,17 +4,16 @@
 
 namespace blowfish {
 
-Vector AddLaplaceNoise(const Vector& v, double scale, Rng* rng) {
+void AddLaplaceNoise(double scale, Rng* rng, Vector* v) {
   BF_CHECK(rng != nullptr);
-  Vector out = v;
-  for (double& value : out) value += rng->Laplace(scale);
-  return out;
+  for (double& value : *v) value += rng->Laplace(scale);
 }
 
-Vector LaplaceMechanism::Run(const Vector& x, double epsilon,
-                             Rng* rng) const {
+void LaplaceMechanism::Run(const Vector& x, double epsilon, Rng* rng,
+                           ReleaseWorkspace* /*ws*/, Vector* out) const {
   BF_CHECK_GT(epsilon, 0.0);
-  return AddLaplaceNoise(x, 1.0 / epsilon, rng);
+  *out = x;
+  AddLaplaceNoise(1.0 / epsilon, rng, out);
 }
 
 double LaplaceTotalSquaredError(size_t num_queries, double sensitivity,

@@ -13,12 +13,14 @@ namespace blowfish {
 /// \brief Histogram release via x + Lap(1/ε)^k.
 class LaplaceMechanism : public HistogramMechanism {
  public:
-  Vector Run(const Vector& x, double epsilon, Rng* rng) const override;
+  using HistogramMechanism::Run;
+  void Run(const Vector& x, double epsilon, Rng* rng, ReleaseWorkspace* ws,
+           Vector* out) const override;
   std::string name() const override { return "Laplace"; }
 };
 
-/// Adds iid Laplace(scale) noise to a copy of `v`.
-Vector AddLaplaceNoise(const Vector& v, double scale, Rng* rng);
+/// Adds iid Laplace(scale) noise to `v` in place.
+void AddLaplaceNoise(double scale, Rng* rng, Vector* v);
 
 /// Theorem 2.1: expected *total* squared error of the Laplace mechanism
 /// answering q queries of L1 sensitivity ∆ at budget ε: 2 q ∆² / ε².

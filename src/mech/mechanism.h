@@ -33,16 +33,30 @@ struct PrivacyGuarantee {
   std::string neighbor_model;
 };
 
+struct ReleaseWorkspace;
+
 /// \brief An ε-differentially-private histogram estimator.
 ///
 /// Contract: `Run(x, epsilon, rng)` returns an estimate of x (same
 /// size) and the release is ε-DP with respect to a ±1 change of a
 /// single cell of x (L1 sensitivity 1 per cell).
+///
+/// The two forms of Run release the same bits. A mechanism overrides
+/// at least one of them; each default calls the other. The workspace
+/// form is the one to override where scratch buffers matter.
 class HistogramMechanism {
  public:
   virtual ~HistogramMechanism() = default;
 
-  virtual Vector Run(const Vector& x, double epsilon, Rng* rng) const = 0;
+  /// Returns the estimate; the default runs the workspace form with
+  /// the calling thread's workspace.
+  virtual Vector Run(const Vector& x, double epsilon, Rng* rng) const;
+
+  /// Writes the estimate into `out` (resized), taking scratch from
+  /// `ws`; `out` must not be a workspace buffer that this mechanism
+  /// uses itself. The default calls the returning form.
+  virtual void Run(const Vector& x, double epsilon, Rng* rng,
+                   ReleaseWorkspace* ws, Vector* out) const;
 
   virtual std::string name() const = 0;
 };

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "mech/release_workspace.h"
 
 namespace blowfish {
 
@@ -133,21 +134,29 @@ PriveletMechanism::PriveletMechanism(DomainShape domain)
   }
 }
 
-Vector PriveletMechanism::Run(const Vector& x, double epsilon,
-                              Rng* rng) const {
+void PriveletMechanism::Run(const Vector& x, double epsilon, Rng* rng,
+                            ReleaseWorkspace* ws, Vector* out) const {
   BF_CHECK_EQ(x.size(), domain_.size());
+  out->resize(domain_.size());
+  Release(x.data(), epsilon, rng, ws, out->data());
+}
+
+void PriveletMechanism::Release(const double* x, double epsilon, Rng* rng,
+                                ReleaseWorkspace* ws, double* out) const {
   BF_CHECK_GT(epsilon, 0.0);
   BF_CHECK(rng != nullptr);
 
   // Embed into the padded grid.
-  Vector padded(padded_.size(), 0.0);
+  Vector& padded = ws->padded;
+  padded.assign(padded_.size(), 0.0);
   for (size_t i = 0; i < domain_.size(); ++i) padded[padded_index_[i]] = x[i];
   // One line buffer and one Haar scratch serve every line of every axis;
   // reserving the widest axis up front keeps non-square domains (the
   // slab releases) from regrowing them per axis.
   const std::vector<size_t>& dims = padded_.dims();
   const size_t widest = *std::max_element(dims.begin(), dims.end());
-  Vector line, scratch;
+  Vector& line = ws->line;
+  Vector& scratch = ws->haar;
   line.reserve(widest);
   scratch.reserve(widest);
   // Forward transform along each axis.
@@ -165,9 +174,7 @@ Vector PriveletMechanism::Run(const Vector& x, double epsilon,
                 [&](Vector* l) { HaarInverse(l, &scratch); });
   }
   // Crop back to the logical domain.
-  Vector out(domain_.size());
   for (size_t i = 0; i < domain_.size(); ++i) out[i] = padded[padded_index_[i]];
-  return out;
 }
 
 }  // namespace blowfish

@@ -47,7 +47,14 @@ class PriveletMechanism : public HistogramMechanism {
  public:
   explicit PriveletMechanism(DomainShape domain);
 
-  Vector Run(const Vector& x, double epsilon, Rng* rng) const override;
+  using HistogramMechanism::Run;
+  void Run(const Vector& x, double epsilon, Rng* rng, ReleaseWorkspace* ws,
+           Vector* out) const override;
+  /// The release over raw cells: `x` and `out` each point at the
+  /// domain's size() values and may be the same cells. Uses the
+  /// workspace's padded, line and haar buffers.
+  void Release(const double* x, double epsilon, Rng* rng,
+               ReleaseWorkspace* ws, double* out) const;
   std::string name() const override { return "Privelet"; }
 
   /// Weighted L1 sensitivity of the padded transform: Π (h_d + 1).

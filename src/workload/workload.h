@@ -107,6 +107,9 @@ class RangeWorkload {
 
   /// Exact answers via a summed-area table: O(domain + q * 2^d).
   Vector Answer(const Vector& x) const;
+  /// The same answers into `out`, building the table in `sat`; both
+  /// are resized, so a caller that keeps them allocates nothing.
+  void Answer(const Vector& x, Vector* sat, Vector* out) const;
 
   /// Materializes the explicit sparse workload (use at small domains).
   Workload ToWorkload() const;

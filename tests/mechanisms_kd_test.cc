@@ -21,8 +21,9 @@ class GridThetaRangeMechanismTestPeer {
 
   /// Draws one submit's per-edge estimates and tabulates them.
   void Draw(const Vector& xg, double epsilon, Rng* rng) {
-    est_ = m_.DrawEstimates(xg, epsilon, rng);
-    rel_ = m_.Tabulate(est_);
+    ReleaseWorkspace ws;
+    m_.DrawEstimates(xg, epsilon, rng, &ws, &est_);
+    m_.Tabulate(est_, &rel_);
   }
 
   double Tables(const size_t* lo, const size_t* hi, double n) const {
