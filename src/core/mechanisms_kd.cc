@@ -133,7 +133,8 @@ void GridThetaRangeMechanism::DrawEstimates(const Vector& xg, double epsilon,
     col_privelet_->Release(col_slab.data(), eps_prime / 2.0, rng, ws,
                            col_slab.data());
     for (size_t i = 0; i < k_; ++i) {
-      std::copy_n(&col_slab[i * block_], block_, &est->col[i * k_ + b * block_]);
+      std::copy_n(&col_slab[i * block_], block_,
+                  &est->col[i * k_ + b * block_]);
     }
   }
 }
