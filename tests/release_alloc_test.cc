@@ -5,9 +5,9 @@
 // release workspace a warm Submit allocates little beyond its answer
 // vector. The count is fixed for a given plan and workload, so it gates
 // where timings cannot. Bounds are the measured counts plus a small
-// margin. The same counter bounds a copy of a range
-// workload, which callers of the by-value stream and async entry
-// points pay per request.
+// margin. The same counter bounds a copy of a range workload, which
+// callers of the by-value stream and async entry points pay per
+// request.
 
 #include <gtest/gtest.h>
 
