@@ -9,8 +9,8 @@
 //   C. Consistency on/off across sparsity levels.
 //   D. DAWA stage-1 budget fraction sweep.
 //   E. Hilbert vs row-major linearization for 2D DAWA.
-//   F. Tree fast-path vs conjugate-gradient transform (result parity
-//      and relative cost).
+//   F. The spanning-tree sweep on a tree (line) and on a non-tree
+//      (64x64 grid) policy: result parity and cost.
 
 #include "bench_util.h"
 #include "common/stopwatch.h"
@@ -197,7 +197,7 @@ void AblationHilbert() {
 }
 
 void AblationTransformPaths() {
-  PrintHeader("F. Transform paths on the line policy (k=4096)",
+  PrintHeader("F. The spanning-tree sweep: line tree and 64x64 grid",
               {"max |diff|", "ms"});
   const size_t k = 4096;
   const Policy policy = LinePolicy(k);
@@ -210,17 +210,15 @@ void AblationTransformPaths() {
   const Vector fast = t.TransformDatabase(x);  // tree sweep
   const double fast_ms = sw.ElapsedMillis();
 
-  // Force the general path by rebuilding the same graph with one
-  // redundant edge removed/re-added? Simplest honest comparison: the
-  // 2D grid policy exercises CG; report its cost per unknown next to
-  // the tree sweep cost per unknown.
+  // The grid graph is not a tree: the same sweep over its BFS spanning
+  // tree gives one preimage x_G (non-tree edges 0) of the database.
   const Policy grid = GridPolicy(DomainShape({64, 64}), 1);
   const PolicyTransform tg = PolicyTransform::Create(grid).ValueOrDie();
   Vector x2(grid.domain_size());
   for (double& v : x2) v = static_cast<double>(rng.UniformInt(0, 50));
   sw.Restart();
-  const Vector general = tg.TransformDatabase(x2);
-  const double cg_ms = sw.ElapsedMillis();
+  const Vector swept = tg.TransformDatabase(x2);
+  const double grid_ms = sw.ElapsedMillis();
 
   // Parity check on the tree: reconstruct and compare.
   const Vector rebuilt = t.ReconstructHistogram(fast, t.ComponentTotals(x));
@@ -230,12 +228,12 @@ void AblationTransformPaths() {
   }
   PrintRow("tree sweep (k=4096)", {Fmt(max_diff), Fmt(fast_ms)});
   const Vector rebuilt2 =
-      tg.ReconstructHistogram(general, tg.ComponentTotals(x2));
+      tg.ReconstructHistogram(swept, tg.ComponentTotals(x2));
   double max_diff2 = 0.0;
   for (size_t i = 0; i < x2.size(); ++i) {
     max_diff2 = std::max(max_diff2, std::fabs(rebuilt2[i] - x2[i]));
   }
-  PrintRow("CG on 64x64 grid Laplacian", {Fmt(max_diff2), Fmt(cg_ms)});
+  PrintRow("tree sweep (64x64 grid)", {Fmt(max_diff2), Fmt(grid_ms)});
 }
 
 void AblationStrategySelection() {

@@ -130,7 +130,8 @@ int main() {
       Rng qrng(kSeed);
       const RangeWorkload w = RandomRanges(domain, num_queries, &qrng);
       Vector x(domain.size(), 1.0);
-      auto mech = GridThetaRangeMechanism::Create(k, 4).ValueOrDie();
+      auto mech = GridThetaRangeMechanism::Create(GridPolicy(domain, 4), 4)
+                      .ValueOrDie();
       const Vector xg = mech->PrecomputeTransformed(x);
       const Vector truth = w.Answer(x);
       double b = 0.0;

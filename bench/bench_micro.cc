@@ -1,13 +1,15 @@
 // Microbenchmarks (google-benchmark): throughput of the computational
 // kernels underlying the mechanisms — wavelet transforms, isotonic
-// regression, the DAWA partition DP, the policy transform, the sparse
-// workload transform, range answers from a summed-area table, and a
-// warm grid-matrix release.
+// regression, the DAWA partition DP, the policy transform, a cold
+// grid-matrix precompute and θ-line plan, the sparse workload
+// transform, range answers from a summed-area table, and a warm
+// grid-matrix release.
 
 #include <benchmark/benchmark.h>
 
 #include "core/mechanisms_2d.h"
 #include "core/pg_matrix.h"
+#include "core/planner.h"
 #include "core/transform.h"
 #include "mech/consistency.h"
 #include "mech/dawa.h"
@@ -48,10 +50,25 @@ void BM_PriveletRun(benchmark::State& state) {
 }
 BENCHMARK(BM_PriveletRun)->Arg(4096);
 
+// PAVA on noisy prefix sums as a line-tree release feeds it: counts
+// 0–100 plus Laplace noise at ε = 1/128. The loop rotates over 64
+// pre-drawn inputs, so the branch predictor cannot learn one input's
+// merge pattern.
 void BM_IsotonicRegression(benchmark::State& state) {
-  const Vector y = RandomVector(static_cast<size_t>(state.range(0)), 4);
+  const size_t k = static_cast<size_t>(state.range(0));
+  Rng rng(4);
+  std::vector<Vector> inputs(64, Vector(k));
+  for (Vector& y : inputs) {
+    double prefix = 0.0;
+    for (double& v : y) {
+      prefix += static_cast<double>(rng.UniformInt(0, 100));
+      v = prefix + rng.Laplace(128.0);
+    }
+  }
+  size_t next = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(IsotonicRegression(y));
+    benchmark::DoNotOptimize(IsotonicRegression(inputs[next]));
+    next = (next + 1) % inputs.size();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -79,17 +96,35 @@ void BM_TreeTransform(benchmark::State& state) {
 }
 BENCHMARK(BM_TreeTransform)->Arg(4096)->Arg(65536);
 
-void BM_GridTransformCg(benchmark::State& state) {
+// The noise-free half of a cold grid-matrix release (θ=1, side×side):
+// the spanning-tree sweep to x_G and the database total.
+void BM_GridPrecompute(benchmark::State& state) {
   const size_t side = static_cast<size_t>(state.range(0));
-  const PolicyTransform t =
-      PolicyTransform::Create(GridPolicy(DomainShape({side, side}), 1))
+  const auto mech =
+      GridBlowfishMechanism::Create(GridPolicy(DomainShape({side, side}), 1))
           .ValueOrDie();
   const Vector x = RandomVector(side * side, 7);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(t.TransformDatabase(x));
+    benchmark::DoNotOptimize(mech->PrecomputeRelease(x));
+  }
+  state.SetItemsProcessed(state.iterations() * side * side);
+}
+BENCHMARK(BM_GridPrecompute)->Arg(32)->Arg(256)->Unit(benchmark::kMillisecond);
+
+// A cold θ-line plan (k, θ=4) as the engine makes it: detection, then
+// the spanner certified against the registered policy and the tree
+// transform over the spanner. The policy copy is untimed.
+void BM_PlanThetaLine(benchmark::State& state) {
+  const size_t k = static_cast<size_t>(state.range(0));
+  const Policy policy = Theta1DPolicy(k, 4);
+  for (auto _ : state) {
+    state.PauseTiming();
+    PlanRequest request{policy, false, {}};
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(PlanMechanism(std::move(request)));
   }
 }
-BENCHMARK(BM_GridTransformCg)->Arg(32)->Arg(64);
+BENCHMARK(BM_PlanThetaLine)->Arg(4096)->Unit(benchmark::kMillisecond);
 
 void BM_WorkloadTransform(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));

@@ -73,9 +73,8 @@ class BlowfishMechanism {
   };
 
   /// Noise-free phase of a release: never null. Callers (the serving
-  /// layer) cache it per (policy, data) snapshot — for the
-  /// general-graph transforms this hoists a conjugate-gradient solve
-  /// out of every warm release.
+  /// layer) cache it per (policy, data) snapshot, which hoists the
+  /// transform sweep out of every warm release.
   virtual std::shared_ptr<const ReleasePrecompute> PrecomputeRelease(
       const Vector& x) const = 0;
 

@@ -25,8 +25,9 @@ Result<BlowfishMechanismPtr> MakeLineVariant(size_t k,
 Result<BlowfishMechanismPtr> MakeThetaLineVariant(
     size_t k, size_t theta, HistogramMechanismPtr inner,
     const std::string& label, bool use_grouped_privelet = false) {
-  Result<std::unique_ptr<SpannerMechanism>> mech = MakeThetaLineMechanism(
-      k, theta, std::move(inner), label, use_grouped_privelet);
+  Result<std::unique_ptr<SpannerMechanism>> mech =
+      MakeThetaLineMechanism(Theta1DPolicy(k, theta), theta, std::move(inner),
+                             label, use_grouped_privelet);
   if (!mech.ok()) return mech.status();
   return BlowfishMechanismPtr(std::move(mech).ValueOrDie());
 }

@@ -5,12 +5,13 @@
 namespace blowfish {
 
 Result<std::unique_ptr<GridThetaHistogramAdapter>>
-GridThetaHistogramAdapter::Create(size_t k, size_t theta) {
+GridThetaHistogramAdapter::Create(const Policy& grid_policy, size_t theta) {
   Result<std::unique_ptr<GridThetaRangeMechanism>> inner =
-      GridThetaRangeMechanism::Create(k, theta);
+      GridThetaRangeMechanism::Create(grid_policy, theta);
   if (!inner.ok()) return inner.status();
   return std::unique_ptr<GridThetaHistogramAdapter>(
-      new GridThetaHistogramAdapter(std::move(inner).ValueOrDie(), k * k));
+      new GridThetaHistogramAdapter(std::move(inner).ValueOrDie(),
+                                    grid_policy.domain_size()));
 }
 
 std::shared_ptr<const BlowfishMechanism::ReleasePrecompute>

@@ -33,7 +33,7 @@ class GridThetaHistogramAdapter : public BlowfishMechanism {
  public:
   /// Same preconditions as GridThetaRangeMechanism::Create.
   static Result<std::unique_ptr<GridThetaHistogramAdapter>> Create(
-      size_t k, size_t theta);
+      const Policy& grid_policy, size_t theta);
 
   std::string name() const override {
     return inner_->name() + " (histogram adapter)";
@@ -53,8 +53,8 @@ class GridThetaHistogramAdapter : public BlowfishMechanism {
   }
 
   /// Noise-free half of a slab release: the spanner-edge-domain
-  /// transform (a conjugate-gradient solve) and the public database
-  /// size. Public so the engine's range fast path can answer explicit
+  /// transform (the spanning-tree sweep, O(edges)) and the public
+  /// database size. Public so the engine's range fast path can answer explicit
   /// range workloads from the same cached blob the dense path uses.
   struct SlabPrecompute : ReleasePrecompute {
     Vector xg;

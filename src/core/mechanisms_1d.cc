@@ -151,12 +151,20 @@ HistogramMechanismPtr MakeGroupedPriveletForLineSpanner(
 }
 
 Result<std::unique_ptr<SpannerMechanism>> MakeThetaLineMechanism(
-    size_t k, size_t theta, HistogramMechanismPtr inner,
+    const Policy& theta_policy, size_t theta, HistogramMechanismPtr inner,
     const std::string& label, bool use_grouped_privelet) {
-  const Policy original = Theta1DPolicy(k, theta);
-  Result<SpannerCertificate> cert = LineThetaSpannerFor(original, theta);
+  const DomainShape& domain = theta_policy.domain;
+  if (domain.num_dims() != 1 || theta == 0 ||
+      theta_policy.graph.has_bottom() ||
+      theta_policy.graph.num_edges() !=
+          DistanceThresholdEdgeCount(domain, theta)) {
+    return Status::InvalidArgument(
+        "theta line mechanism: policy is not G^θ_k over a 1D domain");
+  }
+  const size_t k = domain.size();
+  Result<SpannerCertificate> cert = LineThetaSpannerFor(theta_policy, theta);
   if (!cert.ok()) return cert.status();
-  const SpannerCertificate& c = cert.ValueOrDie();
+  SpannerCertificate c = std::move(cert).ValueOrDie();
 
   HistogramMechanismPtr effective_inner = inner;
   if (use_grouped_privelet) {
@@ -170,10 +178,11 @@ Result<std::unique_ptr<SpannerMechanism>> MakeThetaLineMechanism(
   TreeTransformMechanism::Options options;
   options.label = label;
   Result<std::unique_ptr<TreeTransformMechanism>> tree =
-      TreeTransformMechanism::Create(c.spanner, std::move(effective_inner),
-                                     options);
+      TreeTransformMechanism::Create(std::move(c.spanner),
+                                     std::move(effective_inner), options);
   if (!tree.ok()) return tree.status();
-  return std::make_unique<SpannerMechanism>(original.name, c.stretch,
+  return std::make_unique<SpannerMechanism>(Theta1DPolicyName(k, theta),
+                                            c.stretch,
                                             std::move(tree).ValueOrDie());
 }
 

@@ -94,6 +94,8 @@ class SpannerMechanism : public BlowfishMechanism {
   std::string name() const override { return label_; }
   PrivacyGuarantee Guarantee(double epsilon) const override;
   int64_t stretch() const { return stretch_; }
+  /// The (·, H)-Blowfish mechanism run at ε/ℓ.
+  const BlowfishMechanism& inner() const { return *inner_; }
 
   /// Delegates to the inner mechanism (the stretch division only
   /// rescales ε, which belongs to the noisy phase).
@@ -126,17 +128,20 @@ class SpannerMechanism : public BlowfishMechanism {
 HistogramMechanismPtr MakeGroupedPriveletForLineSpanner(
     const LineSpanner& spanner);
 
-/// Builders for the Gθ_k mechanisms of Section 5.3.1 / Section 6:
+/// Builder for the Gθ_k mechanisms of Section 5.3.1 / Section 6:
 /// spanner Hθ_k + inner tree mechanism at budget ε/stretch.
-/// `inner` runs on the transformed database (e.g. Laplace = the
-/// experiments' "Transformed + Laplace", DAWA = "Trans + Dawa",
+/// `theta_policy` is Gθ_k (Theta1DPolicy, or a registered policy the
+/// planner has detected as one; a policy whose edge count differs is
+/// refused). `inner` runs on the transformed database (e.g. Laplace =
+/// the experiments' "Transformed + Laplace", DAWA = "Trans + Dawa",
 /// grouped Privelet = Theorem 5.5).
 ///
-/// Every call certifies the spanner's stretch against Gθ_k
-/// (MaxEdgeStretch, well under a millisecond at k=4096); the result's
-/// stretch() is that certified value.
+/// Every call certifies the spanner's stretch against the given
+/// policy's graph (MaxEdgeStretch, well under a millisecond at
+/// k=4096); the result's stretch() is that certified value. The
+/// guarantee names the canonical G^θ_k.
 Result<std::unique_ptr<SpannerMechanism>> MakeThetaLineMechanism(
-    size_t k, size_t theta, HistogramMechanismPtr inner,
+    const Policy& theta_policy, size_t theta, HistogramMechanismPtr inner,
     const std::string& label, bool use_grouped_privelet = false);
 
 }  // namespace blowfish

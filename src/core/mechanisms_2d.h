@@ -38,10 +38,10 @@ class GridBlowfishMechanism : public BlowfishMechanism {
   std::string name() const override { return "Transformed+Privelet"; }
   PrivacyGuarantee Guarantee(double epsilon) const override;
 
-  /// Caches {transformed database, Σx} — the conjugate-gradient solve
-  /// on the grounded grid Laplacian that dominates a cold grid
-  /// release; callers that run many trials on the same database
-  /// should compute it once.
+  /// Caches {transformed database, Σx}: x_G is one preimage of x
+  /// from the spanning-tree sweep (non-tree edges 0), which Privelet's
+  /// data-independent linear release needs and nothing more. Callers
+  /// that run many trials on the same database should compute it once.
   std::shared_ptr<const ReleasePrecompute> PrecomputeRelease(
       const Vector& x) const override;
   using BlowfishMechanism::RunPrecomputed;

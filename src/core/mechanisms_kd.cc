@@ -11,11 +11,20 @@
 namespace blowfish {
 
 Result<std::unique_ptr<GridThetaRangeMechanism>>
-GridThetaRangeMechanism::Create(size_t k, size_t theta) {
+GridThetaRangeMechanism::Create(const Policy& grid_policy, size_t theta) {
   if (theta < 2) {
     return Status::InvalidArgument(
         "Gθ grid strategy needs θ >= 2; θ = 1 is GridBlowfishMechanism");
   }
+  const DomainShape& domain = grid_policy.domain;
+  if (domain.num_dims() != 2 || domain.dim(0) != domain.dim(1) ||
+      grid_policy.graph.has_bottom() ||
+      grid_policy.graph.num_edges() !=
+          DistanceThresholdEdgeCount(domain, theta)) {
+    return Status::InvalidArgument(
+        "grid θ strategy needs G^θ over a square 2D domain");
+  }
+  const size_t k = domain.dim(0);
   const size_t block = std::max<size_t>(1, theta / 2);
   if (k % block != 0 || k < 2 * block) {
     return Status::InvalidArgument("grid θ strategy requires block | k");
@@ -26,13 +35,11 @@ GridThetaRangeMechanism::Create(size_t k, size_t theta) {
   m->k_ = k;
   m->theta_ = theta;
   m->block_ = block;
+  m->original_policy_name_ = GridPolicyName(domain, theta);
 
-  const DomainShape domain({k, k});
-  const Policy original = GridPolicy(domain, theta);
-  m->original_policy_name_ = original.name;
   GridSpanner spanner = BuildGridThetaSpanner(domain, block);
   // Lemma 4.5: certify the stretch on the real k×k domain.
-  m->stretch_ = MaxEdgeStretch(original.graph, spanner.graph);
+  m->stretch_ = MaxEdgeStretch(grid_policy.graph, spanner.graph);
   if (m->stretch_ < 0) return Status::Internal("spanner failed to connect");
 
   // Edge metadata, aligned with P_G columns (the reduction keeps edge

@@ -57,10 +57,13 @@ class GridThetaRangeMechanism {
   using Releases = SlabReleases;
 
  public:
-  /// Requires θ >= 2 and (θ/2 == 0 is impossible) k divisible by the
-  /// block side s = max(1, θ/2).
+  /// `grid_policy` is Gθ over a square k×k domain (GridPolicy, or a
+  /// registered policy the planner has detected as one; a policy whose
+  /// edge count differs is refused). Requires θ >= 2 and k divisible by
+  /// the block side s = θ/2. The stretch is certified against the given
+  /// policy's graph; the guarantee names the canonical G^θ_{kxk}.
   static Result<std::unique_ptr<GridThetaRangeMechanism>> Create(
-      size_t k, size_t theta);
+      const Policy& grid_policy, size_t theta);
 
   /// Answers every query of `workload` (a 2D range workload over the
   /// k×k domain) under (ε, Gθ_{k²})-Blowfish privacy.

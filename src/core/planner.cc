@@ -78,6 +78,23 @@ size_t DetectGridTheta(const Policy& policy) {
              : 0;
 }
 
+// A transform that is not a tree holds one preimage x_G of x among
+// many (transform.h), and no preimage maps a neighbour to a unit
+// change. So only a tree transform may feed the requested inner
+// mechanism (Laplace or DAWA). A plan over a non-tree transform (grid
+// matrix, slab) must release through data-independent linear Privelet,
+// whose answers have the same distribution from every preimage.
+bool OnlyTreesFeedTheInner(const BlowfishMechanism& m) {
+  if (const auto* spanner = dynamic_cast<const SpannerMechanism*>(&m)) {
+    return OnlyTreesFeedTheInner(spanner->inner());
+  }
+  if (const auto* tree = dynamic_cast<const TreeTransformMechanism*>(&m)) {
+    return tree->transform().is_tree();
+  }
+  return dynamic_cast<const GridBlowfishMechanism*>(&m) != nullptr ||
+         dynamic_cast<const GridThetaHistogramAdapter*>(&m) != nullptr;
+}
+
 HistogramMechanismPtr InnerFor(const PlanRequest& request) {
   if (request.prefer_data_dependent) {
     return std::make_shared<DawaMechanism>();
@@ -100,6 +117,8 @@ Result<Plan> PlanMechanism(PlanRequest request) {
   Result<Plan> planned = PlanMechanismImpl(std::move(request));
   if (!planned.ok()) return planned;
   Plan plan = std::move(planned).ValueOrDie();
+  BF_CHECK_MSG(OnlyTreesFeedTheInner(*plan.mechanism),
+               "a non-tree transform may feed only Privelet");
   plan.approx_bytes = 256 + 16 * domain + 48 * edges;
   return plan;
 }
@@ -144,8 +163,10 @@ Result<Plan> PlanMechanismImpl(PlanRequest request) {
   if (const size_t theta = DetectTheta1D(request.policy); theta > 0) {
     const size_t k = request.policy.domain_size();
     if (k % theta == 0) {
+      // Detection proved the policy is Gθ_k, so the spanner is
+      // certified on the graph already in hand.
       Result<std::unique_ptr<SpannerMechanism>> mech =
-          MakeThetaLineMechanism(k, theta, InnerFor(request),
+          MakeThetaLineMechanism(request.policy, theta, InnerFor(request),
                                  request.prefer_data_dependent
                                      ? "Trans + Dawa"
                                      : "Transformed + Laplace");
@@ -181,24 +202,23 @@ Result<Plan> PlanMechanismImpl(PlanRequest request) {
   // 4) 2D θ>=2: slab strategy, wrapped so the histogram-release
   // protocol holds. Non-square or non-divisible grids (where the slab
   // tiling does not apply) fall through to the spanning-tree fallback.
+  // Detection proved the policy is Gθ, so the spanner is certified on
+  // the graph already in hand.
   if (const size_t theta = DetectGridTheta(request.policy); theta > 0) {
-    const DomainShape& domain = request.policy.domain;
-    if (domain.dim(0) == domain.dim(1)) {
-      Result<std::unique_ptr<GridThetaHistogramAdapter>> adapter =
-          GridThetaHistogramAdapter::Create(domain.dim(0), theta);
-      if (adapter.ok()) {
-        Plan plan;
-        plan.kind = "grid-theta-range";
-        plan.stretch = adapter.ValueOrDie()->stretch();
-        plan.range_mechanism = adapter.ValueOrDie()->inner_ptr();
-        plan.rationale =
-            "2D distance-threshold policy with θ=" + std::to_string(theta) +
-            "; GridThetaRangeMechanism (Theorem 5.6 slab strategy) behind "
-            "the histogram adapter; explicit range workloads bypass the "
-            "adapter via per-query reconstruction";
-        plan.mechanism = std::move(adapter).ValueOrDie();
-        return plan;
-      }
+    Result<std::unique_ptr<GridThetaHistogramAdapter>> adapter =
+        GridThetaHistogramAdapter::Create(request.policy, theta);
+    if (adapter.ok()) {
+      Plan plan;
+      plan.kind = "grid-theta-range";
+      plan.stretch = adapter.ValueOrDie()->stretch();
+      plan.range_mechanism = adapter.ValueOrDie()->inner_ptr();
+      plan.rationale =
+          "2D distance-threshold policy with θ=" + std::to_string(theta) +
+          "; GridThetaRangeMechanism (Theorem 5.6 slab strategy) behind "
+          "the histogram adapter; explicit range workloads bypass the "
+          "adapter via per-query reconstruction";
+      plan.mechanism = std::move(adapter).ValueOrDie();
+      return plan;
     }
   }
 

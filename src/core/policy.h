@@ -42,6 +42,12 @@ Policy Theta1DPolicy(size_t k, size_t theta);
 /// of Sections 1 and 3 (geo-indistinguishability-like).
 Policy GridPolicy(const DomainShape& domain, size_t theta);
 
+/// The names Theta1DPolicy ("G^θ_k") and GridPolicy ("G^θ_{AxB}") give
+/// their policies. The Gθ mechanisms state their guarantees under these
+/// canonical names, whatever the name of the policy they certify.
+std::string Theta1DPolicyName(size_t k, size_t theta);
+std::string GridPolicyName(const DomainShape& domain, size_t theta);
+
 /// Appendix E's sensitive-attribute policy: values are tuples over
 /// `domain`; neighbors differ in exactly one *sensitive* attribute.
 /// Generally disconnected.

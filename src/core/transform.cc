@@ -3,8 +3,6 @@
 #include <deque>
 
 #include "common/check.h"
-#include "graph/algorithms.h"
-#include "linalg/cg.h"
 
 namespace blowfish {
 
@@ -18,45 +16,45 @@ Result<PolicyTransform> PolicyTransform::Create(Policy policy,
   t.policy_ = std::move(policy);
   t.reduction_ = ReducePolicyGraph(t.policy_.graph, prefer_removed);
   t.pg_ = BuildPgMatrix(t.reduction_.graph);
-  t.is_tree_ = IsTree(t.reduction_.graph);
-
-  if (t.is_tree_) {
-    // Root the tree at ⊥ and record parent edges with signs.
-    const Graph& g = t.reduction_.graph;
-    const size_t kept = g.num_vertices();
-    t.parent_edge_.assign(kept, SIZE_MAX);
-    t.parent_sign_.assign(kept, 0.0);
-    std::vector<bool> visited(kept, false);
-    std::deque<size_t> queue;
-    // Start from every vertex adjacent to ⊥.
-    for (size_t u = 0; u < kept; ++u) {
-      for (const Graph::Incidence& inc : g.Neighbors(u)) {
-        if (inc.neighbor == Graph::kBottom && !visited[u]) {
-          visited[u] = true;
-          t.parent_edge_[u] = inc.edge;
-          t.parent_sign_[u] = 1.0;  // ⊥-edge column: +1 at u
-          queue.push_back(u);
-          t.bfs_order_.push_back(u);
-        }
+  // Root a BFS spanning tree at ⊥ and record parent edges with signs.
+  // Every component of the reduced graph touches ⊥, so the tree spans
+  // every kept vertex.
+  const Graph& g = t.reduction_.graph;
+  const size_t kept = g.num_vertices();
+  t.parent_edge_.assign(kept, SIZE_MAX);
+  t.parent_sign_.assign(kept, 0.0);
+  std::vector<bool> visited(kept, false);
+  std::deque<size_t> queue;
+  // Start from every vertex adjacent to ⊥.
+  for (size_t u = 0; u < kept; ++u) {
+    for (const Graph::Incidence& inc : g.Neighbors(u)) {
+      if (inc.neighbor == Graph::kBottom && !visited[u]) {
+        visited[u] = true;
+        t.parent_edge_[u] = inc.edge;
+        t.parent_sign_[u] = 1.0;  // ⊥-edge column: +1 at u
+        queue.push_back(u);
+        t.bfs_order_.push_back(u);
       }
     }
-    while (!queue.empty()) {
-      const size_t u = queue.front();
-      queue.pop_front();
-      for (const Graph::Incidence& inc : g.Neighbors(u)) {
-        if (inc.neighbor == Graph::kBottom) continue;
-        const size_t w = inc.neighbor;
-        if (visited[w]) continue;
-        visited[w] = true;
-        t.parent_edge_[w] = inc.edge;
-        // Column of edge e = (a, b): +1 at a, -1 at b.
-        t.parent_sign_[w] = (g.edges()[inc.edge].u == w) ? 1.0 : -1.0;
-        queue.push_back(w);
-        t.bfs_order_.push_back(w);
-      }
-    }
-    BF_CHECK_EQ(t.bfs_order_.size(), kept);
   }
+  while (!queue.empty()) {
+    const size_t u = queue.front();
+    queue.pop_front();
+    for (const Graph::Incidence& inc : g.Neighbors(u)) {
+      if (inc.neighbor == Graph::kBottom) continue;
+      const size_t w = inc.neighbor;
+      if (visited[w]) continue;
+      visited[w] = true;
+      t.parent_edge_[w] = inc.edge;
+      // Column of edge e = (a, b): +1 at a, -1 at b.
+      t.parent_sign_[w] = (g.edges()[inc.edge].u == w) ? 1.0 : -1.0;
+      queue.push_back(w);
+      t.bfs_order_.push_back(w);
+    }
+  }
+  BF_CHECK_EQ(t.bfs_order_.size(), kept);
+  // Connected through ⊥ on kept + 1 vertices: a tree iff kept edges.
+  t.is_tree_ = g.num_edges() == kept;
   return t;
 }
 
@@ -69,15 +67,11 @@ SparseMatrix PolicyTransform::TransformWorkload(const SparseMatrix& w) const {
 Vector PolicyTransform::TransformDatabase(const Vector& x) const {
   BF_CHECK_EQ(x.size(), policy_.domain_size());
   const Vector reduced = ReduceDatabase(x, reduction_);
-  return is_tree_ ? TransformDatabaseTree(reduced)
-                  : TransformDatabaseGeneral(reduced);
-}
-
-Vector PolicyTransform::TransformDatabaseTree(const Vector& reduced) const {
   const Graph& g = reduction_.graph;
   Vector xg(g.num_edges(), 0.0);
-  // Leaves-first sweep: each vertex determines its parent edge weight
-  // from its own count and its already-solved child edges.
+  // Leaves-first sweep over the BFS tree: non-tree edges stay 0, and
+  // each vertex determines its parent edge weight from its own count
+  // and its already-solved child edges.
   for (size_t i = bfs_order_.size(); i-- > 0;) {
     const size_t u = bfs_order_[i];
     double val = reduced[u];
@@ -89,30 +83,6 @@ Vector PolicyTransform::TransformDatabaseTree(const Vector& reduced) const {
     xg[parent_edge_[u]] = parent_sign_[u] * val;
   }
   return xg;
-}
-
-Vector PolicyTransform::TransformDatabaseGeneral(const Vector& reduced) const {
-  // Minimum-norm solution x_G = P^T (P P^T)^{-1} x'. P P^T is the
-  // ⊥-grounded Laplacian of the reduced graph: SPD because every
-  // component touches ⊥.
-  const Graph& g = reduction_.graph;
-  const size_t kept = g.num_vertices();
-  const auto laplacian_apply = [&](const Vector& v) {
-    Vector out(kept, 0.0);
-    for (size_t u = 0; u < kept; ++u) {
-      double acc = static_cast<double>(g.Degree(u)) * v[u];
-      for (const Graph::Incidence& inc : g.Neighbors(u)) {
-        if (inc.neighbor != Graph::kBottom) acc -= v[inc.neighbor];
-      }
-      out[u] = acc;
-    }
-    return out;
-  };
-  CgOptions options;
-  options.rel_tolerance = 1e-11;
-  Result<CgResult> solved = ConjugateGradient(laplacian_apply, reduced, options);
-  solved.status().Check();
-  return pg_.TransposeMultiplyVector(solved.ValueOrDie().x);
 }
 
 Vector PolicyTransform::ReconstructHistogram(

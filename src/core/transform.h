@@ -3,7 +3,7 @@
 // the two linear maps of the main theorems:
 //
 //   workload:  W  ->  W_G = W' P_G        (Theorems 4.1 / 4.3)
-//   database:  x  ->  x_G = P_G^{-1} x'
+//   database:  x  ->  x_G with P_G x_G = x'
 //
 // plus the inverse map used by the uniform release protocol: given a
 // noisy estimate x̃_G of the transformed database, reconstruct a
@@ -13,10 +13,14 @@
 // so mechanisms built on this engine are *literally* the paper's
 // mechanisms (the transform tests verify the identity).
 //
-// x_G is computed by an O(k) subtree-mass sweep when the reduced graph
-// is a tree (the only case where x_G is unique); otherwise by the
-// minimum-norm right inverse P_Gᵀ (P_G P_Gᵀ)⁻¹ via conjugate gradient
-// on the grounded graph Laplacian.
+// x_G is computed by a leaves-first sweep over a BFS spanning tree
+// rooted at ⊥, O(edges): tree edges carry the subtree masses and
+// non-tree edges carry 0. It is exact, and integral for integer
+// counts. When the reduced graph is a tree this is the unique x_G;
+// otherwise it is one preimage among many (P_G x_G = x'), which is all
+// a data-independent linear inner mechanism needs: its answers are the
+// noise-free answers (a function of P_G x_G = x') plus noise that does
+// not depend on x_G.
 
 #ifndef BLOWFISH_CORE_TRANSFORM_H_
 #define BLOWFISH_CORE_TRANSFORM_H_
@@ -50,7 +54,8 @@ class PolicyTransform {
   /// W_G = W' P_G for a workload over the original domain.
   SparseMatrix TransformWorkload(const SparseMatrix& w) const;
 
-  /// x_G = P_G^{-1} x' for a database over the original domain.
+  /// A preimage x_G with P_G x_G = x' for a database over the
+  /// original domain (the unique one when is_tree()).
   Vector TransformDatabase(const Vector& x) const;
 
   /// Lifts an edge-domain estimate back to a full-domain histogram
@@ -82,16 +87,13 @@ class PolicyTransform {
   PolicyTransform() = default;
 
  private:
-  Vector TransformDatabaseTree(const Vector& reduced) const;
-  Vector TransformDatabaseGeneral(const Vector& reduced) const;
-
   Policy policy_;
   PolicyReduction reduction_;
   SparseMatrix pg_;
   bool is_tree_ = false;
 
-  // Tree sweep data: for each kept vertex, its parent edge and the sign
-  // of the vertex inside that edge column; children listed per vertex.
+  // BFS spanning tree rooted at ⊥: for each kept vertex, its parent
+  // edge and the sign of the vertex inside that edge column.
   std::vector<size_t> bfs_order_;     // kept vertices, root(⊥) side first
   std::vector<size_t> parent_edge_;   // edge index per kept vertex
   std::vector<double> parent_sign_;   // +1 if vertex is the +1 slot

@@ -1,8 +1,6 @@
-// Cholesky factorization and SPD solves. The general (non-tree) policy
-// transform needs x_G = P_G^T (P_G P_G^T)^{-1} x, and P_G P_G^T is a
-// graph-Laplacian-like SPD matrix; at small domain sizes a dense
-// Cholesky solve is the simplest exact path (conjugate gradient covers
-// large domains, see cg.h).
+// Cholesky factorization and SPD solves. RightInverse (pinv.h) factors
+// the Gram matrix A Aᵀ with it to form the minimum-norm right inverse
+// Aᵀ (A Aᵀ)⁻¹ — for A = P_G, the dense P_G^{-1} of Section 4.4.
 
 #ifndef BLOWFISH_LINALG_CHOLESKY_H_
 #define BLOWFISH_LINALG_CHOLESKY_H_

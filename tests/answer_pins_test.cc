@@ -99,68 +99,68 @@ using Hashes = std::map<std::string, uint64_t>;
 // The recorded answers. Each line is what a failing pin prints.
 const Hashes& Pins() {
   static const Hashes pins = {
-      {"decoded/grid/dawa", 0xfd9db97961a87fe4ull},
-      {"decoded/grid/laplace", 0xfd9db97961a87fe4ull},
+      {"decoded/grid/dawa", 0xeb2bde74768410fdull},
+      {"decoded/grid/laplace", 0xeb2bde74768410fdull},
       {"decoded/line/dawa", 0xcad4a2d0ab208d7bull},
       {"decoded/line/laplace", 0x598ffa1df4efde6dull},
       {"decoded/ring/dawa", 0xb2e8a3be0e8ac0e9ull},
       {"decoded/ring/laplace", 0xca53c4ff3916cf48ull},
-      {"decoded/slab/dawa", 0x91f05ba608c72d07ull},
-      {"decoded/slab/laplace", 0x91f05ba608c72d07ull},
+      {"decoded/slab/dawa", 0xb2ab95a5b21bc2ecull},
+      {"decoded/slab/laplace", 0xb2ab95a5b21bc2ecull},
       {"decoded/theta/dawa", 0x1c39dd4d8c3f7b78ull},
       {"decoded/theta/laplace", 0xbe938b1f2bc41091ull},
-      {"engine/grid/dawa", 0x09b975b28c97372bull},
-      {"engine/grid/laplace", 0x17e8038308630c0full},
+      {"engine/grid/dawa", 0xec171973cdf5b88bull},
+      {"engine/grid/laplace", 0xcdcb13a20066bf50ull},
       {"engine/line/dawa", 0xceaca1d5acc58515ull},
       {"engine/line/laplace", 0x07d0223b217a8792ull},
       {"engine/ring/dawa", 0x8cb838258090ff15ull},
       {"engine/ring/laplace", 0xbcfb48117dbb77d2ull},
-      {"engine/slab-ranges/dawa", 0x318eac0965b377bfull},
-      {"engine/slab-ranges/laplace", 0x58b1b8102c0448edull},
-      {"engine/slab/dawa", 0x43c34eb71f3ce8d8ull},
-      {"engine/slab/laplace", 0x2a66a6c76993525full},
+      {"engine/slab-ranges/dawa", 0x22a848014dc0bfe8ull},
+      {"engine/slab-ranges/laplace", 0x7ad5d67d80dc8b9eull},
+      {"engine/slab/dawa", 0x7c46bf0a31030e2aull},
+      {"engine/slab/laplace", 0xaa2e0aaefb3866d6ull},
       {"engine/theta/dawa", 0xe68f99f6eee31c29ull},
       {"engine/theta/laplace", 0xa4943f4e6e24040cull},
-      {"fast-stream/slab/dawa", 0x7c5111b62a5e6689ull},
-      {"fast-stream/slab/laplace", 0x7c5111b62a5e6689ull},
-      {"fast-submit/slab/dawa", 0x7c5111b62a5e6689ull},
-      {"fast-submit/slab/laplace", 0x7c5111b62a5e6689ull},
-      {"restored/grid/dawa", 0x09b975b28c97372bull},
-      {"restored/grid/laplace", 0x17e8038308630c0full},
+      {"fast-stream/slab/dawa", 0x94ca53bec4bb7660ull},
+      {"fast-stream/slab/laplace", 0x94ca53bec4bb7660ull},
+      {"fast-submit/slab/dawa", 0x94ca53bec4bb7660ull},
+      {"fast-submit/slab/laplace", 0x94ca53bec4bb7660ull},
+      {"restored/grid/dawa", 0xec171973cdf5b88bull},
+      {"restored/grid/laplace", 0xcdcb13a20066bf50ull},
       {"restored/line/dawa", 0xceaca1d5acc58515ull},
       {"restored/line/laplace", 0x07d0223b217a8792ull},
       {"restored/ring/dawa", 0x8cb838258090ff15ull},
       {"restored/ring/laplace", 0xbcfb48117dbb77d2ull},
-      {"restored/slab-ranges/dawa", 0x318eac0965b377bfull},
-      {"restored/slab-ranges/laplace", 0x58b1b8102c0448edull},
-      {"restored/slab/dawa", 0x43c34eb71f3ce8d8ull},
-      {"restored/slab/laplace", 0x2a66a6c76993525full},
+      {"restored/slab-ranges/dawa", 0x22a848014dc0bfe8ull},
+      {"restored/slab-ranges/laplace", 0x7ad5d67d80dc8b9eull},
+      {"restored/slab/dawa", 0x7c46bf0a31030e2aull},
+      {"restored/slab/laplace", 0xaa2e0aaefb3866d6ull},
       {"restored/theta/dawa", 0xe68f99f6eee31c29ull},
       {"restored/theta/laplace", 0xa4943f4e6e24040cull},
-      {"run/grid/dawa", 0xfd9db97961a87fe4ull},
-      {"run/grid/laplace", 0xfd9db97961a87fe4ull},
+      {"run/grid/dawa", 0xeb2bde74768410fdull},
+      {"run/grid/laplace", 0xeb2bde74768410fdull},
       {"run/line/dawa", 0xcad4a2d0ab208d7bull},
       {"run/line/laplace", 0x598ffa1df4efde6dull},
       {"run/ring/dawa", 0xb2e8a3be0e8ac0e9ull},
       {"run/ring/laplace", 0xca53c4ff3916cf48ull},
-      {"run/slab/dawa", 0x91f05ba608c72d07ull},
-      {"run/slab/laplace", 0x91f05ba608c72d07ull},
+      {"run/slab/dawa", 0xb2ab95a5b21bc2ecull},
+      {"run/slab/laplace", 0xb2ab95a5b21bc2ecull},
       {"run/theta/dawa", 0x1c39dd4d8c3f7b78ull},
       {"run/theta/laplace", 0xbe938b1f2bc41091ull},
-      {"sat-stream/cube/dawa", 0x6807f412f15a3e23ull},
-      {"sat-stream/cube/laplace", 0x6807f412f15a3e23ull},
-      {"sat-stream/grid/dawa", 0x6387b540a4361da2ull},
-      {"sat-stream/grid/laplace", 0x6387b540a4361da2ull},
+      {"sat-stream/cube/dawa", 0xb55d7c0db6b68064ull},
+      {"sat-stream/cube/laplace", 0xb55d7c0db6b68064ull},
+      {"sat-stream/grid/dawa", 0xc50c49710bde3c7aull},
+      {"sat-stream/grid/laplace", 0xc50c49710bde3c7aull},
       {"sat-stream/line/dawa", 0x4415cf60d019d42bull},
       {"sat-stream/line/laplace", 0x6d736d683fa5a695ull},
       {"sat-stream/ring/dawa", 0xa17e31e44ed32061ull},
       {"sat-stream/ring/laplace", 0x7f757317245e22e6ull},
       {"sat-stream/theta/dawa", 0x6e11cc94d161d25full},
       {"sat-stream/theta/laplace", 0x5e88614c25ad7f08ull},
-      {"sat-submit/cube/dawa", 0x6807f412f15a3e23ull},
-      {"sat-submit/cube/laplace", 0x6807f412f15a3e23ull},
-      {"sat-submit/grid/dawa", 0x6387b540a4361da2ull},
-      {"sat-submit/grid/laplace", 0x6387b540a4361da2ull},
+      {"sat-submit/cube/dawa", 0xb55d7c0db6b68064ull},
+      {"sat-submit/cube/laplace", 0xb55d7c0db6b68064ull},
+      {"sat-submit/grid/dawa", 0xc50c49710bde3c7aull},
+      {"sat-submit/grid/laplace", 0xc50c49710bde3c7aull},
       {"sat-submit/line/dawa", 0x4415cf60d019d42bull},
       {"sat-submit/line/laplace", 0x6d736d683fa5a695ull},
       {"sat-submit/ring/dawa", 0xa17e31e44ed32061ull},

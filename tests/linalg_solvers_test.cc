@@ -1,12 +1,10 @@
-// Eigensolver, Cholesky, conjugate gradient, and pseudoinverse — the
-// hand-rolled numerical kernels behind Theorem 4.1 (A+), the general
-// P_G^{-1}, and the Appendix A SVD bound.
+// Eigensolver, Cholesky, and pseudoinverse — the hand-rolled numerical
+// kernels behind Theorem 4.1 (A+) and the Appendix A SVD bound.
 
 #include <cmath>
 
 #include <gtest/gtest.h>
 
-#include "linalg/cg.h"
 #include "linalg/cholesky.h"
 #include "linalg/eigen_sym.h"
 #include "linalg/pinv.h"
@@ -154,27 +152,6 @@ TEST(Cholesky, FactorSatisfiesLLT) {
 TEST(Cholesky, RejectsIndefinite) {
   Matrix m{{1.0, 2.0}, {2.0, 1.0}};  // eigenvalues 3 and -1
   EXPECT_FALSE(Cholesky::Factor(m).ok());
-}
-
-TEST(ConjugateGradient, MatchesCholesky) {
-  Rng rng(10);
-  const Matrix a = RandomSpd(20, &rng);
-  Vector b(20);
-  for (double& v : b) v = rng.Normal();
-  const Vector x_chol = Cholesky::Factor(a).ValueOrDie().Solve(b);
-  const CgResult cg =
-      ConjugateGradient([&](const Vector& v) { return a.MultiplyVector(v); },
-                        b)
-          .ValueOrDie();
-  for (size_t i = 0; i < 20; ++i) EXPECT_NEAR(cg.x[i], x_chol[i], 1e-6);
-}
-
-TEST(ConjugateGradient, ZeroRhsInstant) {
-  const CgResult cg =
-      ConjugateGradient([](const Vector& v) { return v; }, Vector(5, 0.0))
-          .ValueOrDie();
-  EXPECT_EQ(cg.iterations, 0u);
-  EXPECT_EQ(cg.x, Vector(5, 0.0));
 }
 
 TEST(PseudoInverse, MoorePenroseConditions) {

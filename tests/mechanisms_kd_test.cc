@@ -71,13 +71,19 @@ class GridThetaRangeMechanismTestPeer {
 
 namespace {
 
+// The Gθ policy over a k×k domain, as the planner hands it over.
+Policy SquareGrid(size_t k, size_t theta) {
+  return GridPolicy(DomainShape({k, k}), theta);
+}
+
 // Checks the summed-area reconstruction against the per-edge oracle on
 // every query of `queries`, over noisy estimates (row and column
 // estimates of an edge differ, so a strip read from the wrong slab
 // system shows).
 void ExpectTablesMatchPerEdge(size_t k, size_t theta,
                               const RangeWorkload& queries) {
-  auto mech = GridThetaRangeMechanism::Create(k, theta).ValueOrDie();
+  auto mech =
+      GridThetaRangeMechanism::Create(SquareGrid(k, theta), theta).ValueOrDie();
   const DomainShape domain({k, k});
   Rng rng(17 * k + theta);
   Vector x(domain.size());
@@ -142,7 +148,9 @@ TEST(GridTheta, OneShotAndCursorAnswersAreBitIdenticalToPerQueryReference) {
       {32, 4, RandomRanges(DomainShape({32, 32}), 1024, &qrng)},
       {8, 2, AllRangesNd(DomainShape({8, 8}))}};
   for (const Case& c : cases) {
-    auto mech = GridThetaRangeMechanism::Create(c.k, c.theta).ValueOrDie();
+    auto mech =
+        GridThetaRangeMechanism::Create(SquareGrid(c.k, c.theta), c.theta)
+            .ValueOrDie();
     Rng xrng(c.k);
     Vector x(c.k * c.k);
     for (double& v : x) v = static_cast<double>(xrng.UniformInt(0, 20));
@@ -174,11 +182,12 @@ TEST(GridTheta, OneShotAndCursorAnswersAreBitIdenticalToPerQueryReference) {
 }
 
 TEST(GridTheta, RejectsThetaOne) {
-  EXPECT_FALSE(GridThetaRangeMechanism::Create(8, 1).ok());
+  EXPECT_FALSE(GridThetaRangeMechanism::Create(SquareGrid(8, 1), 1).ok());
 }
 
 TEST(GridTheta, CreateCertifiesSmallStretch) {
-  auto mech = GridThetaRangeMechanism::Create(16, 4).ValueOrDie();
+  auto mech =
+      GridThetaRangeMechanism::Create(SquareGrid(16, 4), 4).ValueOrDie();
   EXPECT_GE(mech->stretch(), 1);
   EXPECT_LE(mech->stretch(), 8);
   EXPECT_EQ(mech->block(), 2u);
@@ -186,7 +195,7 @@ TEST(GridTheta, CreateCertifiesSmallStretch) {
 
 TEST(GridTheta, NoiseFreeAnswersAreExact) {
   const size_t k = 12;
-  auto mech = GridThetaRangeMechanism::Create(k, 4).ValueOrDie();
+  auto mech = GridThetaRangeMechanism::Create(SquareGrid(k, 4), 4).ValueOrDie();
   const DomainShape domain({k, k});
   Rng rng(1);
   Vector x(domain.size());
@@ -202,7 +211,7 @@ TEST(GridTheta, NoiseFreeAnswersAreExact) {
 
 TEST(GridTheta, UnbiasedUnderNoise) {
   const size_t k = 8;
-  auto mech = GridThetaRangeMechanism::Create(k, 2).ValueOrDie();
+  auto mech = GridThetaRangeMechanism::Create(SquareGrid(k, 2), 2).ValueOrDie();
   const DomainShape domain({k, k});
   Vector x(domain.size(), 3.0);
   // A handful of fixed queries.
@@ -229,7 +238,8 @@ TEST(GridTheta, UnbiasedUnderNoise) {
 // Every query's mean over `trials` submits lies within five standard
 // errors of the truth.
 void ExpectUnbiased(size_t k, size_t theta, size_t trials) {
-  auto mech = GridThetaRangeMechanism::Create(k, theta).ValueOrDie();
+  auto mech =
+      GridThetaRangeMechanism::Create(SquareGrid(k, theta), theta).ValueOrDie();
   const DomainShape domain({k, k});
   Vector x(domain.size(), 3.0);
   Rng qrng(k * theta);
@@ -271,7 +281,8 @@ namespace {
 // on a uniform database.
 std::pair<double, double> CompareAgainstPrivelet(size_t k, size_t theta,
                                                  double eps) {
-  auto mech = GridThetaRangeMechanism::Create(k, theta).ValueOrDie();
+  auto mech =
+      GridThetaRangeMechanism::Create(SquareGrid(k, theta), theta).ValueOrDie();
   const DomainShape domain({k, k});
   Rng qrng(3);
   const RangeWorkload w = RandomRanges(domain, 200, &qrng);
@@ -316,7 +327,7 @@ TEST(GridTheta, RelativeErrorImprovesWithDomainSize) {
 }
 
 TEST(GridTheta, GuaranteeMentionsStretchAndPolicy) {
-  auto mech = GridThetaRangeMechanism::Create(8, 2).ValueOrDie();
+  auto mech = GridThetaRangeMechanism::Create(SquareGrid(8, 2), 2).ValueOrDie();
   const PrivacyGuarantee g = mech->Guarantee(1.0);
   EXPECT_NE(g.neighbor_model.find("G^2_{8x8}"), std::string::npos);
   EXPECT_NE(g.neighbor_model.find("stretch"), std::string::npos);

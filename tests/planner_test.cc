@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/grid_theta_adapter.h"
+#include "core/mechanisms_1d.h"
+#include "core/mechanisms_2d.h"
 #include "core/planner.h"
 #include "graph/builders.h"
 
@@ -122,6 +125,66 @@ TEST(Planner, SensitiveAttributePolicyReducesToTree) {
   // Components are single edges (attribute 0 has 2 values): reduced
   // graph is a forest joined at ⊥ -> tree transform.
   EXPECT_EQ(plan.kind, "tree-transform");
+}
+
+// What a plan's mechanism releases from: a tree transform's x_G, fed
+// to the requested inner mechanism, or a non-tree transform's, fed to
+// Privelet only (GridBlowfishMechanism and the slab strategy fix it).
+struct Feeds {
+  bool tree = false;
+  bool privelet_only = false;
+};
+
+Feeds FeedsOf(const BlowfishMechanism& m) {
+  if (const auto* spanner = dynamic_cast<const SpannerMechanism*>(&m)) {
+    return FeedsOf(spanner->inner());
+  }
+  if (const auto* tree = dynamic_cast<const TreeTransformMechanism*>(&m)) {
+    return {tree->transform().is_tree(), false};
+  }
+  if (const auto* grid = dynamic_cast<const GridBlowfishMechanism*>(&m)) {
+    return {grid->transform().is_tree(), true};
+  }
+  if (dynamic_cast<const GridThetaHistogramAdapter*>(&m) != nullptr) {
+    return {false, true};
+  }
+  ADD_FAILURE() << "unknown mechanism " << m.name();
+  return {};
+}
+
+// The sweep's x_G on a non-tree graph is one preimage among many, on
+// which a neighbour is not a unit change: only a data-independent
+// linear release (Privelet) may see it, whichever inner is requested.
+TEST(Planner, NonTreeTransformsFeedOnlyPrivelet) {
+  Graph cycle(12);
+  for (size_t i = 0; i + 1 < 12; ++i) cycle.AddEdge(i, i + 1);
+  cycle.AddEdge(0, 11);
+  const std::vector<std::pair<std::string, Policy>> families = {
+      {"tree-transform", LinePolicy(32)},
+      {"tree-transform", UnboundedDpPolicy(16)},
+      {"spanner-tree", Theta1DPolicy(32, 4)},
+      {"grid-matrix", GridPolicy(DomainShape({6, 6}), 1)},
+      {"grid-matrix", GridPolicy(DomainShape({4, 4, 4}), 1)},
+      {"grid-theta-range", GridPolicy(DomainShape({8, 8}), 4)},
+      {"spanning-tree-fallback", GridPolicy(DomainShape({6, 8}), 2)},
+      {"spanning-tree-fallback",
+       Policy{"C_12", DomainShape({12}), std::move(cycle)}},
+  };
+  for (const auto& [kind, policy] : families) {
+    for (bool dd : {false, true}) {
+      SCOPED_TRACE(policy.name + (dd ? " dawa" : " laplace"));
+      const Plan plan = PlanMechanism(PlanRequest{policy, dd, {}}).ValueOrDie();
+      EXPECT_EQ(plan.kind, kind);
+      const Feeds feeds = FeedsOf(*plan.mechanism);
+      EXPECT_TRUE(feeds.tree || feeds.privelet_only);
+      EXPECT_EQ(feeds.privelet_only, kind == "grid-matrix" ||
+                                         kind == "grid-theta-range");
+      if (!feeds.tree) {
+        EXPECT_EQ(plan.mechanism->name().find("DAWA"), std::string::npos);
+        EXPECT_NE(plan.mechanism->name().find("Privelet"), std::string::npos);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,13 +1,14 @@
 // The transformational-equivalence engine: the W x = W_G x_G identity
-// (Theorems 4.1 / 4.3), tree vs conjugate-gradient agreement, exact
-// reconstruction, and the Lemma 5.1 support structure of transformed
-// queries.
+// (Theorems 4.1 / 4.3), the tree sweep against the dense minimum-norm
+// preimage, exact reconstruction, and the Lemma 5.1 support structure
+// of transformed queries.
 
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "core/transform.h"
+#include "linalg/pinv.h"
 #include "rng/rng.h"
 #include "workload/builders.h"
 
@@ -117,8 +118,9 @@ TEST(Transform, LinePolicyTransformIsPrefixSums) {
   }
 }
 
-// Tree sweep and the general CG path must agree on tree policies.
-TEST(Transform, TreeAndGeneralPathsAgree) {
+// On a tree policy the sweep's x_G is the only preimage, so it equals
+// the minimum-norm x_G = P⁺ x' from a dense pseudoinverse.
+TEST(Transform, TreeSweepIsTheMinNormPreimage) {
   const size_t k = 9;
   // Build a bushy tree policy: star-of-paths.
   Graph g(k);
@@ -137,28 +139,10 @@ TEST(Transform, TreeAndGeneralPathsAgree) {
   Rng rng(3);
   const Vector x = RandomDatabase(k, &rng);
   const Vector fast = t.TransformDatabase(x);
-
-  // General path: x_G = P^T (P P^T)^{-1} x' computed densely here.
-  const Vector reduced = ReduceDatabase(x, t.reduction());
-  const Matrix pg = t.pg().ToDense();
-  // Solve (P P^T) y = reduced by Gaussian elimination via eigen (small).
-  const Matrix ppt = pg.GramRows();
-  // Simple dense solve through Cholesky-free route: use CG on dense op.
-  Vector y(reduced.size(), 0.0);
-  {
-    Vector r = reduced, p = r;
-    double rs = Dot(r, r);
-    for (int it = 0; it < 200 && rs > 1e-20; ++it) {
-      const Vector ap = ppt.MultiplyVector(p);
-      const double alpha = rs / Dot(p, ap);
-      Axpy(&y, alpha, p);
-      Axpy(&r, -alpha, ap);
-      const double rs_new = Dot(r, r);
-      for (size_t i = 0; i < p.size(); ++i) p[i] = r[i] + (rs_new / rs) * p[i];
-      rs = rs_new;
-    }
-  }
-  const Vector slow = pg.TransposeMultiplyVector(y);
+  const Vector slow =
+      PseudoInverse(t.pg().ToDense())
+          .ValueOrDie()
+          .MultiplyVector(ReduceDatabase(x, t.reduction()));
   ASSERT_EQ(fast.size(), slow.size());
   for (size_t i = 0; i < fast.size(); ++i) {
     EXPECT_NEAR(fast[i], slow[i], 1e-7) << "edge " << i;
