@@ -54,8 +54,9 @@ class GridThetaHistogramAdapter : public BlowfishMechanism {
 
   /// Noise-free half of a slab release: the spanner-edge-domain
   /// transform (the spanning-tree sweep, O(edges)) and the public
-  /// database size. Public so the engine's range fast path can answer explicit
-  /// range workloads from the same cached blob the dense path uses.
+  /// database size. Public so the engine's range fast path can answer
+  /// explicit range workloads from the same cached blob the dense path
+  /// uses.
   struct SlabPrecompute : ReleasePrecompute {
     Vector xg;
     double n = 0.0;
