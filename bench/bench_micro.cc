@@ -1,9 +1,9 @@
 // Microbenchmarks (google-benchmark): throughput of the computational
 // kernels underlying the mechanisms — wavelet transforms, isotonic
 // regression, the DAWA partition DP, the policy transform, a cold
-// grid-matrix precompute and θ-line plan, the sparse workload
-// transform, range answers from a summed-area table, and a warm
-// grid-matrix release.
+// grid-matrix precompute, cold θ-line and slab plans, component
+// labelling, the sparse workload transform, range answers from a
+// summed-area table, and a warm grid-matrix release.
 
 #include <benchmark/benchmark.h>
 
@@ -11,6 +11,7 @@
 #include "core/pg_matrix.h"
 #include "core/planner.h"
 #include "core/transform.h"
+#include "graph/algorithms.h"
 #include "mech/consistency.h"
 #include "mech/dawa.h"
 #include "mech/privelet.h"
@@ -124,7 +125,40 @@ void BM_PlanThetaLine(benchmark::State& state) {
     benchmark::DoNotOptimize(PlanMechanism(std::move(request)));
   }
 }
-BENCHMARK(BM_PlanThetaLine)->Arg(4096)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PlanThetaLine)
+    ->Arg(4096)
+    ->Arg(1 << 20)
+    ->Unit(benchmark::kMillisecond);
+
+// A cold slab plan on a side×side Gθ (θ=4), the policy copy untimed:
+// detection, the grid spanner certified against the policy, and the
+// transform over the spanner.
+void BM_PlanGridTheta(benchmark::State& state) {
+  const size_t side = static_cast<size_t>(state.range(0));
+  const Policy policy = GridPolicy(DomainShape({side, side}), 4);
+  for (auto _ : state) {
+    state.PauseTiming();
+    PlanRequest request{policy, false, {}};
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(PlanMechanism(std::move(request)));
+  }
+}
+BENCHMARK(BM_PlanGridTheta)->Arg(16)->Arg(128)->Unit(benchmark::kMillisecond);
+
+// Component labels of n vertices joined in n/2 disjoint pairs: the
+// shape on which a search per component must not cost O(n) each.
+void BM_ConnectedComponents(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::vector<Graph::Edge> pairs;
+  for (size_t i = 0; i + 1 < n; i += 2) pairs.push_back({i, i + 1});
+  const Graph g(n, std::move(pairs));
+  size_t components = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ConnectedComponents(g, &components));
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_ConnectedComponents)->Arg(16384);
 
 void BM_WorkloadTransform(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));

@@ -45,9 +45,10 @@ void GridBlowfishMechanism::BuildLineGroups() {
 
   std::map<std::pair<size_t, size_t>, size_t> line_of;  // (dim, plane) -> idx
   const std::vector<Graph::Edge>& edges = g.edges();
+  std::vector<size_t> cu, cv, rest;  // reused for every edge
   for (size_t e = 0; e < edges.size(); ++e) {
-    const std::vector<size_t> cu = dom.Unflatten(edges[e].u);
-    const std::vector<size_t> cv = dom.Unflatten(edges[e].v);
+    dom.Unflatten(edges[e].u, &cu);
+    dom.Unflatten(edges[e].v, &cv);
     size_t dd = SIZE_MAX;
     for (size_t i = 0; i < d; ++i) {
       if (cu[i] != cv[i]) {
@@ -70,7 +71,7 @@ void GridBlowfishMechanism::BuildLineGroups() {
       groups_.emplace_back(group_shapes_.back().size(), SIZE_MAX);
       it = line_of.emplace(key, groups_.size() - 1).first;
     }
-    std::vector<size_t> rest;
+    rest.clear();
     for (size_t i = 0; i < d; ++i) {
       if (i != dd) rest.push_back(cu[i]);
     }

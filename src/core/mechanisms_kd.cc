@@ -59,8 +59,8 @@ GridThetaRangeMechanism::Create(const Policy& grid_policy, size_t theta) {
     BF_CHECK_NE(spanner.internal_edge[edges[e].v], e);
     if (!info.internal) {
       // External edge between adjacent red corners; group by line.
-      const std::vector<size_t> cu = domain.Unflatten(edges[e].u);
-      const std::vector<size_t> cv = domain.Unflatten(edges[e].v);
+      const size_t cu[2] = {edges[e].u / k, edges[e].u % k};
+      const size_t cv[2] = {edges[e].v / k, edges[e].v % k};
       const size_t dd = (cu[0] != cv[0]) ? 0 : 1;
       const size_t other = (dd == 0) ? 1 : 0;
       const size_t plane = std::min(cu[dd], cv[dd]) / block;  // block index

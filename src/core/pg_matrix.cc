@@ -1,6 +1,7 @@
 #include "core/pg_matrix.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 #include "graph/algorithms.h"
@@ -10,67 +11,60 @@ namespace blowfish {
 SparseMatrix BuildPgMatrix(const Graph& g) {
   BF_CHECK_MSG(g.has_bottom(),
                "Case-I P_G requires ⊥-edges; reduce the policy first");
-  std::vector<Triplet> triplets;
-  triplets.reserve(2 * g.num_edges());
-  const std::vector<Graph::Edge>& edges = g.edges();
-  for (size_t e = 0; e < edges.size(); ++e) {
-    triplets.push_back({edges[e].u, e, 1.0});
-    if (edges[e].v != Graph::kBottom) {
-      triplets.push_back({edges[e].v, e, -1.0});
+  // Row u of P_G is u's incidence list, already in ascending column
+  // (edge) order: +1 where u is the edge's first endpoint, else -1.
+  const size_t k = g.num_vertices();
+  std::vector<size_t> row_ptr(k + 1, 0), cols;
+  std::vector<double> values;
+  cols.reserve(2 * g.num_edges() - g.num_bottom_edges());
+  values.reserve(cols.capacity());
+  for (size_t u = 0; u < k; ++u) {
+    for (const Graph::Incidence& inc : g.Neighbors(u)) {
+      cols.push_back(inc.edge);
+      values.push_back(g.edges()[inc.edge].u == u ? 1.0 : -1.0);
     }
+    row_ptr[u + 1] = cols.size();
   }
-  return SparseMatrix::FromTriplets(g.num_vertices(), g.num_edges(),
-                                    std::move(triplets));
+  return SparseMatrix::FromCsr(k, g.num_edges(), std::move(row_ptr),
+                               std::move(cols), std::move(values));
 }
 
 PolicyReduction ReducePolicyGraph(const Graph& g, size_t prefer_removed) {
   const size_t k = g.num_vertices();
   PolicyReduction red;
 
-  // Component structure, with ⊥ participating in connectivity: every
-  // component already containing a ⊥-edge is "grounded".
+  // Component structure, with ⊥ participating in connectivity: the one
+  // component holding ⊥ (if any) is "grounded".
   size_t num_components = 0;
   const std::vector<size_t> comp = ConnectedComponents(g, &num_components);
-  std::vector<bool> grounded(num_components, false);
-  size_t bottom_comp = SIZE_MAX;
-  for (const Graph::Edge& e : g.edges()) {
-    if (e.v == Graph::kBottom) {
-      grounded[comp[e.u]] = true;
-      bottom_comp = comp[e.u];
-    }
-  }
-  // Components reachable from ⊥ share its component id.
-  if (bottom_comp != SIZE_MAX) grounded[bottom_comp] = true;
+  const size_t grounded =
+      g.has_bottom() ? comp[g.Neighbors(Graph::kBottom)[0].neighbor] : SIZE_MAX;
 
   // Pick the removed vertex for each ungrounded component: the largest
   // index, unless prefer_removed lies in that component.
   std::vector<size_t> removed_vertex_of(num_components, SIZE_MAX);
   for (size_t u = 0; u < k; ++u) {
-    const size_t c = comp[u];
-    if (grounded[c]) continue;
-    if (removed_vertex_of[c] == SIZE_MAX || u > removed_vertex_of[c]) {
-      removed_vertex_of[c] = u;
-    }
+    if (comp[u] != grounded) removed_vertex_of[comp[u]] = u;
   }
   if (prefer_removed != SIZE_MAX) {
     BF_CHECK_LT(prefer_removed, k);
     const size_t c = comp[prefer_removed];
-    if (!grounded[c]) removed_vertex_of[c] = prefer_removed;
+    if (c != grounded) removed_vertex_of[c] = prefer_removed;
   }
 
-  std::vector<bool> is_removed(k, false);
-  for (size_t c = 0; c < num_components; ++c) {
-    if (removed_vertex_of[c] != SIZE_MAX) {
-      is_removed[removed_vertex_of[c]] = true;
-      red.removed.push_back(removed_vertex_of[c]);
+  // Index maps; old_to_new holds SIZE_MAX, which is Graph::kBottom, for
+  // a removed vertex.
+  red.old_to_new.assign(k, 0);
+  for (size_t rv : removed_vertex_of) {
+    if (rv != SIZE_MAX) {
+      red.old_to_new[rv] = SIZE_MAX;
+      red.removed.push_back(rv);
     }
   }
   std::sort(red.removed.begin(), red.removed.end());
-
-  // Index maps.
-  red.old_to_new.assign(k, SIZE_MAX);
+  red.new_to_old.reserve(k - red.removed.size());
   for (size_t u = 0; u < k; ++u) {
-    if (!is_removed[u]) {
+    if (red.old_to_new[u] != SIZE_MAX) {
       red.old_to_new[u] = red.new_to_old.size();
       red.new_to_old.push_back(u);
     }
@@ -80,29 +74,21 @@ PolicyReduction ReducePolicyGraph(const Graph& g, size_t prefer_removed) {
     red.removed_of_component[j] = removed_vertex_of[comp[red.new_to_old[j]]];
   }
 
-  // Rebuild the graph over kept vertices; removed endpoints become ⊥.
-  Graph reduced(red.new_to_old.size());
+  // The edge list over kept vertices, in g's order; removed endpoints
+  // become ⊥. No two edges are parallel: a kept vertex with a ⊥-edge in
+  // g lies in the grounded component, which loses no vertex, and any
+  // other kept vertex has at most one removed neighbour.
+  std::vector<Graph::Edge> edges;
+  edges.reserve(g.num_edges());
   for (const Graph::Edge& e : g.edges()) {
-    const bool u_removed = is_removed[e.u];
-    const bool v_removed = e.v != Graph::kBottom && is_removed[e.v];
-    BF_CHECK_MSG(!(u_removed && v_removed),
+    size_t nu = red.old_to_new[e.u];
+    size_t nv = e.v == Graph::kBottom ? Graph::kBottom : red.old_to_new[e.v];
+    if (nu == Graph::kBottom) std::swap(nu, nv);
+    BF_CHECK_MSG(nu != Graph::kBottom,
                  "removed vertices must come from distinct components");
-    size_t nu, nv;
-    if (u_removed) {
-      BF_CHECK(e.v != Graph::kBottom);
-      nu = red.old_to_new[e.v];
-      nv = Graph::kBottom;
-    } else {
-      nu = red.old_to_new[e.u];
-      nv = (e.v == Graph::kBottom || v_removed) ? Graph::kBottom
-                                                : red.old_to_new[e.v];
-    }
-    // Two parallel edges can arise if a vertex had both a ⊥-edge and an
-    // edge to the removed vertex; the policy semantics of the duplicate
-    // are identical, so keep a single edge.
-    if (!reduced.HasEdge(nu, nv)) reduced.AddEdge(nu, nv);
+    edges.push_back({nu, nv});
   }
-  red.graph = std::move(reduced);
+  red.graph = Graph(red.new_to_old.size(), std::move(edges));
   return red;
 }
 

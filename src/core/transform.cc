@@ -1,7 +1,5 @@
 #include "core/transform.h"
 
-#include <deque>
-
 #include "common/check.h"
 
 namespace blowfish {
@@ -23,32 +21,23 @@ Result<PolicyTransform> PolicyTransform::Create(Policy policy,
   const size_t kept = g.num_vertices();
   t.parent_edge_.assign(kept, SIZE_MAX);
   t.parent_sign_.assign(kept, 0.0);
-  std::vector<bool> visited(kept, false);
-  std::deque<size_t> queue;
-  // Start from every vertex adjacent to ⊥.
-  for (size_t u = 0; u < kept; ++u) {
-    for (const Graph::Incidence& inc : g.Neighbors(u)) {
-      if (inc.neighbor == Graph::kBottom && !visited[u]) {
-        visited[u] = true;
-        t.parent_edge_[u] = inc.edge;
-        t.parent_sign_[u] = 1.0;  // ⊥-edge column: +1 at u
-        queue.push_back(u);
-        t.bfs_order_.push_back(u);
-      }
-    }
+  // bfs_order_ doubles as the queue, and a set parent edge marks a
+  // visited vertex. The search starts from ⊥'s neighbours, in ascending
+  // vertex order.
+  t.bfs_order_.reserve(kept);
+  for (const Graph::Incidence& inc : g.Neighbors(Graph::kBottom)) {
+    t.parent_edge_[inc.neighbor] = inc.edge;
+    t.parent_sign_[inc.neighbor] = 1.0;  // ⊥-edge column: +1 at u
+    t.bfs_order_.push_back(inc.neighbor);
   }
-  while (!queue.empty()) {
-    const size_t u = queue.front();
-    queue.pop_front();
+  for (size_t head = 0; head < t.bfs_order_.size(); ++head) {
+    const size_t u = t.bfs_order_[head];
     for (const Graph::Incidence& inc : g.Neighbors(u)) {
-      if (inc.neighbor == Graph::kBottom) continue;
       const size_t w = inc.neighbor;
-      if (visited[w]) continue;
-      visited[w] = true;
+      if (w == Graph::kBottom || t.parent_edge_[w] != SIZE_MAX) continue;
       t.parent_edge_[w] = inc.edge;
       // Column of edge e = (a, b): +1 at a, -1 at b.
       t.parent_sign_[w] = (g.edges()[inc.edge].u == w) ? 1.0 : -1.0;
-      queue.push_back(w);
       t.bfs_order_.push_back(w);
     }
   }

@@ -67,7 +67,7 @@ PolicyMetadata ComputePolicyMetadata(const Policy& policy) {
   for (size_t v = 0; v < policy.graph.num_vertices(); ++v) {
     meta.max_degree = std::max(meta.max_degree, policy.graph.Degree(v));
   }
-  meta.is_tree = IsTree(policy.graph);
+  meta.is_tree = IsTree(policy.graph, meta.num_components);
   return meta;
 }
 

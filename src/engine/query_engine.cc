@@ -519,22 +519,15 @@ void QueryEngine::RestoreFromSnapshot() {
       ++snapshot_restore_stats_.items_skipped;
       continue;
     }
-    Graph graph(sp.num_vertices);
-    bool edges_ok = true;
-    for (const Graph::Edge& e : sp.edges) {
-      const bool u_ok = e.u < sp.num_vertices;
-      const bool v_ok = e.v < sp.num_vertices || e.v == Graph::kBottom;
-      if (!u_ok || !v_ok || e.u == e.v || graph.HasEdge(e.u, e.v)) {
-        edges_ok = false;
-        break;
-      }
-      graph.AddEdge(e.u, e.v);
-    }
-    if (!edges_ok || graph.num_edges() == 0) {
+    // The graph's own check refuses self-loops, out-of-range endpoints
+    // and duplicate edges.
+    Result<Graph> graph = Graph::FromEdges(sp.num_vertices, sp.edges);
+    if (!graph.ok() || graph.ValueOrDie().num_edges() == 0) {
       ++snapshot_restore_stats_.items_skipped;
       continue;
     }
-    Policy policy{sp.policy_name, std::move(domain), std::move(graph)};
+    Policy policy{sp.policy_name, std::move(domain),
+                  std::move(graph).ValueOrDie()};
 
     // Same sequence as RegisterPolicy, but claiming the persisted
     // version: ledger first (absorbing any journal-recovered spends

@@ -1,7 +1,7 @@
 #include "graph/algorithms.h"
 
 #include <algorithm>
-#include <deque>
+#include <utility>
 
 #include "common/check.h"
 
@@ -14,34 +14,25 @@ size_t InternalIndex(const Graph& g, size_t v) {
   return v == Graph::kBottom ? g.num_vertices() : v;
 }
 
-// Grows a BFS tree of g from internal vertex `start` over the vertices
-// not yet `visited`, adding each tree edge to `tree` as it is found.
-void GrowBfsTree(const Graph& g, size_t start, std::vector<bool>* visited,
-                 Graph* tree) {
+// Breadth-first search from internal vertex `start` over the vertices
+// whose `label` is still SIZE_MAX: labels each with `mark(parent, w)`'s
+// result as it is found, parent first. `queue` is scratch of n + 1.
+template <typename Mark>
+void Bfs(const Graph& g, size_t start, std::vector<size_t>* label,
+         std::vector<size_t>* queue, Mark mark) {
   const size_t n = g.num_vertices();
-  std::deque<size_t> queue;
-  (*visited)[start] = true;
-  queue.push_back(start);
-  while (!queue.empty()) {
-    const size_t u = queue.front();
-    queue.pop_front();
-    if (u == n) {
-      for (size_t w = 0; w < n; ++w) {
-        if (!(*visited)[w] && g.HasEdge(w, Graph::kBottom)) {
-          (*visited)[w] = true;
-          tree->AddEdge(w, Graph::kBottom);
-          queue.push_back(w);
-        }
-      }
-      continue;
-    }
-    for (const Graph::Incidence& inc : g.Neighbors(u)) {
+  size_t head = 0;
+  size_t tail = 0;
+  (*label)[start] = mark(SIZE_MAX, start);
+  (*queue)[tail++] = start;
+  while (head < tail) {
+    const size_t u = (*queue)[head++];
+    for (const Graph::Incidence& inc :
+         g.Neighbors(u == n ? Graph::kBottom : u)) {
       const size_t w = InternalIndex(g, inc.neighbor);
-      if (!(*visited)[w]) {
-        (*visited)[w] = true;
-        tree->AddEdge(u, inc.neighbor);
-        queue.push_back(w);
-      }
+      if ((*label)[w] != SIZE_MAX) continue;
+      (*label)[w] = mark(u, w);
+      (*queue)[tail++] = w;
     }
   }
 }
@@ -50,35 +41,14 @@ void GrowBfsTree(const Graph& g, size_t start, std::vector<bool>* visited,
 
 std::vector<int64_t> BfsDistances(const Graph& g, size_t source) {
   const size_t n = g.num_vertices();
-  std::vector<int64_t> dist(n + 1, -1);
-  std::deque<size_t> queue;
   const size_t s = InternalIndex(g, source);
   BF_CHECK_LE(s, n);
-  dist[s] = 0;
-  queue.push_back(s);
-  while (!queue.empty()) {
-    const size_t u = queue.front();
-    queue.pop_front();
-    if (u == n) {
-      // Expand from bottom: bottom's neighbors are all vertices with a
-      // bottom edge; scan is O(V) but bottom is expanded at most once.
-      for (size_t w = 0; w < n; ++w) {
-        if (dist[w] == -1 && g.HasEdge(w, Graph::kBottom)) {
-          dist[w] = dist[u] + 1;
-          queue.push_back(w);
-        }
-      }
-      continue;
-    }
-    for (const Graph::Incidence& inc : g.Neighbors(u)) {
-      const size_t w = InternalIndex(g, inc.neighbor);
-      if (dist[w] == -1) {
-        dist[w] = dist[u] + 1;
-        queue.push_back(w);
-      }
-    }
-  }
-  return dist;
+  std::vector<size_t> depth(n + 1, SIZE_MAX), queue(n + 1);
+  Bfs(g, s, &depth, &queue, [&](size_t parent, size_t) {
+    return parent == SIZE_MAX ? 0 : depth[parent] + 1;
+  });
+  // SIZE_MAX (unreached) converts to -1.
+  return std::vector<int64_t>(depth.begin(), depth.end());
 }
 
 int64_t Distance(const Graph& g, size_t u, size_t v) {
@@ -88,17 +58,14 @@ int64_t Distance(const Graph& g, size_t u, size_t v) {
 
 std::vector<size_t> ConnectedComponents(const Graph& g,
                                         size_t* num_components) {
+  // One BFS per component over shared scratch: O(V + E) in all. ⊥ is
+  // labelled with the component of its first neighbour.
   const size_t n = g.num_vertices();
-  std::vector<size_t> comp(n + 1, SIZE_MAX);
+  std::vector<size_t> comp(n + 1, SIZE_MAX), queue(n + 1);
   size_t next = 0;
-  for (size_t start = 0; start <= n; ++start) {
+  for (size_t start = 0; start < n; ++start) {
     if (comp[start] != SIZE_MAX) continue;
-    if (start == n && !g.has_bottom()) continue;  // ⊥ absent
-    const std::vector<int64_t> dist =
-        BfsDistances(g, start == n ? Graph::kBottom : start);
-    for (size_t v = 0; v <= n; ++v) {
-      if (dist[v] >= 0 && comp[v] == SIZE_MAX) comp[v] = next;
-    }
+    Bfs(g, start, &comp, &queue, [next](size_t, size_t) { return next; });
     ++next;
   }
   if (num_components != nullptr) *num_components = next;
@@ -113,57 +80,51 @@ bool IsConnected(const Graph& g) {
 }
 
 bool IsTree(const Graph& g) {
-  if (!IsConnected(g)) return false;
-  const size_t vertices = g.num_vertices() + (g.has_bottom() ? 1 : 0);
-  return g.num_edges() + 1 == vertices;
+  size_t n_comp = 0;
+  ConnectedComponents(g, &n_comp);
+  return IsTree(g, n_comp);
 }
 
-Graph BfsSpanningTree(const Graph& g, size_t root) {
-  BF_CHECK_MSG(IsConnected(g), "spanning tree requires a connected graph");
-  Graph tree(g.num_vertices());
-  std::vector<bool> visited(g.num_vertices() + 1, false);
-  GrowBfsTree(g, InternalIndex(g, root), &visited, &tree);
-  return tree;
+bool IsTree(const Graph& g, size_t num_components) {
+  const size_t vertices = g.num_vertices() + (g.has_bottom() ? 1 : 0);
+  return num_components <= 1 && g.num_edges() + 1 == vertices;
 }
 
 Graph BfsSpanningForest(const Graph& g) {
   const size_t n = g.num_vertices();
-  Graph forest(n);
-  std::vector<bool> visited(n + 1, false);
-  if (g.has_bottom()) GrowBfsTree(g, n, &visited, &forest);
+  const auto vertex = [n](size_t i) { return i == n ? Graph::kBottom : i; };
+  std::vector<size_t> label(n + 1, SIZE_MAX), queue(n + 1);
+  std::vector<Graph::Edge> forest;
+  forest.reserve(n);
+  const auto grow = [&](size_t root) {  // each non-root joins its parent
+    Bfs(g, root, &label, &queue, [&](size_t parent, size_t w) -> size_t {
+      if (parent != SIZE_MAX) forest.push_back({vertex(parent), vertex(w)});
+      return 0;
+    });
+  };
+  if (g.has_bottom()) grow(n);
   for (size_t v = 0; v < n; ++v) {
-    if (!visited[v]) GrowBfsTree(g, v, &visited, &forest);
+    if (label[v] == SIZE_MAX) grow(v);
   }
-  return forest;
+  return Graph(n, std::move(forest));
 }
 
 int64_t MaxEdgeStretch(const Graph& g, const Graph& h) {
   BF_CHECK_EQ(g.num_vertices(), h.num_vertices());
   const size_t n = g.num_vertices();
-  // g's edges grouped by source (CSR): the partners of u, as internal
-  // indices, are targets[first[u] .. first[u + 1]).
-  std::vector<size_t> first(n + 2, 0);
-  for (const Graph::Edge& e : g.edges()) ++first[e.u + 2];
-  for (size_t i = 2; i < first.size(); ++i) first[i] += first[i - 1];
-  std::vector<size_t> targets(g.num_edges());
-  for (const Graph::Edge& e : g.edges()) {
-    targets[first[e.u + 1]++] = InternalIndex(h, e.v);
-  }
-  // ⊥'s neighbours in h, in the order BfsDistances enqueues them.
-  std::vector<size_t> bottom_neighbors;
-  for (size_t w = 0; w < n; ++w) {
-    if (h.HasEdge(w, Graph::kBottom)) bottom_neighbors.push_back(w);
-  }
-
   // Stamped with source + 1, so they reset in O(1) per source.
   std::vector<size_t> seen(n + 1, 0), want(n + 1, 0), queue(n + 1);
   int64_t worst = 0;
   for (size_t src = 0; src < n; ++src) {
     const size_t stamp = src + 1;
     size_t remaining = 0;
-    for (size_t i = first[src]; i < first[src + 1]; ++i) {
-      remaining += want[targets[i]] != stamp;
-      want[targets[i]] = stamp;
+    // Distances are symmetric, so each g-edge is checked once, from its
+    // smaller endpoint (⊥, at n, is never a source).
+    for (const Graph::Incidence& inc : g.Neighbors(src)) {
+      const size_t t = InternalIndex(g, inc.neighbor);
+      if (t < src) continue;
+      remaining += want[t] != stamp;
+      want[t] = stamp;
     }
     size_t head = 0;
     size_t tail = 0;
@@ -182,12 +143,9 @@ int64_t MaxEdgeStretch(const Graph& g, const Graph& h) {
       ++level;
       for (const size_t end = tail; head < end && remaining > 0; ++head) {
         const size_t u = queue[head];
-        if (u == n) {
-          for (size_t w : bottom_neighbors) visit(w);
-        } else {
-          for (const Graph::Incidence& inc : h.Neighbors(u)) {
-            visit(InternalIndex(h, inc.neighbor));
-          }
+        for (const Graph::Incidence& inc :
+             h.Neighbors(u == n ? Graph::kBottom : u)) {
+          visit(InternalIndex(h, inc.neighbor));
         }
       }
     }

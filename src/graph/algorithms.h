@@ -22,8 +22,10 @@ std::vector<int64_t> BfsDistances(const Graph& g, size_t source);
 /// -1 if disconnected. This is dist_G of Equation (1).
 int64_t Distance(const Graph& g, size_t u, size_t v);
 
-/// Component id per domain vertex; ⊥ (if present) participates in
-/// connectivity. Returns number of components via out param.
+/// Component id per domain vertex, numbered in order of each
+/// component's smallest vertex; ⊥ (if present) participates in
+/// connectivity. Returns number of components via out param. One BFS
+/// pass over the graph, O(V + E).
 std::vector<size_t> ConnectedComponents(const Graph& g,
                                         size_t* num_components);
 
@@ -33,14 +35,11 @@ bool IsConnected(const Graph& g);
 /// True if the graph (counting ⊥ as a vertex when present) is a tree:
 /// connected with exactly (#vertices - 1) edges.
 bool IsTree(const Graph& g);
-
-/// BFS spanning tree rooted at `root` (domain vertex or kBottom).
-/// Requires a connected graph. Preserves the vertex set; edges are a
-/// subset of g's edges.
-Graph BfsSpanningTree(const Graph& g, size_t root);
+/// The same test given g's component count from ConnectedComponents.
+bool IsTree(const Graph& g, size_t num_components);
 
 /// BFS spanning forest: one BFS tree per component (⊥-grounded
-/// components are rooted at ⊥). Every policy edge stays within its
+/// components are rooted at ⊥, the others at their smallest vertex). Every policy edge stays within its
 /// component, so MaxEdgeStretch(g, forest) certifies a per-component
 /// stretch and the forest reduces to a single tree through the shared
 /// ⊥ vertex (Appendix E / Case III).
@@ -50,8 +49,8 @@ Graph BfsSpanningForest(const Graph& g);
 /// `h` — the stretch ℓ of Lemma 4.5 when h spans g's vertices. Returns
 /// -1 if some edge of g has disconnected endpoints in h.
 ///
-/// Exact, and local: one BFS over h per source vertex of g's edges,
-/// stopping as soon as every distinct g-neighbour of that source is
+/// Exact, and local: one BFS over h per vertex of g, stopping as soon
+/// as every g-neighbour of larger index (⊥ counts as the largest) is
 /// reached. The cost is the ball of h each search explores, so it is
 /// near-linear in k for bounded-stretch spanners and O(k·|h|) only in
 /// the worst case; scratch arrays are allocated once for all sources.

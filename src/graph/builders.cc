@@ -28,54 +28,56 @@ size_t DomainShape::Flatten(const std::vector<size_t>& coords) const {
   return idx;
 }
 
-std::vector<size_t> DomainShape::Unflatten(size_t index) const {
+void DomainShape::Unflatten(size_t index, std::vector<size_t>* coords) const {
   BF_CHECK_LT(index, size_);
-  std::vector<size_t> coords(dims_.size());
+  coords->resize(dims_.size());
   for (size_t i = dims_.size(); i-- > 0;) {
-    coords[i] = index % dims_[i];
+    (*coords)[i] = index % dims_[i];
     index /= dims_[i];
   }
-  return coords;
 }
 
 size_t DomainShape::L1Distance(size_t a, size_t b) const {
-  const std::vector<size_t> ca = Unflatten(a);
-  const std::vector<size_t> cb = Unflatten(b);
+  BF_CHECK_LT(a, size_);
+  BF_CHECK_LT(b, size_);
   size_t dist = 0;
-  for (size_t i = 0; i < dims_.size(); ++i) {
-    dist += (ca[i] > cb[i]) ? (ca[i] - cb[i]) : (cb[i] - ca[i]);
+  for (size_t i = dims_.size(); i-- > 0;) {
+    const size_t ca = a % dims_[i];
+    const size_t cb = b % dims_[i];
+    dist += ca > cb ? ca - cb : cb - ca;
+    a /= dims_[i];
+    b /= dims_[i];
   }
   return dist;
 }
 
 Graph LineGraph(size_t k) {
   BF_CHECK_GE(k, 2u);
-  Graph g(k);
-  for (size_t i = 0; i + 1 < k; ++i) g.AddEdge(i, i + 1);
-  return g;
+  std::vector<Graph::Edge> edges;
+  for (size_t i = 0; i + 1 < k; ++i) edges.push_back({i, i + 1});
+  return Graph(k, std::move(edges));
 }
 
 Graph CycleGraph(size_t k) {
   BF_CHECK_GE(k, 3u);
-  Graph g(k);
-  for (size_t i = 0; i + 1 < k; ++i) g.AddEdge(i, i + 1);
-  g.AddEdge(k - 1, 0);
-  return g;
+  std::vector<Graph::Edge> edges = LineGraph(k).edges();
+  edges.push_back({k - 1, 0});
+  return Graph(k, std::move(edges));
 }
 
 Graph CompleteGraph(size_t k) {
   BF_CHECK_GE(k, 2u);
-  Graph g(k);
+  std::vector<Graph::Edge> edges;
   for (size_t i = 0; i < k; ++i)
-    for (size_t j = i + 1; j < k; ++j) g.AddEdge(i, j);
-  return g;
+    for (size_t j = i + 1; j < k; ++j) edges.push_back({i, j});
+  return Graph(k, std::move(edges));
 }
 
 Graph StarBottomGraph(size_t k) {
   BF_CHECK_GE(k, 1u);
-  Graph g(k);
-  for (size_t i = 0; i < k; ++i) g.AddEdge(i, Graph::kBottom);
-  return g;
+  std::vector<Graph::Edge> edges;
+  for (size_t i = 0; i < k; ++i) edges.push_back({i, Graph::kBottom});
+  return Graph(k, std::move(edges));
 }
 
 namespace {
@@ -112,11 +114,12 @@ Graph DistanceThresholdGraph(const DomainShape& domain, size_t theta) {
   EnumerateOffsets(0, d, static_cast<int64_t>(theta), false, &current,
                    &offsets);
 
-  Graph g(domain.size());
+  std::vector<Graph::Edge> edges;
+  edges.reserve(DistanceThresholdEdgeCount(domain, theta));
   std::vector<size_t> coords;
   std::vector<size_t> other(d);
   for (size_t u = 0; u < domain.size(); ++u) {
-    coords = domain.Unflatten(u);
+    domain.Unflatten(u, &coords);
     for (const auto& delta : offsets) {
       bool ok = true;
       for (size_t i = 0; i < d; ++i) {
@@ -127,10 +130,10 @@ Graph DistanceThresholdGraph(const DomainShape& domain, size_t theta) {
         }
         other[i] = static_cast<size_t>(c);
       }
-      if (ok) g.AddEdge(u, domain.Flatten(other));
+      if (ok) edges.push_back({u, domain.Flatten(other)});
     }
   }
-  return g;
+  return Graph(domain.size(), std::move(edges));
 }
 
 size_t DistanceThresholdEdgeCount(const DomainShape& domain, size_t theta) {
@@ -158,19 +161,21 @@ size_t DistanceThresholdEdgeCount(const DomainShape& domain, size_t theta) {
 
 Graph SensitiveAttributeGraph(const DomainShape& domain,
                               const std::vector<size_t>& sensitive_dims) {
-  Graph g(domain.size());
+  std::vector<Graph::Edge> edges;
+  std::vector<size_t> coords;
   for (size_t u = 0; u < domain.size(); ++u) {
-    const std::vector<size_t> coords = domain.Unflatten(u);
+    domain.Unflatten(u, &coords);
     for (size_t dim : sensitive_dims) {
       BF_CHECK_LT(dim, domain.num_dims());
-      std::vector<size_t> other = coords;
-      for (size_t v = coords[dim] + 1; v < domain.dim(dim); ++v) {
-        other[dim] = v;
-        g.AddEdge(u, domain.Flatten(other));
+      const size_t c = coords[dim];
+      for (size_t v = c + 1; v < domain.dim(dim); ++v) {
+        coords[dim] = v;
+        edges.push_back({u, domain.Flatten(coords)});
       }
+      coords[dim] = c;
     }
   }
-  return g;
+  return Graph(domain.size(), std::move(edges));
 }
 
 }  // namespace blowfish

@@ -26,9 +26,15 @@ class DomainShape {
 
   /// Row-major flatten of grid coordinates.
   size_t Flatten(const std::vector<size_t>& coords) const;
-  /// Inverse of Flatten.
-  std::vector<size_t> Unflatten(size_t index) const;
-  /// L1 distance between two flattened points.
+  /// Inverse of Flatten, into `coords` (resized; allocates nothing once
+  /// it has the capacity) or a new vector.
+  void Unflatten(size_t index, std::vector<size_t>* coords) const;
+  std::vector<size_t> Unflatten(size_t index) const {
+    std::vector<size_t> coords;
+    Unflatten(index, &coords);
+    return coords;
+  }
+  /// L1 distance between two flattened points; allocates nothing.
   size_t L1Distance(size_t a, size_t b) const;
 
  private:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 
@@ -42,6 +43,22 @@ SparseMatrix SparseMatrix::FromTriplets(size_t rows, size_t cols,
     }
   }
   m.row_ptr_[rows] = m.values_.size();
+  return m;
+}
+
+SparseMatrix SparseMatrix::FromCsr(size_t rows, size_t cols,
+                                   std::vector<size_t> row_ptr,
+                                   std::vector<size_t> col_idx,
+                                   std::vector<double> values) {
+  BF_CHECK_EQ(row_ptr.size(), rows + 1);
+  BF_CHECK_EQ(row_ptr.back(), col_idx.size());
+  BF_CHECK_EQ(col_idx.size(), values.size());
+  SparseMatrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.row_ptr_ = std::move(row_ptr);
+  m.col_idx_ = std::move(col_idx);
+  m.values_ = std::move(values);
   return m;
 }
 

@@ -32,6 +32,14 @@ class SparseMatrix {
   static SparseMatrix FromTriplets(size_t rows, size_t cols,
                                    std::vector<Triplet> triplets);
 
+  /// Adopts CSR arrays: row r's entries are [row_ptr[r], row_ptr[r+1])
+  /// of `col_idx`/`values`, columns ascending within a row, no
+  /// duplicates. Only the shape is checked.
+  static SparseMatrix FromCsr(size_t rows, size_t cols,
+                              std::vector<size_t> row_ptr,
+                              std::vector<size_t> col_idx,
+                              std::vector<double> values);
+
   /// Identity of size n.
   static SparseMatrix Identity(size_t n);
 

@@ -77,10 +77,11 @@ void WriteFileBytes(const std::string& path, const std::vector<uint8_t>& bytes) 
 // so the planner lands on the spanning-tree fallback — the strategy
 // whose cold cost is the CertifySpanner pass the snapshot hint skips.
 Policy RingPolicy(size_t k) {
-  Graph g(k);
-  for (size_t i = 0; i + 1 < k; ++i) g.AddEdge(i, i + 1);
-  g.AddEdge(0, k - 1);
-  return Policy{"C_" + std::to_string(k), DomainShape({k}), std::move(g)};
+  std::vector<Graph::Edge> edges;
+  for (size_t i = 0; i + 1 < k; ++i) edges.push_back({i, i + 1});
+  edges.push_back({0, k - 1});
+  return Policy{"C_" + std::to_string(k), DomainShape({k}),
+                Graph(k, std::move(edges))};
 }
 
 // One of every strategy family the planner knows, so the snapshot
@@ -283,6 +284,55 @@ TEST(SnapshotStoreTest, SnapshotFilesAreOwnerOnly) {
     ASSERT_EQ(::stat((dir + "/" + name).c_str(), &st), 0);
     EXPECT_EQ(st.st_mode & 077, 0u) << name;
   }
+
+  RemoveTree(dir);
+}
+
+// A snapshot section can decode under its CRC and still hold an edge
+// list that is no policy graph. Restore skips each such policy and
+// keeps the valid ones.
+TEST(SnapshotStoreTest, RestoreSkipsPoliciesWithInvalidEdgeLists) {
+  const std::string dir = MakeTempDir();
+  const auto make = [](const std::string& name,
+                       std::vector<Graph::Edge> edges) {
+    SnapshotPolicy sp;
+    sp.registered_name = name;
+    sp.policy_name = name;
+    sp.version = 1;
+    sp.epsilon_cap = 1.0;
+    sp.dims = {8};
+    sp.num_vertices = 8;
+    sp.edges = std::move(edges);
+    sp.data = Ramp(8);
+    return sp;
+  };
+  std::vector<Graph::Edge> line;
+  for (size_t i = 0; i + 1 < 8; ++i) line.push_back({i, i + 1});
+  SnapshotImage image;
+  image.policies.push_back(make("duplicate", {{0, 1}, {1, 2}, {1, 0}}));
+  image.policies.push_back(make("self-loop", {{0, 1}, {3, 3}}));
+  image.policies.push_back(make("out-of-range", {{0, 1}, {2, 8}}));
+  image.policies.push_back(make("line", line));
+  ASSERT_TRUE(snapshot::Write(dir, image, 2).ok());
+
+  QueryEngine engine(SnapOptions(dir));
+  const QueryEngine::SnapshotRestoreStats& stats =
+      engine.snapshot_restore_stats();
+  EXPECT_TRUE(stats.loaded);
+  EXPECT_EQ(stats.policies_restored, 1u);
+  EXPECT_EQ(stats.items_skipped, 3u);
+
+  ASSERT_TRUE(engine.OpenSession("s", 1e6).ok());
+  QueryRequest request;
+  request.session = "s";
+  request.policy = "line";
+  request.workload = IdentityWorkload(8);
+  request.epsilon = 0.01;
+  Result<QueryResult> result = engine.Submit(request);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.ValueOrDie().answers.size(), 8u);
+  request.policy = "duplicate";
+  EXPECT_FALSE(engine.Submit(request).ok());
 
   RemoveTree(dir);
 }

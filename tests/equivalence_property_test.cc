@@ -32,24 +32,25 @@ namespace blowfish {
 namespace {
 
 Graph RandomTree(size_t k, Rng* rng) {
-  Graph g(k);
+  std::vector<Graph::Edge> edges;
   // Random attachment: vertex i links to a uniform earlier vertex.
   for (size_t i = 1; i < k; ++i) {
-    g.AddEdge(i, static_cast<size_t>(rng->UniformInt(0, i - 1)));
+    edges.push_back({i, static_cast<size_t>(rng->UniformInt(0, i - 1))});
   }
-  return g;
+  return Graph(k, std::move(edges));
 }
 
 Graph RandomConnectedGraph(size_t k, double extra_edge_prob, Rng* rng) {
-  Graph g = RandomTree(k, rng);
+  const Graph tree = RandomTree(k, rng);
+  std::vector<Graph::Edge> edges = tree.edges();
   for (size_t u = 0; u < k; ++u) {
     for (size_t v = u + 1; v < k; ++v) {
-      if (!g.HasEdge(u, v) && rng->Uniform() < extra_edge_prob) {
-        g.AddEdge(u, v);
+      if (!tree.HasEdge(u, v) && rng->Uniform() < extra_edge_prob) {
+        edges.push_back({u, v});
       }
     }
   }
-  return g;
+  return Graph(k, std::move(edges));
 }
 
 SparseMatrix RandomWorkloadMatrix(size_t q, size_t k, Rng* rng) {
@@ -137,7 +138,7 @@ TEST_P(EquivalencePropertyTest, RandomConnectedPolicyIdentities) {
 
   // (P5) spanning-tree stretch certificate is an upper bound on every
   // edge's path length and is attained by some edge.
-  const Graph tree = BfsSpanningTree(policy.graph, 0);
+  const Graph tree = BfsSpanningForest(policy.graph);
   const int64_t stretch = MaxEdgeStretch(policy.graph, tree);
   ASSERT_GE(stretch, 1);
   int64_t attained = 0;
@@ -156,14 +157,11 @@ TEST_P(EquivalencePropertyTest, RandomDisconnectedPolicyIdentities) {
   const size_t k1 = 3 + static_cast<size_t>(rng.UniformInt(0, 5));
   const size_t k2 = 3 + static_cast<size_t>(rng.UniformInt(0, 5));
   const size_t k = k1 + k2;
-  Graph g(k);
-  {
-    const Graph a = RandomTree(k1, &rng);
-    for (const Graph::Edge& e : a.edges()) g.AddEdge(e.u, e.v);
-    const Graph b = RandomConnectedGraph(k2, 0.3, &rng);
-    for (const Graph::Edge& e : b.edges()) g.AddEdge(k1 + e.u, k1 + e.v);
-  }
-  Policy policy{"random-disconnected", DomainShape({k}), g};
+  std::vector<Graph::Edge> edges = RandomTree(k1, &rng).edges();
+  const Graph b = RandomConnectedGraph(k2, 0.3, &rng);
+  for (const Graph::Edge& e : b.edges()) edges.push_back({k1 + e.u, k1 + e.v});
+  Policy policy{"random-disconnected", DomainShape({k}),
+                Graph(k, std::move(edges))};
   const PolicyTransform t = PolicyTransform::Create(policy).ValueOrDie();
   EXPECT_EQ(t.reduction().removed.size(), 2u);
 

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/algorithms.h"
@@ -10,9 +15,7 @@ namespace blowfish {
 namespace {
 
 TEST(Graph, AddAndQueryEdges) {
-  Graph g(4);
-  g.AddEdge(0, 1);
-  g.AddEdge(2, Graph::kBottom);
+  const Graph g(4, {{0, 1}, {2, Graph::kBottom}});
   EXPECT_EQ(g.num_edges(), 2u);
   EXPECT_TRUE(g.HasEdge(1, 0));
   EXPECT_TRUE(g.HasEdge(Graph::kBottom, 2));
@@ -23,12 +26,49 @@ TEST(Graph, AddAndQueryEdges) {
   EXPECT_EQ(g.Degree(3), 0u);
 }
 
+TEST(Graph, NeighborsListEdgesInOrderAndBottomByVertex) {
+  // ⊥ may be named at either end; it is stored as v.
+  const Graph g(4, {{3, Graph::kBottom}, {0, 1}, {Graph::kBottom, 1},
+                    {1, 2}});
+  EXPECT_EQ(g.edges()[2].u, 1u);
+  EXPECT_EQ(g.edges()[2].v, Graph::kBottom);
+  const Graph::Incidences one = g.Neighbors(1);
+  ASSERT_EQ(one.size(), 3u);
+  EXPECT_EQ(one[0].neighbor, 0u);
+  EXPECT_EQ(one[0].edge, 1u);
+  EXPECT_EQ(one[1].neighbor, Graph::kBottom);
+  EXPECT_EQ(one[1].edge, 2u);
+  EXPECT_EQ(one[2].neighbor, 2u);
+  EXPECT_EQ(one[2].edge, 3u);
+  const Graph::Incidences bottom = g.Neighbors(Graph::kBottom);
+  ASSERT_EQ(bottom.size(), 2u);
+  EXPECT_EQ(bottom[0].neighbor, 1u);
+  EXPECT_EQ(bottom[0].edge, 2u);
+  EXPECT_EQ(bottom[1].neighbor, 3u);
+  EXPECT_EQ(bottom[1].edge, 0u);
+  EXPECT_EQ(g.Degree(Graph::kBottom), 2u);
+}
+
 TEST(GraphDeath, RejectsSelfLoopsAndDuplicates) {
-  Graph g(3);
-  g.AddEdge(0, 1);
-  EXPECT_DEATH(g.AddEdge(1, 0), "duplicate");
-  EXPECT_DEATH(g.AddEdge(2, 2), "self loops");
-  EXPECT_DEATH(g.AddEdge(0, 7), "out of range");
+  EXPECT_DEATH(Graph(3, {{0, 1}, {1, 0}}), "duplicate");
+  EXPECT_DEATH(Graph(3, {{0, 1}, {2, 2}}), "self loops");
+  EXPECT_DEATH(Graph(3, {{0, 1}, {0, 7}}), "out of range");
+}
+
+TEST(Graph, FromEdgesReportsTheDefect) {
+  EXPECT_TRUE(Graph::FromEdges(3, {{0, 1}, {1, Graph::kBottom}}).ok());
+  const Result<Graph> duplicate_bottom =
+      Graph::FromEdges(3, {{0, Graph::kBottom}, {Graph::kBottom, 0}});
+  ASSERT_FALSE(duplicate_bottom.ok());
+  EXPECT_NE(duplicate_bottom.status().message().find("duplicate"),
+            std::string::npos);
+  const Result<Graph> loop = Graph::FromEdges(3, {{1, 1}});
+  ASSERT_FALSE(loop.ok());
+  EXPECT_NE(loop.status().message().find("self loops"), std::string::npos);
+  const Result<Graph> far = Graph::FromEdges(3, {{3, Graph::kBottom}});
+  ASSERT_FALSE(far.ok());
+  EXPECT_NE(far.status().message().find("out of range"), std::string::npos);
+  EXPECT_EQ(far.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(DomainShape, FlattenUnflattenRoundTrip) {
@@ -134,9 +174,7 @@ TEST(Builders, SensitiveAttributeGraphIsDisconnected) {
 }
 
 TEST(Algorithms, BfsDistancesWithBottom) {
-  Graph g(3);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, Graph::kBottom);
+  const Graph g(3, {{0, 1}, {1, Graph::kBottom}});
   const std::vector<int64_t> dist = BfsDistances(g, 0);
   EXPECT_EQ(dist[0], 0);
   EXPECT_EQ(dist[1], 1);
@@ -145,9 +183,7 @@ TEST(Algorithms, BfsDistancesWithBottom) {
 }
 
 TEST(Algorithms, ConnectivityAndComponents) {
-  Graph g(4);
-  g.AddEdge(0, 1);
-  g.AddEdge(2, 3);
+  const Graph g(4, {{0, 1}, {2, 3}});
   EXPECT_FALSE(IsConnected(g));
   size_t n_comp = 0;
   const std::vector<size_t> comp = ConnectedComponents(g, &n_comp);
@@ -157,19 +193,71 @@ TEST(Algorithms, ConnectivityAndComponents) {
   EXPECT_NE(comp[0], comp[2]);
 }
 
+// Union-find labels of the domain vertices, ⊥ as vertex n, renumbered
+// in order of each component's smallest vertex.
+std::vector<size_t> UnionFindLabels(const Graph& g, size_t* num_components) {
+  const size_t n = g.num_vertices();
+  std::vector<size_t> parent(n + 1);
+  for (size_t v = 0; v <= n; ++v) parent[v] = v;
+  const auto find = [&](size_t v) {
+    while (parent[v] != v) v = parent[v] = parent[parent[v]];
+    return v;
+  };
+  for (const Graph::Edge& e : g.edges()) {
+    parent[find(e.u)] = find(e.v == Graph::kBottom ? n : e.v);
+  }
+  std::vector<size_t> id_of_root(n + 1, SIZE_MAX), labels(n);
+  *num_components = 0;
+  for (size_t v = 0; v < n; ++v) {
+    size_t& id = id_of_root[find(v)];
+    if (id == SIZE_MAX) id = (*num_components)++;
+    labels[v] = id;
+  }
+  return labels;
+}
+
+TEST(Algorithms, ConnectedComponentsMatchUnionFind) {
+  std::mt19937_64 gen(33);
+  for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const size_t n = 1 + gen() % 200;
+    // Sparse trials leave many components; some ground a few vertices.
+    const size_t edges_wanted = gen() % (2 * n);
+    const bool with_bottom = trial % 2 == 1;
+    std::vector<Graph::Edge> edges;
+    std::set<std::pair<size_t, size_t>> seen;
+    for (size_t i = 0; i < edges_wanted; ++i) {
+      const size_t u = gen() % n;
+      size_t v = gen() % (n + 1);
+      if (v == n) {
+        if (!with_bottom || gen() % 4 != 0) continue;
+        v = Graph::kBottom;
+      }
+      if (u == v || !seen.insert({std::min(u, v), std::max(u, v)}).second) {
+        continue;
+      }
+      edges.push_back({u, v});
+    }
+    const Graph g(n, std::move(edges));
+    size_t expected_count = 0;
+    const std::vector<size_t> expected = UnionFindLabels(g, &expected_count);
+    size_t count = 0;
+    EXPECT_EQ(ConnectedComponents(g, &count), expected);
+    EXPECT_EQ(count, expected_count);
+    EXPECT_EQ(IsConnected(g), expected_count <= 1);
+  }
+}
+
 TEST(Algorithms, BottomMergesComponents) {
   // Two cliques each wired to ⊥ are one component through ⊥.
-  Graph g(4);
-  g.AddEdge(0, 1);
-  g.AddEdge(2, 3);
-  g.AddEdge(0, Graph::kBottom);
-  g.AddEdge(2, Graph::kBottom);
+  const Graph g(4,
+                {{0, 1}, {2, 3}, {0, Graph::kBottom}, {2, Graph::kBottom}});
   EXPECT_TRUE(IsConnected(g));
 }
 
-TEST(Algorithms, BfsSpanningTreeIsTree) {
+TEST(Algorithms, BfsSpanningForestOfACycleIsATree) {
   const Graph g = CycleGraph(8);
-  const Graph t = BfsSpanningTree(g, 0);
+  const Graph t = BfsSpanningForest(g);
   EXPECT_TRUE(IsTree(t));
   EXPECT_EQ(t.num_edges(), 7u);
 }
@@ -178,28 +266,23 @@ TEST(Algorithms, MaxEdgeStretchCycleVsSpanningTree) {
   // Dropping one edge of an n-cycle stretches that edge to n-1
   // (Section 4.3's discussion).
   const Graph g = CycleGraph(9);
-  const Graph t = BfsSpanningTree(g, 0);
+  const Graph t = BfsSpanningForest(g);
   EXPECT_EQ(MaxEdgeStretch(g, t), 8);
 }
 
 TEST(Algorithms, MaxEdgeStretchDisconnected) {
-  Graph g(3);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 2);
-  Graph h(3);
-  h.AddEdge(0, 1);
+  const Graph g(3, {{0, 1}, {1, 2}});
+  const Graph h(3, {{0, 1}});
   EXPECT_EQ(MaxEdgeStretch(g, h), -1);
 }
 
 TEST(Algorithms, IsTreeCountsBottom) {
   // Path 0-1-⊥: 3 vertices (incl ⊥), 2 edges -> tree.
-  Graph g(2);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, Graph::kBottom);
+  const Graph g(2, {{0, 1}, {1, Graph::kBottom}});
   EXPECT_TRUE(IsTree(g));
   // Adding 0-⊥ creates a cycle through ⊥.
-  g.AddEdge(0, Graph::kBottom);
-  EXPECT_FALSE(IsTree(g));
+  const Graph cycle(2, {{0, 1}, {1, Graph::kBottom}, {0, Graph::kBottom}});
+  EXPECT_FALSE(IsTree(cycle));
 }
 
 }  // namespace

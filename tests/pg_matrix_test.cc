@@ -19,10 +19,7 @@ namespace {
 // Figure 2's example: the line graph with the rightmost node replaced
 // by ⊥ has a bidiagonal P_G whose inverse is the cumulative workload.
 TEST(PgMatrix, Figure2Example) {
-  Graph g(3);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 2);
-  g.AddEdge(2, Graph::kBottom);
+  const Graph g(3, {{0, 1}, {1, 2}, {2, Graph::kBottom}});
   const Matrix pg = BuildPgMatrix(g).ToDense();
   const Matrix expected{{1.0, 0.0, 0.0}, {-1.0, 1.0, 0.0}, {0.0, -1.0, 1.0}};
   EXPECT_LT(pg.MaxAbsDiff(expected), 1e-15);
@@ -33,11 +30,8 @@ TEST(PgMatrix, Figure2Example) {
 }
 
 TEST(PgMatrix, ColumnsHaveTwoSignedEntries) {
-  Graph g(4);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 3);
-  g.AddEdge(2, Graph::kBottom);
-  g.AddEdge(3, Graph::kBottom);
+  const Graph g(4,
+                {{0, 1}, {1, 3}, {2, Graph::kBottom}, {3, Graph::kBottom}});
   const SparseMatrix pg = BuildPgMatrix(g);
   EXPECT_EQ(pg.rows(), 4u);
   EXPECT_EQ(pg.cols(), 4u);
@@ -137,10 +131,7 @@ TEST(PgMatrix, CaseIIPreservesNeighborsBruteForce) {
 // ungrounded component and share ⊥.
 TEST(PgMatrix, DisconnectedPolicyReduction) {
   // Two components: {0,1,2} path and {3,4} edge.
-  Graph g(5);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 2);
-  g.AddEdge(3, 4);
+  const Graph g(5, {{0, 1}, {1, 2}, {3, 4}});
   const PolicyReduction red = ReducePolicyGraph(g);
   EXPECT_EQ(red.removed.size(), 2u);
   EXPECT_EQ(red.removed[0], 2u);  // max index of component 1

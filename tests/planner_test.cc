@@ -56,17 +56,19 @@ TEST(Planner, GridThetaMissingOneEdgeIsNotRoutedAsGridTheta) {
   // the grid-θ mechanism's guarantee would not hold for this policy.
   const DomainShape domain({8, 8});
   const Graph full = DistanceThresholdGraph(domain, 3);
-  Graph g(full.num_vertices());
+  std::vector<Graph::Edge> edges;
   bool dropped = false;
   for (const Graph::Edge& e : full.edges()) {
     if (!dropped && domain.L1Distance(e.u, e.v) == 1) {
       dropped = true;
       continue;
     }
-    g.AddEdge(e.u, e.v);
+    edges.push_back(e);
   }
   ASSERT_TRUE(dropped);
-  PlanRequest req{Policy{"almost-grid", domain, std::move(g)}, false};
+  PlanRequest req{Policy{"almost-grid", domain,
+                         Graph(full.num_vertices(), std::move(edges))},
+                  false};
   const Plan plan = PlanMechanism(std::move(req)).ValueOrDie();
   EXPECT_NE(plan.kind, "grid-theta-range");
   ASSERT_NE(plan.mechanism, nullptr);
@@ -92,8 +94,9 @@ TEST(Planner, GroundedPathWithKEdgesIsATree) {
   // A path 0-1-..-7 hung from ⊥ at vertex 0: k edges over k+1 vertices
   // counting ⊥, the most edges a tree can have, so the planner must
   // still build the transform and find the tree.
-  Graph g = LineGraph(8);
-  g.AddEdge(0, Graph::kBottom);
+  std::vector<Graph::Edge> edges = LineGraph(8).edges();
+  edges.push_back({0, Graph::kBottom});
+  Graph g(8, std::move(edges));
   ASSERT_EQ(g.num_edges(), g.num_vertices());
   PlanRequest req{Policy{"grounded-path", DomainShape({8}), std::move(g)},
                   false};
@@ -156,9 +159,9 @@ Feeds FeedsOf(const BlowfishMechanism& m) {
 // which a neighbour is not a unit change: only a data-independent
 // linear release (Privelet) may see it, whichever inner is requested.
 TEST(Planner, NonTreeTransformsFeedOnlyPrivelet) {
-  Graph cycle(12);
-  for (size_t i = 0; i + 1 < 12; ++i) cycle.AddEdge(i, i + 1);
-  cycle.AddEdge(0, 11);
+  std::vector<Graph::Edge> edges = LineGraph(12).edges();
+  edges.push_back({0, 11});
+  const Graph cycle(12, std::move(edges));
   const std::vector<std::pair<std::string, Policy>> families = {
       {"tree-transform", LinePolicy(32)},
       {"tree-transform", UnboundedDpPolicy(16)},

@@ -136,10 +136,11 @@ void VisitHintFields(std::string* file, uint64_t legacy,
 
 // Cycle graph: the planner's spanning-tree fallback (stretch k-1).
 Policy RingPolicy(size_t k) {
-  Graph g(k);
-  for (size_t i = 0; i + 1 < k; ++i) g.AddEdge(i, i + 1);
-  g.AddEdge(0, k - 1);
-  return Policy{"C_" + std::to_string(k), DomainShape({k}), std::move(g)};
+  std::vector<Graph::Edge> edges;
+  for (size_t i = 0; i + 1 < k; ++i) edges.push_back({i, i + 1});
+  edges.push_back({0, k - 1});
+  return Policy{"C_" + std::to_string(k), DomainShape({k}),
+                Graph(k, std::move(edges))};
 }
 
 struct Subject {

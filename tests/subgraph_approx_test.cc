@@ -131,8 +131,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Certify, RejectsDisconnectedSpanner) {
   Policy g = Theta1DPolicy(6, 2);
-  Graph h(6);
-  h.AddEdge(0, 1);  // misses most vertices
+  const Graph h(6, {{0, 1}});
   EXPECT_FALSE(
       CertifySpanner(g, Policy{"bad", DomainShape({6}), h}).ok());
 }
@@ -168,11 +167,9 @@ int64_t FullBfsMaxEdgeStretch(const Graph& g, const Graph& h) {
 
 // `h` without its edge number `drop`, other edges in order.
 Graph WithoutEdge(const Graph& h, size_t drop) {
-  Graph out(h.num_vertices());
-  for (size_t e = 0; e < h.num_edges(); ++e) {
-    if (e != drop) out.AddEdge(h.edges()[e].u, h.edges()[e].v);
-  }
-  return out;
+  std::vector<Graph::Edge> edges = h.edges();
+  edges.erase(edges.begin() + static_cast<std::ptrdiff_t>(drop));
+  return Graph(h.num_vertices(), std::move(edges));
 }
 
 TEST(StretchOracle, ThetaLineSpanners) {
@@ -208,7 +205,7 @@ TEST(StretchOracle, GridThetaSpanners) {
 TEST(StretchOracle, CycleVersusSpanningTree) {
   for (size_t n : {3u, 9u, 64u}) {
     const Graph g = CycleGraph(n);
-    const Graph t = BfsSpanningTree(g, 0);
+    const Graph t = BfsSpanningForest(g);
     EXPECT_EQ(FullBfsMaxEdgeStretch(g, t), static_cast<int64_t>(n) - 1);
     EXPECT_EQ(MaxEdgeStretch(g, t), static_cast<int64_t>(n) - 1);
   }
@@ -217,22 +214,21 @@ TEST(StretchOracle, CycleVersusSpanningTree) {
 TEST(StretchOracle, BottomEdges) {
   // Line 0-…-7 with ⊥ edges at 0, 3 and 7: certification must both
   // reach ⊥ as a target and route through it.
-  Graph g(8);
-  for (size_t i = 0; i + 1 < 8; ++i) g.AddEdge(i, i + 1);
-  g.AddEdge(0, Graph::kBottom);
-  g.AddEdge(3, Graph::kBottom);
-  g.AddEdge(7, Graph::kBottom);
+  std::vector<Graph::Edge> edges;
+  for (size_t i = 0; i + 1 < 8; ++i) edges.push_back({i, i + 1});
+  const Graph line(8, edges);
+  edges.push_back({0, Graph::kBottom});
+  edges.push_back({3, Graph::kBottom});
+  edges.push_back({7, Graph::kBottom});
+  const Graph g(8, std::move(edges));
   // Spanner: the BFS forest roots at ⊥, so 0-1 routes via ⊥ or 1-0.
   const Graph forest = BfsSpanningForest(g);
   EXPECT_EQ(MaxEdgeStretch(g, forest), FullBfsMaxEdgeStretch(g, forest));
   // Spanner of ⊥ edges only: every line edge routes i-⊥-(i+1).
-  Graph star(8);
-  for (size_t i = 0; i < 8; ++i) star.AddEdge(i, Graph::kBottom);
+  const Graph star = StarBottomGraph(8);
   EXPECT_EQ(FullBfsMaxEdgeStretch(g, star), 2);
   EXPECT_EQ(MaxEdgeStretch(g, star), 2);
   // Drop ⊥ from the spanner's reach: every ⊥ target is unreachable.
-  Graph line(8);
-  for (size_t i = 0; i + 1 < 8; ++i) line.AddEdge(i, i + 1);
   EXPECT_EQ(FullBfsMaxEdgeStretch(g, line), -1);
   EXPECT_EQ(MaxEdgeStretch(g, line), -1);
 }
@@ -242,15 +238,16 @@ TEST(StretchOracle, RandomGraphsWithBottom) {
   size_t disconnected = 0;
   for (int trial = 0; trial < 200; ++trial) {
     const size_t n = 2 + gen() % 30;
-    Graph g(n);
-    Graph h(n);
+    std::vector<Graph::Edge> g_edges, h_edges;
     for (size_t u = 0; u < n; ++u) {
       for (size_t v = u + 1; v <= n; ++v) {
         const size_t w = v == n ? Graph::kBottom : v;
-        if (gen() % 4 == 0) g.AddEdge(u, w);
-        if (gen() % 5 == 0) h.AddEdge(u, w);
+        if (gen() % 4 == 0) g_edges.push_back({u, w});
+        if (gen() % 5 == 0) h_edges.push_back({u, w});
       }
     }
+    const Graph g(n, std::move(g_edges));
+    const Graph h(n, std::move(h_edges));
     const int64_t expected = FullBfsMaxEdgeStretch(g, h);
     if (expected < 0) ++disconnected;
     EXPECT_EQ(MaxEdgeStretch(g, h), expected) << "trial " << trial;

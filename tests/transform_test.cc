@@ -123,15 +123,8 @@ TEST(Transform, LinePolicyTransformIsPrefixSums) {
 TEST(Transform, TreeSweepIsTheMinNormPreimage) {
   const size_t k = 9;
   // Build a bushy tree policy: star-of-paths.
-  Graph g(k);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 2);
-  g.AddEdge(0, 3);
-  g.AddEdge(3, 4);
-  g.AddEdge(4, 5);
-  g.AddEdge(0, 6);
-  g.AddEdge(6, 7);
-  g.AddEdge(7, 8);
+  const Graph g(k, {{0, 1}, {1, 2}, {0, 3}, {3, 4}, {4, 5}, {0, 6}, {6, 7},
+                    {7, 8}});
   const Policy tree_policy{"bushy", DomainShape({k}), g};
   const PolicyTransform t = PolicyTransform::Create(tree_policy).ValueOrDie();
   ASSERT_TRUE(t.is_tree());
